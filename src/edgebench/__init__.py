@@ -1,7 +1,8 @@
 """Marr-Hildreth and Canny edge detectors with synthetic ground-truth
 benchmarking."""
 
-from .canny import CannyParams, GradientField, canny_detect, gradient, hysteresis, nonmax_suppress, thinned_magnitude
+from .canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
+                    nonmax_suppress, thinned_magnitude)
 from .evaluation import (
     EvalReport,
     Scene,
@@ -38,6 +39,7 @@ __all__ = [
     "TruncationError",
     "add_gaussian_noise",
     "canny_detect",
+    "component_maxima",
     "convolve_2d",
     "convolve_separable",
     "count_components",

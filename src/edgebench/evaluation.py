@@ -4,13 +4,13 @@ comparison reports."""
 import csv
 import io
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy import ndimage
 
-from .canny import CannyParams, canny_detect, hysteresis, thinned_magnitude
+from .canny import CannyParams, canny_detect, component_maxima, thinned_magnitude
+from .canny import hysteresis  # noqa: F401  re-exported as edgebench.evaluation.hysteresis
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
 
@@ -164,43 +164,49 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     nearest-truth distance over matched detections (0.0 when nothing
     matched). Rates over an empty set are 0.0, except that an empty
     detection against non-empty truth gives a false-negative rate of 1.0.
+
+    Nearest distances are read from exact Euclidean distance transforms
+    (ndimage.distance_transform_edt) of each mask's complement, in
+    row-major pixel order.
     """
     if match_tolerance < 0:
         raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
-    det = np.argwhere(detected.mask)
-    tru = np.argwhere(truth.mask)
+    det = detected.mask
+    tru = truth.mask
+    n_det = int(np.count_nonzero(det))
+    n_tru = int(np.count_nonzero(tru))
 
-    if det.shape[0] == 0:
+    if n_det == 0:
         fp = 0.0
         matched = 0
         msd = 0.0
-    elif tru.shape[0] == 0:
+    elif n_tru == 0:
         fp = 1.0
         matched = 0
         msd = 0.0
     else:
-        dist, _ = cKDTree(tru).query(det)
+        dist = ndimage.distance_transform_edt(~tru)[det]
         matched_mask = dist <= match_tolerance
-        matched = int(matched_mask.sum())
-        fp = float((det.shape[0] - matched) / det.shape[0])
+        matched = int(np.count_nonzero(matched_mask))
+        fp = float((n_det - matched) / n_det)
         msd = float(np.mean(dist[matched_mask] ** 2)) if matched else 0.0
 
-    if tru.shape[0] == 0:
+    if n_tru == 0:
         fn = 0.0
-    elif det.shape[0] == 0:
+    elif n_det == 0:
         fn = 1.0
     else:
-        dist, _ = cKDTree(det).query(tru)
-        fn = float((dist > match_tolerance).sum() / tru.shape[0])
+        dist = ndimage.distance_transform_edt(~det)[tru]
+        fn = float(np.count_nonzero(dist > match_tolerance) / n_tru)
 
     return EvalReport(
         false_positive_rate=fp,
         false_negative_rate=fn,
         mean_sq_distance=msd,
-        detected_count=int(det.shape[0]),
-        truth_count=int(tru.shape[0]),
+        detected_count=n_det,
+        truth_count=n_tru,
         matched_count=matched,
         match_tolerance=float(match_tolerance),
     )
@@ -216,31 +222,18 @@ def f_score(report: EvalReport) -> float:
 
 
 def count_components(edges, connectivity: int = 8) -> int:
-    """Number of connected components of true pixels (4- or 8-connectivity)."""
+    """Number of connected components of true pixels (4- or 8-connectivity).
+
+    This is the label count of ndimage.label with the cross (4) or full
+    3x3 (8) structuring element.
+    """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     mask = edges.mask if isinstance(edges, EdgeMap) else np.asarray(edges, dtype=bool)
-    if connectivity == 8:
-        offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    else:
-        offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    components = 0
-    for sy, sx in zip(*np.nonzero(mask)):
-        if seen[sy, sx]:
-            continue
-        components += 1
-        seen[sy, sx] = True
-        queue = deque([(sy, sx)])
-        while queue:
-            y, x = queue.popleft()
-            for dy, dx in offsets:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    queue.append((ny, nx))
-    return components
+    if mask.ndim != 2:
+        raise ValueError(f"edge mask must be 2-D, got shape {mask.shape}")
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    return ndimage.label(mask, structure=structure)[1]
 
 
 def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 1.5) -> list:
@@ -259,6 +252,25 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     return rows
 
 
+def _best_operating_point(candidates, truth: EdgeMap, tolerance: float):
+    # first (params, report) of the highest f_score over (params, mask) pairs
+    best = None
+    for params, mask in candidates:
+        report = score(EdgeMap(mask), truth, tolerance)
+        if best is None or f_score(report) > f_score(best[1]):
+            best = (params, report)
+    return best
+
+
+def _hysteresis_candidates(plane: GrayImage, grid, make_params):
+    # every (low, high >= low) grid pair: one labelling per low, then one
+    # lookup per high, equal to hysteresis(plane, low, high)
+    for i, low in enumerate(grid):
+        labels, maxima = component_maxima(plane, low)
+        for high in grid[i:]:
+            yield make_params(low, high), (maxima > high)[labels]
+
+
 def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
             use_hysteresis: bool = False, grid=THRESHOLD_GRID):
     """Grid-search the slope threshold(s) maximising the scene's f_score.
@@ -267,21 +279,12 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     the earliest grid point, so the result is deterministic.
     """
     slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
-    best = None
     if use_hysteresis:
-        for i, low in enumerate(grid):
-            for high in grid[i:]:
-                report = score(hysteresis(slopes, low, high), scene.truth, tolerance)
-                params = MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high)
-                if best is None or f_score(report) > f_score(best[1]):
-                    best = (params, report)
+        candidates = _hysteresis_candidates(
+            slopes, grid, lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
     else:
-        for threshold in grid:
-            report = score(EdgeMap(slopes.pixels > threshold), scene.truth, tolerance)
-            params = MHParams(sigma=sigma, slope_threshold=threshold)
-            if best is None or f_score(report) > f_score(best[1]):
-                best = (params, report)
-    return best
+        candidates = ((MHParams(sigma=sigma, slope_threshold=t), slopes.pixels > t) for t in grid)
+    return _best_operating_point(candidates, scene.truth, tolerance)
 
 
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
@@ -289,15 +292,10 @@ def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=TH
 
     Returns (CannyParams, EvalReport); deterministic like tune_mh.
     """
-    thinned = thinned_magnitude(scene.image, sigma)
-    best = None
-    for i, low in enumerate(grid):
-        for high in grid[i:]:
-            report = score(hysteresis(thinned, low, high), scene.truth, tolerance)
-            params = CannyParams(sigma=sigma, low=low, high=high)
-            if best is None or f_score(report) > f_score(best[1]):
-                best = (params, report)
-    return best
+    candidates = _hysteresis_candidates(
+        thinned_magnitude(scene.image, sigma), grid,
+        lambda low, high: CannyParams(sigma=sigma, low=low, high=high))
+    return _best_operating_point(candidates, scene.truth, tolerance)
 
 
 def noisy_step_suite(seeds, size: int = 64, contrast: float = 0.5, noise_stddev: float = 0.1) -> list:

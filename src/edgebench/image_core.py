@@ -1,6 +1,7 @@
 """Pixel buffers, grayscale conversion, and PGM/PPM file I/O."""
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ class GrayImage:
         arr = np.array(self.pixels, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"gray pixels must form a non-empty 2-D grid, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("gray pixels must be finite, got NaN or infinity")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -77,7 +80,7 @@ class RgbImage:
         arr = np.array(self.pixels, dtype=np.float64, copy=True)
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError(f"rgb pixels must form a non-empty (h, w, 3) grid, got shape {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("rgb channels must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
@@ -175,15 +178,11 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    tokens = data[pos:].split()
-    kept = []
-    for tok in tokens:
-        if tok.startswith(b"#"):
-            # crude but adequate: a comment token swallows the rest of its line
-            continue
-        kept.append(tok)
-        if len(kept) == count:
-            break
+    raster = data[pos:]
+    if b"#" in raster:
+        # as in the header, a comment runs from '#' to the end of its line
+        raster = re.sub(rb"#[^\r\n]*", b"", raster)
+    kept = raster.split()[:count]
     if len(kept) < count:
         raise TruncationError(f"pixel data truncated: expected {count} samples, got {len(kept)}")
     out = np.empty(count, dtype=np.float64)

@@ -1,0 +1,108 @@
+"""Slow reference implementations kept as test oracles.
+
+These are the breadth-first flood fills and k-d tree queries that
+edgebench used before its linking, component counting and scoring moved to
+scipy.ndimage labelling and distance transforms. They state each contract
+directly, one pixel at a time, so the fast versions can be checked against
+them.
+"""
+
+from collections import deque
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from edgebench.evaluation import EvalReport
+from edgebench.image_core import EdgeMap, GrayImage
+
+
+def bfs_hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
+    """Flood fill from every pixel above high through 8-neighbours above low."""
+    if low < 0 or low > high:
+        raise ValueError(f"hysteresis thresholds require 0 <= low <= high, got low={low}, high={high}")
+    values = thinned.pixels
+    h, w = values.shape
+    passable = values > low
+    reached = values > high
+    queue = deque(zip(*np.nonzero(reached)))
+    while queue:
+        y, x = queue.popleft()
+        for ny in (y - 1, y, y + 1):
+            if ny < 0 or ny >= h:
+                continue
+            for nx in (x - 1, x, x + 1):
+                if 0 <= nx < w and passable[ny, nx] and not reached[ny, nx]:
+                    reached[ny, nx] = True
+                    queue.append((ny, nx))
+    return EdgeMap(reached)
+
+
+def bfs_count_components(edges, connectivity: int = 8) -> int:
+    """Count components of true pixels by flood fill from each unseen pixel."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    mask = edges.mask if isinstance(edges, EdgeMap) else np.asarray(edges, dtype=bool)
+    if connectivity == 8:
+        offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    else:
+        offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    components = 0
+    for sy, sx in zip(*np.nonzero(mask)):
+        if seen[sy, sx]:
+            continue
+        components += 1
+        seen[sy, sx] = True
+        queue = deque([(sy, sx)])
+        while queue:
+            y, x = queue.popleft()
+            for dy, dx in offsets:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
+                    seen[ny, nx] = True
+                    queue.append((ny, nx))
+    return components
+
+
+def kdtree_score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> EvalReport:
+    """score() with nearest distances from k-d tree queries over pixel lists."""
+    if match_tolerance < 0:
+        raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
+    if (detected.height, detected.width) != (truth.height, truth.width):
+        raise ValueError("detected and truth masks must share dimensions")
+    det = np.argwhere(detected.mask)
+    tru = np.argwhere(truth.mask)
+
+    if det.shape[0] == 0:
+        fp = 0.0
+        matched = 0
+        msd = 0.0
+    elif tru.shape[0] == 0:
+        fp = 1.0
+        matched = 0
+        msd = 0.0
+    else:
+        dist, _ = cKDTree(tru).query(det)
+        matched_mask = dist <= match_tolerance
+        matched = int(matched_mask.sum())
+        fp = float((det.shape[0] - matched) / det.shape[0])
+        msd = float(np.mean(dist[matched_mask] ** 2)) if matched else 0.0
+
+    if tru.shape[0] == 0:
+        fn = 0.0
+    elif det.shape[0] == 0:
+        fn = 1.0
+    else:
+        dist, _ = cKDTree(det).query(tru)
+        fn = float((dist > match_tolerance).sum() / tru.shape[0])
+
+    return EvalReport(
+        false_positive_rate=fp,
+        false_negative_rate=fn,
+        mean_sq_distance=msd,
+        detected_count=int(det.shape[0]),
+        truth_count=int(tru.shape[0]),
+        matched_count=matched,
+        match_tolerance=float(match_tolerance),
+    )

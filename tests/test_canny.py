@@ -256,6 +256,13 @@ class TestHysteresis:
 
 
 class TestCannyDetect:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_are_refused_with_a_clear_message(self, bad):
+        px = synth_step(16, 16, 8, 0.5).image.pixels.copy()
+        px[5, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            canny_detect(GrayImage(px), CannyParams())
+
     def test_constant_image_has_no_edges(self):
         assert canny_detect(GrayImage(np.full((10, 10), 0.6)),
                             CannyParams(1.0, 0.05, 0.15)).count == 0

@@ -168,6 +168,16 @@ class TestEvaluate:
         row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
         assert row["seed"] == "7"
 
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    def test_non_finite_scene_exits_1_with_a_clear_message(self, detector, capsys):
+        # NaN noise makes NaN pixels, which the image type refuses
+        code = run(["evaluate", "--detector", detector, "--scene", "step",
+                    "--noise-stddev", "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_negative_tolerance_exits_1(self, capsys):
         code = run(["evaluate", "--detector", "canny", "--scene", "step",
                     "--tolerance", "-1"])

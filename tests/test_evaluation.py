@@ -294,6 +294,11 @@ class TestCountComponents:
         with pytest.raises(ValueError):
             count_components(make_map((4, 4), []), 6)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+    def test_mask_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            count_components(np.zeros(shape, dtype=bool), 8)
+
     @given(bool_masks, st.sampled_from([4, 8]))
     def test_matches_scipy_label_oracle(self, mask, connectivity):
         structure = np.ones((3, 3)) if connectivity == 8 else None

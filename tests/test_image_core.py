@@ -105,6 +105,19 @@ class TestTypes:
         src[0, 0] = 9.0
         assert img.pixels[0, 0] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gray_rejects_non_finite_pixels(self, bad):
+        px = np.zeros((3, 3))
+        px[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GrayImage(px)
+
+    def test_rgb_rejects_nan_channels(self):
+        px = np.zeros((2, 2, 3))
+        px[0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RgbImage(px)
+
     def test_rgb_rejects_out_of_range_channels(self):
         with pytest.raises(ValueError):
             RgbImage(np.full((1, 1, 3), 1.5))
@@ -163,6 +176,24 @@ class TestRead:
         p.write_text("P2 # magic\n# a comment line\n2 # width\n1\n# more\n255\n7 9\n")
         img = read_image(p)
         assert np.allclose(img.pixels, [[7 / 255, 9 / 255]])
+
+    def test_raster_comment_runs_to_the_end_of_its_line(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P2 2 2 255\n1 2 # 3\n4 5\n")
+        img = read_image(p)
+        assert img.pixels.tolist() == [[1 / 255, 2 / 255], [4 / 255, 5 / 255]]
+
+    def test_raster_comment_glued_to_a_sample_and_cr_line_ends(self, tmp_path):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(b"P3\r1 1\r255\r7#r g b\r8 9 #trailing")
+        img = read_image(p)
+        assert img.pixels[0, 0].tolist() == [7 / 255, 8 / 255, 9 / 255]
+
+    def test_commented_out_samples_do_not_count(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P2\n3 1\n255\n1 2 # 3\n")
+        with pytest.raises(TruncationError, match=r"3.*2"):
+            read_image(p)
 
     def test_sixteen_bit_samples_are_big_endian(self, tmp_path):
         p = tmp_path / "t.pgm"

@@ -188,6 +188,14 @@ class TestZeroCrossings:
 
 
 class TestMhDetect:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("params", [MHParams(), MHParams(use_hysteresis=True, low=0.01, high=0.05)])
+    def test_non_finite_pixels_are_refused_with_a_clear_message(self, bad, params):
+        px = synth_step(16, 16, 8, 0.5).image.pixels.copy()
+        px[5, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mh_detect(GrayImage(px), params)
+
     def test_constant_image_any_params(self):
         img = GrayImage(np.full((12, 12), 0.5))
         assert mh_detect(img, MHParams()).count == 0

@@ -1,0 +1,209 @@
+"""The labelling and distance-transform kernels against their slow oracles.
+
+hysteresis, count_components and score must give exactly what the flood
+fills and k-d tree queries in oracles.py give, on every plane shape from one
+pixel up to 128x128, including values that sit exactly on a threshold.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from edgebench.canny import CannyParams, component_maxima, hysteresis, thinned_magnitude
+from edgebench.evaluation import THRESHOLD_GRID, count_components, f_score, noisy_step_suite, score, tune_canny, tune_mh
+from edgebench.image_core import EdgeMap, GrayImage
+from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
+from oracles import bfs_count_components, bfs_hysteresis, kdtree_score
+
+# mostly zeros, like a thinned plane; the other levels double as thresholds
+LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
+THRESHOLDS = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
+PAIRS = tuple((lo, hi) for i, lo in enumerate(THRESHOLDS) for hi in THRESHOLDS[i:])
+SHAPES = [(1, 1), (1, 2), (2, 1), (1, 128), (128, 1), (2, 2), (3, 7), (7, 3),
+          (17, 64), (64, 17), (128, 128)]
+SHAPE_IDS = [f"{h}x{w}" for h, w in SHAPES]
+TOLERANCES = (0.0, 1.0, math.sqrt(2.0), 1.5, 2.0, 2.5, 5.0)
+
+shapes = st.tuples(st.integers(1, 128), st.integers(1, 128))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_plane(rng, shape) -> np.ndarray:
+    # quantised levels put pixels exactly on the thresholds; some pixels
+    # are jittered off the levels
+    px = rng.choice(LEVELS, size=shape)
+    jitter = rng.random(shape) < 0.3
+    px[jitter] = rng.random(np.count_nonzero(jitter))
+    return px
+
+
+def random_mask(rng, shape, density) -> np.ndarray:
+    return rng.random(shape) < density
+
+
+def assert_hysteresis_matches(plane: GrayImage, low: float, high: float) -> None:
+    got = hysteresis(plane, low, high).mask
+    assert np.array_equal(got, bfs_hysteresis(plane, low, high).mask), (plane.pixels.shape, low, high)
+
+
+def assert_score_matches(det: EdgeMap, tru: EdgeMap, tolerance: float) -> None:
+    # reprs print every float at round-trip precision, so equal reprs are equal bits
+    assert repr(score(det, tru, tolerance)) == repr(kdtree_score(det, tru, tolerance))
+
+
+class TestHysteresisMatchesFloodFill:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_seeded_planes_every_threshold_pair(self, shape):
+        rng = np.random.default_rng(1000 * shape[0] + shape[1])
+        plane = GrayImage(random_plane(rng, shape))
+        for low, high in PAIRS:
+            assert_hysteresis_matches(plane, low, high)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (128, 128)])
+    def test_all_zero_plane(self, shape):
+        plane = GrayImage(np.zeros(shape))
+        labels, maxima = component_maxima(plane, 0.0)
+        assert not labels.any()
+        assert maxima.tolist() == [-math.inf]
+        for low, high in [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5)]:
+            assert hysteresis(plane, low, high).count == 0
+            assert_hysteresis_matches(plane, low, high)
+
+    def test_values_on_both_thresholds(self):
+        # a chain of pixels equal to low, touching a pixel equal to high, and
+        # one strictly above high: only the strict seed and its strict
+        # neighbours survive
+        px = np.array([[0.2, 0.2, 0.5, 0.0, 0.6, 0.3],
+                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.2]])
+        plane = GrayImage(px)
+        got = hysteresis(plane, 0.2, 0.5).mask
+        assert got.tolist() == [[False, False, False, False, True, True],
+                                [False, False, False, False, False, False]]
+        assert_hysteresis_matches(plane, 0.2, 0.5)
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_low_equal_to_high(self, t):
+        plane = GrayImage(random_plane(np.random.default_rng(5), (40, 50)))
+        assert np.array_equal(hysteresis(plane, t, t).mask, plane.pixels > t)
+        assert_hysteresis_matches(plane, t, t)
+
+    @given(shapes, seeds, st.sampled_from(PAIRS))
+    def test_random_planes(self, shape, seed, pair):
+        plane = GrayImage(random_plane(np.random.default_rng(seed), shape))
+        assert_hysteresis_matches(plane, *pair)
+
+    @given(shapes, seeds, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_random_planes_off_level_thresholds(self, shape, seed, a, b):
+        plane = GrayImage(random_plane(np.random.default_rng(seed), shape))
+        assert_hysteresis_matches(plane, min(a, b), max(a, b))
+
+
+class TestComponentMaxima:
+    @given(shapes, seeds, st.sampled_from(THRESHOLDS))
+    def test_labels_cover_exactly_the_passable_pixels(self, shape, seed, low):
+        values = random_plane(np.random.default_rng(seed), shape)
+        labels, maxima = component_maxima(GrayImage(values), low)
+        assert np.array_equal(labels > 0, values > low)
+        assert maxima[0] == -math.inf
+        assert labels.max(initial=0) == len(maxima) - 1
+        for k in range(1, len(maxima)):
+            assert maxima[k] == values[labels == k].max()
+
+    @pytest.mark.parametrize("name", ["canny", "mh"])
+    def test_per_low_lookup_matches_hysteresis_on_the_whole_grid(self, name):
+        image = noisy_step_suite([3])[0].image
+        if name == "canny":
+            plane = thinned_magnitude(image, 1.0)
+        else:
+            plane = crossing_slope_map(laplacian_of_smoothed(image, 1.0))
+        pairs = 0
+        for i, low in enumerate(THRESHOLD_GRID):
+            labels, maxima = component_maxima(plane, low)
+            for high in THRESHOLD_GRID[i:]:
+                assert np.array_equal((maxima > high)[labels], hysteresis(plane, low, high).mask), (low, high)
+                pairs += 1
+        assert pairs == 253
+
+
+class TestCountComponentsMatchesFloodFill:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("density", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_seeded_masks(self, shape, density):
+        mask = random_mask(np.random.default_rng(7 * shape[0] + shape[1]), shape, density)
+        for connectivity in (4, 8):
+            assert count_components(mask, connectivity) == bfs_count_components(mask, connectivity)
+
+    @given(shapes, seeds, st.floats(0.0, 1.0), st.sampled_from([4, 8]))
+    def test_random_masks(self, shape, seed, density, connectivity):
+        em = EdgeMap(random_mask(np.random.default_rng(seed), shape, density))
+        assert count_components(em, connectivity) == bfs_count_components(em, connectivity)
+
+
+class TestScoreMatchesKdTree:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_seeded_mask_pairs(self, shape, tolerance):
+        rng = np.random.default_rng(31 * shape[0] + shape[1])
+        for det_density, tru_density in [(0.05, 0.05), (0.3, 0.02), (0.02, 0.3), (0.9, 0.9)]:
+            det = EdgeMap(random_mask(rng, shape, det_density))
+            tru = EdgeMap(random_mask(rng, shape, tru_density))
+            assert_score_matches(det, tru, tolerance)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (9, 23)])
+    @pytest.mark.parametrize("tolerance", [0.0, 1.5])
+    def test_empty_sides(self, shape, tolerance):
+        rng = np.random.default_rng(3)
+        empty = EdgeMap(np.zeros(shape, dtype=bool))
+        full = EdgeMap(np.ones(shape, dtype=bool))
+        some = EdgeMap(random_mask(rng, shape, 0.4) | (np.arange(np.prod(shape)).reshape(shape) == 0))
+        for det, tru in [(empty, empty), (empty, some), (some, empty), (full, some), (some, full)]:
+            assert_score_matches(det, tru, tolerance)
+
+    def test_zero_tolerance_counts_only_exact_hits(self):
+        det = EdgeMap(np.array([[True, False, True, False]]))
+        tru = EdgeMap(np.array([[True, True, False, False]]))
+        rep = score(det, tru, 0.0)
+        assert (rep.matched_count, rep.false_positive_rate, rep.false_negative_rate) == (1, 0.5, 0.5)
+        assert_score_matches(det, tru, 0.0)
+
+    @given(shapes, seeds, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 6.0))
+    def test_random_mask_pairs(self, shape, seed, det_density, tru_density, tolerance):
+        rng = np.random.default_rng(seed)
+        det = EdgeMap(random_mask(rng, shape, det_density))
+        tru = EdgeMap(random_mask(rng, shape, tru_density))
+        assert_score_matches(det, tru, tolerance)
+
+
+def oracle_tune(plane: GrayImage, truth: EdgeMap, grid, make_params):
+    # the sweep as it was before the per-low labelling: one flood fill and
+    # one pair of k-d trees per grid point
+    best = None
+    for i, low in enumerate(grid):
+        for high in grid[i:]:
+            report = kdtree_score(bfs_hysteresis(plane, low, high), truth, 1.5)
+            params = make_params(low, high)
+            if best is None or f_score(report) > f_score(best[1]):
+                best = (params, report)
+    return best
+
+
+class TestTuningMatchesTheOracleSweep:
+    GRID = THRESHOLD_GRID[::3]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tune_canny(self, seed):
+        scene = noisy_step_suite([seed])[0]
+        expected = oracle_tune(thinned_magnitude(scene.image, 1.0), scene.truth, self.GRID,
+                               lambda lo, hi: CannyParams(sigma=1.0, low=lo, high=hi))
+        assert repr(tune_canny(scene, 1.0, 1.5, grid=self.GRID)) == repr(expected)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tune_mh_with_hysteresis(self, seed):
+        scene = noisy_step_suite([seed])[0]
+        slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0))
+        expected = oracle_tune(slopes, scene.truth, self.GRID,
+                               lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
+        assert repr(tune_mh(scene, 1.0, 1.5, use_hysteresis=True, grid=self.GRID)) == repr(expected)
