@@ -19,7 +19,7 @@ from .evaluation import (
 )
 from .filtering import Kernel1D, Kernel2D, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, read_image, rgb_to_gray, write_image
-from .marr_hildreth import LaplacianResponse, MHParams, laplacian_of_smoothed, mh_detect, zero_crossings
+from .marr_hildreth import MHParams, laplacian_of_smoothed, mh_detect, zero_crossings
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "GrayImage",
     "Kernel1D",
     "Kernel2D",
-    "LaplacianResponse",
     "MHParams",
     "RgbImage",
     "Scene",

@@ -1,6 +1,7 @@
 """Canny edge detection: gradient, non-maximum suppression, hysteresis."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -25,35 +26,20 @@ _EIGHT_CONNECTED = ndimage.generate_binary_structure(2, 2)
 
 @dataclass(frozen=True, eq=False)
 class GradientField:
-    """Per-pixel gradient components with derived magnitude and direction."""
+    """Per-pixel gradient components and their magnitude hypot(gx, gy)."""
 
     gx: np.ndarray
     gy: np.ndarray
-    magnitude: np.ndarray
-    direction: np.ndarray
+    magnitude: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        planes = {}
-        shape = None
-        for name in ("gx", "gy", "magnitude", "direction"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if shape is None:
-                shape = arr.shape
-            if arr.ndim != 2 or arr.shape != shape or arr.size == 0:
-                raise ValueError("gradient planes must be non-empty 2-D grids of equal shape")
+        gx = np.array(self.gx, dtype=np.float64, copy=True)
+        gy = np.array(self.gy, dtype=np.float64, copy=True)
+        if gx.ndim != 2 or gx.shape != gy.shape or gx.size == 0:
+            raise ValueError("gradient planes must be non-empty 2-D grids of equal shape")
+        for name, arr in (("gx", gx), ("gy", gy), ("magnitude", np.hypot(gx, gy))):
             arr.setflags(write=False)
-            planes[name] = arr
-        hyp = np.hypot(planes["gx"], planes["gy"])
-        if not np.allclose(planes["magnitude"], hyp, rtol=0.0, atol=1e-12):
-            raise ValueError("magnitude plane disagrees with hypot(gx, gy)")
-        for name, arr in planes.items():
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_components(cls, gx, gy) -> "GradientField":
-        gx = np.asarray(gx, dtype=np.float64)
-        gy = np.asarray(gy, dtype=np.float64)
-        return cls(gx, gy, np.hypot(gx, gy), np.arctan2(gy, gx))
 
     @property
     def width(self) -> int:
@@ -77,9 +63,9 @@ class CannyParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.low < 0 or self.low > self.high:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 <= self.low <= self.high:
             raise ValueError(
                 f"canny thresholds require 0 <= low <= high, got low={self.low}, high={self.high}"
             )
@@ -93,12 +79,10 @@ def gradient(img: GrayImage) -> GradientField:
     gx[y, x] = (I[y, x+1] - I[y, x-1]) / 2 and likewise for gy, where
     out-of-range samples repeat the nearest border pixel.
     """
-    if img.width < 3 or img.height < 3:
-        raise ValueError(f"gradient needs at least a 3x3 image, got {img.width}x{img.height}")
     p = np.pad(img.pixels, 1, mode="edge")
     gx = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
     gy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    return GradientField.from_components(gx, gy)
+    return GradientField(gx, gy)
 
 
 def nonmax_suppress(field: GradientField) -> GrayImage:
@@ -111,37 +95,29 @@ def nonmax_suppress(field: GradientField) -> GrayImage:
     Border pixels are always suppressed.
     """
     mag = field.magnitude
-    h, w = mag.shape
-    out = np.zeros_like(mag)
-    m = mag.tolist()
-    gxs = field.gx.tolist()
-    gys = field.gy.tolist()
-    for y in range(1, h - 1):
-        row = m[y]
-        above = m[y - 1]
-        below = m[y + 1]
-        for x in range(1, w - 1):
-            v = row[x]
-            if v == 0.0:
-                continue
-            dx = gxs[y][x]
-            dy = gys[y][x]
-            ax = dx if dx >= 0.0 else -dx
-            ay = dy if dy >= 0.0 else -dy
-            sx = 1 if dx >= 0.0 else -1
-            fwd_row = below if dy >= 0.0 else above
-            bwd_row = above if dy >= 0.0 else below
-            if ax >= ay:
-                t = ay / ax
-                fwd = (1.0 - t) * row[x + sx] + t * fwd_row[x + sx]
-                bwd = (1.0 - t) * row[x - sx] + t * bwd_row[x - sx]
-            else:
-                t = ax / ay
-                fwd = (1.0 - t) * fwd_row[x] + t * fwd_row[x + sx]
-                bwd = (1.0 - t) * bwd_row[x] + t * bwd_row[x - sx]
-            if v >= fwd and v > bwd:
-                out[y, x] = v
-    return GrayImage(out)
+    w = mag.shape[1]
+    inner = np.zeros(mag.shape, dtype=bool)
+    inner[1:-1, 1:-1] = mag[1:-1, 1:-1] != 0.0
+    idx = np.flatnonzero(inner)
+    gx = field.gx.ravel()[idx]
+    gy = field.gy.ravel()[idx]
+    ax = np.abs(gx)
+    ay = np.abs(gy)
+    t = np.minimum(ax, ay) / np.maximum(ax, ay)
+    # flat offsets: the near sample steps along the dominant axis, the far
+    # one along the diagonal of the gradient's quadrant
+    step_x = np.where(gx >= 0.0, 1, -1)
+    step_y = np.where(gy >= 0.0, w, -w)
+    near = np.where(ax >= ay, step_x, step_y)
+    far = step_x + step_y
+    m = mag.ravel()
+    v = m[idx]
+    fwd = (1.0 - t) * m[idx + near] + t * m[idx + far]
+    bwd = (1.0 - t) * m[idx - near] + t * m[idx - far]
+    keep = idx[(v >= fwd) & (v > bwd)]
+    out = np.zeros(mag.size)
+    out[keep] = m[keep]
+    return GrayImage(out.reshape(mag.shape))
 
 
 def component_maxima(thinned: GrayImage, low: float) -> tuple:
@@ -172,7 +148,7 @@ def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
     component whose maximum is above high, so it does not depend on any
     visitation order.
     """
-    if low < 0 or low > high:
+    if not 0 <= low <= high:
         raise ValueError(f"hysteresis thresholds require 0 <= low <= high, got low={low}, high={high}")
     labels, maxima = component_maxima(thinned, low)
     return EdgeMap((maxima > high)[labels])

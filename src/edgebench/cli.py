@@ -16,6 +16,7 @@ from .evaluation import (
     records_to_csv,
     records_to_json,
     rectangle_scene,
+    run_comparison,
     score,
     synth_circle,
     synth_rectangle,
@@ -186,7 +187,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.tolerance < 0:
+    if not args.tolerance >= 0:
         raise ValueError(f"tolerance must be non-negative, got {args.tolerance}")
     scene = _build_scene(args)
     edges = _run_detector(scene.image, args)
@@ -200,7 +201,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     canny, mh = _detector_params(args)
-    if args.tolerance < 0:
+    if not args.tolerance >= 0:
         raise ValueError(f"tolerance must be non-negative, got {args.tolerance}")
     if args.suite == "noisy-step":
         seeds = _parse_seeds(args.seeds)
@@ -213,14 +214,9 @@ def _cmd_compare(args) -> int:
         scenes = [rectangle_scene()]
         seed_of = {}
 
-    records = []
-    for scene in scenes:
-        for detector in _DETECTORS:
-            edges = canny_detect(scene.image, canny) if detector == "canny" else mh_detect(scene.image, mh)
-            report = score(edges, scene.truth, args.tolerance)
-            records.append(comparison_record(scene.name, detector, report, sigma=args.sigma,
-                                             seed=seed_of.get(scene.name),
-                                             **_record_params(args, detector)))
+    records = [comparison_record(name, detector, report, sigma=args.sigma, seed=seed_of.get(name),
+                                 **_record_params(args, detector))
+               for name, detector, report in run_comparison(scenes, mh, canny, args.tolerance)]
     _emit(records, args.format, args.out_path)
     return 0
 

@@ -4,6 +4,7 @@ comparison reports."""
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,8 @@ def add_gaussian_noise(img: GrayImage, stddev: float, seed: int) -> GrayImage:
     (stddev, seed) pair reproduces the same image everywhere. stddev 0
     returns the input unchanged.
     """
-    if stddev < 0:
-        raise ValueError(f"stddev must be non-negative, got {stddev}")
+    if not 0 <= stddev < math.inf:
+        raise ValueError(f"stddev must be non-negative and finite, got {stddev}")
     if stddev == 0:
         return img
     rng = np.random.default_rng(seed)
@@ -169,7 +170,7 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     (ndimage.distance_transform_edt) of each mask's complement, in
     row-major pixel order.
     """
-    if match_tolerance < 0:
+    if not match_tolerance >= 0:
         raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")

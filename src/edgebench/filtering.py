@@ -63,9 +63,10 @@ class Kernel2D:
 
 def gaussian_radius(sigma: float) -> int:
     """Default truncation radius for a Gaussian of width sigma: ceil(3*sigma)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return math.ceil(3.0 * sigma)
+    reach = 3.0 * sigma
+    if not 0 < reach < math.inf:
+        raise ValueError(f"sigma must be positive with 3*sigma finite, got {sigma}")
+    return math.ceil(reach)
 
 
 def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
@@ -74,8 +75,8 @@ def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
     The truncated taps are re-normalised to sum to one, so smoothing
     preserves the mean intensity.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)

@@ -168,13 +168,13 @@ def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int, int]:
     token, pos = _next_header_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise FormatError(f"malformed {what} token {token!r}") from None
+    if not token.isdigit():
+        raise FormatError(f"malformed {what} token {token!r}")
+    # float() has no digit limit; every in-range value converts exactly
+    value = float(token)
     if not lo <= value <= hi:
         raise FormatError(f"{what} token {token!r} out of range [{lo}, {hi}]")
-    return value, pos
+    return int(value), pos
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
@@ -185,13 +185,12 @@ def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     kept = raster.split()[:count]
     if len(kept) < count:
         raise TruncationError(f"pixel data truncated: expected {count} samples, got {len(kept)}")
-    out = np.empty(count, dtype=np.float64)
-    for i, tok in enumerate(kept):
-        try:
-            out[i] = int(tok)
-        except ValueError:
-            raise FormatError(f"malformed sample token {tok!r}") from None
-    return out
+    # samples are unsigned decimals; float() rounds each one exactly as
+    # int() then float64 would, and an overlong one becomes inf > maxval
+    if not all(map(bytes.isdigit, kept)):
+        bad = next(tok for tok in kept if not tok.isdigit())
+        raise FormatError(f"malformed sample token {bad!r}")
+    return np.fromiter(map(float, kept), np.float64, count)
 
 
 def read_image(path) -> "GrayImage | RgbImage":
@@ -231,7 +230,7 @@ def read_image(path) -> "GrayImage | RgbImage":
         samples = _ascii_samples(data, pos, count)
 
     if samples.max(initial=0.0) > maxval:
-        raise FormatError(f"sample value {int(samples.max())} exceeds maxval {maxval}")
+        raise FormatError(f"sample value {samples.max():.0f} exceeds maxval {maxval}")
 
     scale = 255.0 if maxval <= 255 else 65535.0
     samples /= scale

@@ -1,6 +1,7 @@
 """Marr-Hildreth edge detection: Laplacian of a smoothed image, then
 zero-crossing localisation with a slope threshold."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,35 +17,12 @@ from .filtering import (
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
-    "LaplacianResponse",
     "MHParams",
     "crossing_slope_map",
     "laplacian_of_smoothed",
     "mh_detect",
     "zero_crossings",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class LaplacianResponse:
-    """Signed second-derivative plane, same shape as the source image."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"response must be a non-empty 2-D grid, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -60,27 +38,27 @@ class MHParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.slope_threshold < 0:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not self.slope_threshold >= 0:
             raise ValueError(f"slope_threshold must be non-negative, got {self.slope_threshold}")
-        if self.low < 0 or self.high < 0:
-            raise ValueError("hysteresis thresholds must be non-negative")
+        if not (self.low >= 0 and self.high >= 0):
+            raise ValueError(f"hysteresis thresholds must be non-negative, got low={self.low}, high={self.high}")
         if self.use_hysteresis and self.low > self.high:
             raise ValueError(f"hysteresis requires low <= high, got low={self.low}, high={self.high}")
         if self.radius is not None and self.radius < 1:
             raise ValueError(f"radius must be at least 1, got {self.radius}")
 
 
-def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> LaplacianResponse:
+def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
     """Gaussian smoothing followed by the four-neighbour Laplacian stencil."""
     r = gaussian_radius(sigma) if radius is None else radius
     k = gaussian_kernel_1d(sigma, r)
     smoothed = convolve_separable(img, k, k)
-    return LaplacianResponse(convolve_2d(smoothed, laplacian_kernel_2d()).pixels)
+    return convolve_2d(smoothed, laplacian_kernel_2d())
 
 
-def crossing_slope_map(resp: LaplacianResponse) -> GrayImage:
+def crossing_slope_map(resp: GrayImage) -> GrayImage:
     """Per-pixel slope magnitude at sign changes of the response, 0 elsewhere.
 
     A sign change between axis-aligned neighbours (a, b) with strictly
@@ -90,7 +68,7 @@ def crossing_slope_map(resp: LaplacianResponse) -> GrayImage:
     slope of that straddling pair. A pixel hit by several crossings keeps
     the largest slope.
     """
-    v = resp.values
+    v = resp.pixels
     slopes = np.zeros_like(v)
 
     def accumulate(ay, ax, by, bx):
@@ -127,9 +105,9 @@ def crossing_slope_map(resp: LaplacianResponse) -> GrayImage:
     return GrayImage(slopes)
 
 
-def zero_crossings(resp: LaplacianResponse, slope_threshold: float) -> EdgeMap:
+def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
     """Mark sign changes whose slope magnitude strictly exceeds the threshold."""
-    if slope_threshold < 0:
+    if not slope_threshold >= 0:
         raise ValueError(f"slope_threshold must be non-negative, got {slope_threshold}")
     return EdgeMap(crossing_slope_map(resp).pixels > slope_threshold)
 
@@ -139,7 +117,6 @@ def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
     through the same two-threshold linking the Canny detector uses;
     otherwise a single slope threshold decides."""
     resp = laplacian_of_smoothed(img, params.sigma, params.radius)
-    slopes = crossing_slope_map(resp)
     if params.use_hysteresis:
-        return hysteresis(slopes, params.low, params.high)
-    return EdgeMap(slopes.pixels > params.slope_threshold)
+        return hysteresis(crossing_slope_map(resp), params.low, params.high)
+    return zero_crossings(resp, params.slope_threshold)

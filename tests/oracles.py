@@ -1,10 +1,11 @@
 """Slow reference implementations kept as test oracles.
 
-These are the breadth-first flood fills and k-d tree queries that
-edgebench used before its linking, component counting and scoring moved to
-scipy.ndimage labelling and distance transforms. They state each contract
-directly, one pixel at a time, so the fast versions can be checked against
-them.
+These are the per-pixel non-maximum suppression loop, the breadth-first
+flood fills and the k-d tree queries that edgebench used before its
+thinning moved to numpy gathers and its linking, component counting and
+scoring moved to scipy.ndimage labelling and distance transforms. They
+state each contract directly, one pixel at a time, so the fast versions can
+be checked against them.
 """
 
 from collections import deque
@@ -12,6 +13,7 @@ from collections import deque
 import numpy as np
 from scipy.spatial import cKDTree
 
+from edgebench.canny import GradientField
 from edgebench.evaluation import EvalReport
 from edgebench.image_core import EdgeMap, GrayImage
 
@@ -106,3 +108,46 @@ def kdtree_score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5
         matched_count=matched,
         match_tolerance=float(match_tolerance),
     )
+
+
+def loop_nonmax_suppress(field: GradientField) -> GrayImage:
+    """Keep a pixel's magnitude only where it tops both directional samples.
+
+    The two samples sit one pixel away along the gradient direction, each
+    linearly interpolated between the two nearest grid neighbours in that
+    quadrant. The keep rule is magnitude >= forward sample and strictly >
+    backward sample, so a flat run of equal values keeps exactly one pixel.
+    Border pixels are always suppressed.
+    """
+    mag = field.magnitude
+    h, w = mag.shape
+    out = np.zeros_like(mag)
+    m = mag.tolist()
+    gxs = field.gx.tolist()
+    gys = field.gy.tolist()
+    for y in range(1, h - 1):
+        row = m[y]
+        above = m[y - 1]
+        below = m[y + 1]
+        for x in range(1, w - 1):
+            v = row[x]
+            if v == 0.0:
+                continue
+            dx = gxs[y][x]
+            dy = gys[y][x]
+            ax = dx if dx >= 0.0 else -dx
+            ay = dy if dy >= 0.0 else -dy
+            sx = 1 if dx >= 0.0 else -1
+            fwd_row = below if dy >= 0.0 else above
+            bwd_row = above if dy >= 0.0 else below
+            if ax >= ay:
+                t = ay / ax
+                fwd = (1.0 - t) * row[x + sx] + t * fwd_row[x + sx]
+                bwd = (1.0 - t) * row[x - sx] + t * bwd_row[x - sx]
+            else:
+                t = ax / ay
+                fwd = (1.0 - t) * fwd_row[x] + t * fwd_row[x + sx]
+                bwd = (1.0 - t) * bwd_row[x] + t * bwd_row[x - sx]
+            if v >= fwd and v > bwd:
+                out[y, x] = v
+    return GrayImage(out)

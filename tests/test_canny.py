@@ -18,9 +18,10 @@ from edgebench.canny import (
     nonmax_suppress,
     thinned_magnitude,
 )
+from edgebench.cli import run
 from edgebench.evaluation import synth_step
 from edgebench.filtering import convolve_separable, gaussian_kernel_1d
-from edgebench.image_core import GrayImage
+from edgebench.image_core import GrayImage, read_image, write_image
 
 magnitude_planes = hnp.arrays(
     np.float64,
@@ -28,10 +29,12 @@ magnitude_planes = hnp.arrays(
     elements=st.floats(0.0, 1.0, allow_nan=False),
 )
 
+SMALL_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (2, 9)]
+SMALL_IDS = [f"{h}x{w}" for h, w in SMALL_SHAPES]
+
 
 def field_from_gx(gx):
-    return GradientField.from_components(np.asarray(gx, dtype=np.float64),
-                                         np.zeros_like(np.asarray(gx, dtype=np.float64)))
+    return GradientField(gx, np.zeros_like(np.asarray(gx, dtype=np.float64)))
 
 
 class TestGradient:
@@ -48,7 +51,7 @@ class TestGradient:
         interior = np.s_[1:-1, 1:-1]
         assert np.allclose(g.gx[interior], s, atol=1e-12, rtol=0.0)
         assert np.all(g.gy == 0.0)
-        assert np.all(g.direction[interior] == 0.0)
+        assert np.all(np.arctan2(g.gy, g.gx)[interior] == 0.0)
 
     def test_vertical_step_halves_the_height(self):
         h = 0.5
@@ -69,31 +72,41 @@ class TestGradient:
         assert np.all(g.gx[:, 0] == 0.5)
         assert np.all(g.gy[0, :] == 0.0)
 
-    def test_rejects_images_below_3x3(self):
-        with pytest.raises(ValueError):
-            gradient(GrayImage(np.zeros((2, 5))))
-        with pytest.raises(ValueError):
-            gradient(GrayImage(np.zeros((5, 2))))
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=SMALL_IDS)
+    def test_images_below_3_px_give_an_empty_canny_map(self, shape, tmp_path):
+        # every pixel is a border pixel, and NMS suppresses the border
+        px = np.random.default_rng(5).random(shape)
+        g = gradient(GrayImage(px))
+        assert g.gx.shape == shape
+        em = canny_detect(GrayImage(px), CannyParams(1.0, 0.0, 0.0))
+        assert em.mask.shape == shape
+        assert em.count == 0
+        src, out = tmp_path / "small.pgm", tmp_path / "edges.pgm"
+        write_image(GrayImage(px), src)
+        assert run(["detect", "--detector", "canny", "--in", str(src), "--out", str(out),
+                    "--low", "0", "--high", "0"]) == 0
+        written = read_image(out)
+        assert written.pixels.shape == shape
+        assert not written.pixels.any()
 
     def test_field_invariants_from_components(self):
         rng = np.random.default_rng(1)
         gx = rng.normal(size=(6, 7))
         gy = rng.normal(size=(6, 7))
-        g = GradientField.from_components(gx, gy)
-        assert np.allclose(g.magnitude, np.hypot(gx, gy), atol=1e-12, rtol=0.0)
+        g = GradientField(gx, gy)
+        assert np.array_equal(g.magnitude, np.hypot(gx, gy))
         assert np.all(g.magnitude >= 0.0)
-        assert np.all(g.direction > -math.pi)
-        assert np.all(g.direction <= math.pi)
+        for plane in (g.gx, g.gy, g.magnitude):
+            assert not plane.flags.writeable
 
-    def test_field_rejects_inconsistent_magnitude(self):
+    def test_magnitude_is_derived_not_passed(self):
         z = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            GradientField(gx=z, gy=z, magnitude=z + 1.0, direction=z)
+        with pytest.raises(TypeError):
+            GradientField(z, z, z + 1.0)
 
     def test_field_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            GradientField(gx=np.zeros((3, 3)), gy=np.zeros((3, 4)),
-                          magnitude=np.zeros((3, 3)), direction=np.zeros((3, 3)))
+            GradientField(gx=np.zeros((3, 3)), gy=np.zeros((3, 4)))
 
 
 class TestNonmaxSuppress:
@@ -132,7 +145,7 @@ class TestNonmaxSuppress:
     def test_vertical_direction_run(self):
         gy = np.zeros((7, 5))
         gy[2:5, 2] = 0.5
-        g = GradientField.from_components(np.zeros_like(gy), gy)
+        g = GradientField(np.zeros_like(gy), gy)
         out = nonmax_suppress(g).pixels
         assert np.argwhere(out > 0).tolist() == [[2, 2]]
 
@@ -156,7 +169,7 @@ class TestNonmaxSuppress:
         rng = np.random.default_rng(11)
         gx = rng.normal(size=(9, 9))
         gy = rng.normal(size=(9, 9))
-        g = GradientField.from_components(gx, gy)
+        g = GradientField(gx, gy)
         out = nonmax_suppress(g).pixels
         mag = g.magnitude
 
@@ -176,14 +189,15 @@ class TestNonmaxSuppress:
             for x in range(1, 8):
                 if out[y, x] != 0.0 or mag[y, x] == 0.0:
                     continue
-                ux = math.cos(g.direction[y, x])
-                uy = math.sin(g.direction[y, x])
+                angle = math.atan2(gy[y, x], gx[y, x])
+                ux = math.cos(angle)
+                uy = math.sin(angle)
                 best = max(sample(y, x, ux, uy), sample(y, x, -ux, -uy))
                 assert best >= mag[y, x] - 1e-9
 
     def test_survivors_keep_their_magnitude(self):
         rng = np.random.default_rng(12)
-        g = GradientField.from_components(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
+        g = GradientField(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
         out = nonmax_suppress(g).pixels
         kept = out > 0
         assert np.array_equal(out[kept], g.magnitude[kept])
@@ -232,6 +246,12 @@ class TestHysteresis:
     def test_low_above_high_rejected(self):
         with pytest.raises(ValueError):
             hysteresis(GrayImage(np.zeros((3, 3))), 0.6, 0.5)
+
+    @pytest.mark.parametrize("low, high", [(math.nan, 0.5), (0.1, math.nan), (math.nan, math.nan),
+                                           (-math.inf, 0.5)])
+    def test_nan_or_negative_infinite_thresholds_rejected_by_value(self, low, high):
+        with pytest.raises(ValueError, match=f"low={low}, high={high}"):
+            hysteresis(GrayImage(np.zeros((3, 3))), low, high)
 
     @given(magnitude_planes, st.floats(0.0, 0.5), st.floats(0.0, 0.4), st.floats(0.0, 0.4))
     def test_monotonicity_in_both_thresholds(self, px, low, dh1, dh2):
@@ -314,6 +334,14 @@ class TestCannyDetect:
             CannyParams(1.0, -0.01, 0.15)
         with pytest.raises(ValueError):
             CannyParams(1.0, 0.05, 0.15, radius=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.inf), ("sigma", -math.inf), ("sigma", math.nan),
+        ("low", math.nan), ("low", -math.inf), ("high", math.nan),
+    ])
+    def test_params_refuse_nan_and_infinite_values_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value}" if field != "sigma" else f"got {value}"):
+            CannyParams(**{field: value})
 
     def test_thinned_magnitude_is_the_detector_front_end(self):
         scene = synth_step(32, 32, 16, 0.5)

@@ -75,6 +75,15 @@ class TestDetect:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [b"P2 2 2 255\n-1 +2\n1_0 4\n", b"P2 +2 2 255\n1 2\n3 4\n",
+                                      b"P2 2 2 -255\n1 2\n3 4\n"])
+    def test_signed_or_underscored_netpbm_integers_exit_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(body)
+        assert run(detect_args(bad, tmp_path / "e.pgm")) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
+
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         code = run(["detect", "--no-such-flag"])
         assert code == 1
@@ -236,6 +245,41 @@ class TestCompare:
         code = run(["compare", "--suite", "circle", "--out", str(target)])
         assert code == 2
         assert not target.exists()
+
+
+EVALUATE = ["evaluate", "--scene", "step"]
+COMPARE = ["compare", "--suite", "noisy-step", "--seeds", "0"]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "1e308"])
+    def test_detect_sigma(self, step_pgm, tmp_path, capsys, detector, sigma):
+        out = tmp_path / "e.pgm"
+        code = run(["detect", "--detector", detector, "--in", str(step_pgm), "--out", str(out),
+                    "--sigma", sigma])
+        assert code == 1
+        assert f"got {float(sigma)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, value", [
+        (EVALUATE + ["--detector", "canny", "--sigma", "inf"], "inf"),
+        (EVALUATE + ["--detector", "marr-hildreth", "--sigma", "nan"], "nan"),
+        (EVALUATE + ["--detector", "canny", "--noise-stddev", "inf"], "inf"),
+        (EVALUATE + ["--detector", "canny", "--tolerance", "nan"], "nan"),
+        (EVALUATE + ["--detector", "canny", "--high", "nan"], "nan"),
+        (EVALUATE + ["--detector", "marr-hildreth", "--slope-threshold", "nan"], "nan"),
+        (COMPARE + ["--noise-stddev", "inf"], "inf"),
+        (COMPARE + ["--tolerance", "nan"], "nan"),
+        (COMPARE + ["--sigma", "1e308"], "1e+308"),
+        (COMPARE + ["--low", "nan"], "nan"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_report_commands(self, capsys, argv, value):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "invalid parameters" in captured.err
+        assert f"got {value}" in captured.err or f"={value}" in captured.err
+        assert captured.out == ""
 
 
 class TestTopLevel:

@@ -1,6 +1,7 @@
 """Scene generators, scoring, tuning helpers, and report serialisation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_gaussian_noise(GrayImage(np.zeros((2, 2))), -0.1, 0)
 
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinite_stddev_rejected_by_value(self, stddev):
+        with pytest.raises(ValueError, match=f"got {stddev}"):
+            add_gaussian_noise(GrayImage(np.zeros((2, 2))), stddev, 0)
+
 
 class TestScore:
     def test_perfect_match_at_zero_tolerance(self):
@@ -236,6 +242,12 @@ class TestScore:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             score(make_map((4, 4), []), make_map((4, 4), []), -1.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -math.inf])
+    def test_nan_and_negative_infinite_tolerance_rejected_by_value(self, tolerance):
+        em = make_map((4, 4), [(1, 1)])
+        with pytest.raises(ValueError, match=f"got {tolerance}"):
+            score(em, em, tolerance)
 
     @given(bool_masks, st.sampled_from([0.0, 1.0, 2.5]))
     def test_truth_against_itself_is_perfect(self, mask, tol):

@@ -1,6 +1,7 @@
 """Gaussian kernels and the two convolution routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestGaussianKernel:
         assert gaussian_radius(1.1) == 4
         with pytest.raises(ValueError):
             gaussian_radius(0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 1e308])
+    def test_radius_refuses_nan_infinite_and_overflowing_sigma_by_value(self, sigma):
+        # 1e308 is finite, but 3*sigma is not, so its radius does not exist
+        with pytest.raises(ValueError, match=re.escape(f"got {sigma}")):
+            gaussian_radius(sigma)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_kernel_refuses_nan_and_infinite_sigma_by_value(self, sigma):
+        with pytest.raises(ValueError, match=f"got {sigma}"):
+            gaussian_kernel_1d(sigma, 3)
 
 
 class TestKernelTypes:

@@ -1,5 +1,7 @@
 """Pixel types, grayscale conversion, and PGM/PPM round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -260,6 +262,39 @@ class TestRead:
         p.write_text("P2\n1 1\n100\n101\n")
         with pytest.raises(FormatError, match="101"):
             read_image(p)
+
+    @pytest.mark.parametrize("header, bad", [
+        (b"P2 -2 1 255", b"-2"), (b"P2 +2 1 255", b"+2"), (b"P2 2 +1 255", b"+1"),
+        (b"P2 2 1_0 255", b"1_0"), (b"P2 2 1 +255", b"+255"), (b"P2 2 1 2_55", b"2_55"),
+    ])
+    def test_signed_and_underscored_header_integers_are_malformed(self, tmp_path, header, bad):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(header + b"\n1 2\n")
+        with pytest.raises(FormatError, match=f"malformed .* {re.escape(repr(bad))}"):
+            read_image(p)
+
+    @pytest.mark.parametrize("raster, bad", [
+        (b"-1 +2\n1_0 4\n", b"-1"), (b"1 +2\n1_0 4\n", b"+2"), (b"1 2\n1_0 4\n", b"1_0"),
+        (b"1 2\n3 1.0\n", b"1.0"), (b"1 2\n3 0x4\n", b"0x4"), (b"1 2\n3 \xd9\xa3\n", b"\xd9\xa3"),
+    ])
+    def test_samples_must_be_unsigned_decimal_digits(self, tmp_path, raster, bad):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P2 2 2 255\n" + raster)
+        with pytest.raises(FormatError, match=re.escape(f"malformed sample token {bad!r}")):
+            read_image(p)
+
+    def test_overlong_integers_fail_as_format_errors(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        for body in (b"P2 " + b"9" * 5000 + b" 1 255\n1\n", b"P2 1 1 255\n" + b"9" * 400 + b"\n",
+                     b"P2 1 1 255\n" + b"9" * 5000 + b"\n"):
+            p.write_bytes(body)
+            with pytest.raises(FormatError):
+                read_image(p)
+
+    def test_leading_zeros_are_plain_decimals(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P2 " + b"0" * 5000 + b"2 1 0255\n0000 00255\n")
+        assert read_image(p).pixels.tolist() == [[0.0, 1.0]]
 
     def test_errors_are_value_errors(self):
         assert issubclass(FormatError, ValueError)

@@ -1,5 +1,7 @@
 """Laplacian-of-smoothed response and zero-crossing detection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from edgebench.evaluation import synth_step
 from edgebench.image_core import GrayImage
 from edgebench.marr_hildreth import (
-    LaplacianResponse,
     MHParams,
     crossing_slope_map,
     laplacian_of_smoothed,
@@ -27,7 +28,6 @@ response_planes = hnp.arrays(
 def smoothed_step_second_difference(width, column, contrast, sigma=1.0, radius=3):
     """1-D oracle built with plain loops: clamp-padded Gaussian smoothing of a
     step profile followed by the second difference l + r - 2c."""
-    import math
 
     lo, hi = 0.5 - contrast / 2, 0.5 + contrast / 2
     raw = [math.exp(-(k * k) / (2 * sigma * sigma)) for k in range(-radius, radius + 1)]
@@ -56,24 +56,24 @@ def smoothed_step_second_difference(width, column, contrast, sigma=1.0, radius=3
 class TestLaplacianOfSmoothed:
     def test_constant_image_gives_exact_zeros(self):
         resp = laplacian_of_smoothed(GrayImage(np.full((8, 8), 0.4)), 1.0)
-        assert np.all(resp.values == 0.0)
+        assert np.all(resp.pixels == 0.0)
 
     def test_linear_ramp_interior_is_zero(self):
         y, x = np.mgrid[0:16, 0:16]
         px = 0.02 * x + 0.03 * y
         resp = laplacian_of_smoothed(GrayImage(px), 1.0)
         # kernel radius 3 plus the stencil touches 4 border pixels
-        assert np.abs(resp.values[4:-4, 4:-4]).max() < 1e-12
+        assert np.abs(resp.pixels[4:-4, 4:-4]).max() < 1e-12
 
     def test_step_row_matches_1d_oracle(self):
         scene = synth_step(32, 9, 16, 0.5)
         resp = laplacian_of_smoothed(scene.image, 1.0)
         oracle = smoothed_step_second_difference(32, 16, 0.5)
-        assert np.allclose(resp.values[4], oracle, atol=1e-12, rtol=0.0)
+        assert np.allclose(resp.pixels[4], oracle, atol=1e-12, rtol=0.0)
 
     def test_step_response_is_antisymmetric_with_one_sign_change(self):
         scene = synth_step(32, 9, 16, 0.5)
-        row = laplacian_of_smoothed(scene.image, 1.0).values[4]
+        row = laplacian_of_smoothed(scene.image, 1.0).pixels[4]
         # antisymmetry about the midpoint between columns 15 and 16
         for k in range(10):
             assert row[16 + k] == pytest.approx(-row[15 - k], abs=1e-12)
@@ -87,56 +87,56 @@ class TestLaplacianOfSmoothed:
 
     def test_response_type_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            LaplacianResponse(np.zeros(4))
+            GrayImage(np.zeros(4))
 
 
 class TestZeroCrossings:
     def test_all_positive_response_is_empty(self):
-        resp = LaplacianResponse(np.ones((4, 4)))
+        resp = GrayImage(np.ones((4, 4)))
         assert zero_crossings(resp, 0.0).count == 0
 
     def test_threshold_above_global_max_difference_is_empty(self):
-        resp = LaplacianResponse(np.array([[0.4, -0.4], [0.1, -0.1]]))
+        resp = GrayImage(np.array([[0.4, -0.4], [0.1, -0.1]]))
         assert zero_crossings(resp, 10.0).count == 0
 
     def test_opposite_pair_marks_by_slope(self):
-        resp = LaplacianResponse(np.array([[0.4, -0.4]]))
+        resp = GrayImage(np.array([[0.4, -0.4]]))
         marked = zero_crossings(resp, 0.5)
         assert marked.count == 1
         assert marked.mask[0, 0]  # tie on |value| goes to the earlier pixel
         assert zero_crossings(resp, 0.9).count == 0
 
     def test_smaller_magnitude_member_is_marked(self):
-        resp = LaplacianResponse(np.array([[0.7, -0.2]]))
+        resp = GrayImage(np.array([[0.7, -0.2]]))
         assert zero_crossings(resp, 0.0).mask.tolist() == [[False, True]]
-        resp = LaplacianResponse(np.array([[0.2, -0.7]]))
+        resp = GrayImage(np.array([[0.2, -0.7]]))
         assert zero_crossings(resp, 0.0).mask.tolist() == [[True, False]]
 
     def test_vertical_pairs_are_scanned_too(self):
-        resp = LaplacianResponse(np.array([[0.3], [-0.4]]))
+        resp = GrayImage(np.array([[0.3], [-0.4]]))
         em = zero_crossings(resp, 0.0)
         assert em.mask.tolist() == [[True], [False]]
 
     def test_exact_zero_between_opposite_signs(self):
-        resp = LaplacianResponse(np.array([[0.3, 0.0, -0.5]]))
+        resp = GrayImage(np.array([[0.3, 0.0, -0.5]]))
         em = zero_crossings(resp, 0.7)
         assert em.mask.tolist() == [[False, True, False]]
         assert zero_crossings(resp, 0.9).count == 0
 
     def test_exact_zero_between_same_signs_is_not_a_crossing(self):
-        resp = LaplacianResponse(np.array([[0.3, 0.0, 0.5]]))
+        resp = GrayImage(np.array([[0.3, 0.0, 0.5]]))
         assert zero_crossings(resp, 0.0).count == 0
 
     def test_zero_against_nonzero_pair_is_not_opposite_signed(self):
-        resp = LaplacianResponse(np.array([[0.0, -0.5]]))
+        resp = GrayImage(np.array([[0.0, -0.5]]))
         assert zero_crossings(resp, 0.0).count == 0
 
     def test_slope_is_the_pair_difference(self):
-        slopes = crossing_slope_map(LaplacianResponse(np.array([[0.4, -0.4]])))
+        slopes = crossing_slope_map(GrayImage(np.array([[0.4, -0.4]])))
         assert slopes.pixels[0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_pixel_reached_by_two_crossings_keeps_the_larger_slope(self):
-        resp = LaplacianResponse(np.array([
+        resp = GrayImage(np.array([
             [0.0, 0.9, 0.0],
             [0.8, -0.1, 0.05],
             [0.0, 0.2, 0.0],
@@ -147,11 +147,16 @@ class TestZeroCrossings:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            zero_crossings(LaplacianResponse(np.zeros((3, 3))), -0.1)
+            zero_crossings(GrayImage(np.zeros((3, 3))), -0.1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -math.inf])
+    def test_nan_or_negative_infinite_threshold_rejected_by_value(self, threshold):
+        with pytest.raises(ValueError, match=f"got {threshold}"):
+            zero_crossings(GrayImage(np.zeros((3, 3))), threshold)
 
     @given(response_planes, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
     def test_raising_the_threshold_never_adds_pixels(self, values, t1, t2):
-        resp = LaplacianResponse(values)
+        resp = GrayImage(values)
         lo_t, hi_t = min(t1, t2), max(t1, t2)
         wide = zero_crossings(resp, lo_t).mask
         narrow = zero_crossings(resp, hi_t).mask
@@ -159,7 +164,7 @@ class TestZeroCrossings:
 
     @given(response_planes)
     def test_marked_pixels_sit_on_sign_changes(self, values):
-        resp = LaplacianResponse(values)
+        resp = GrayImage(values)
         em = zero_crossings(resp, 0.0)
         v = values
         h, w = v.shape
@@ -233,8 +238,8 @@ class TestMhDetect:
     def test_response_scales_linearly_with_intensity(self):
         rng = np.random.default_rng(2)
         px = rng.random((10, 10))
-        r1 = laplacian_of_smoothed(GrayImage(px), 1.0).values
-        r2 = laplacian_of_smoothed(GrayImage(px * 0.5), 1.0).values
+        r1 = laplacian_of_smoothed(GrayImage(px), 1.0).pixels
+        r2 = laplacian_of_smoothed(GrayImage(px * 0.5), 1.0).pixels
         assert np.array_equal(r2, r1 * 0.5)
 
     def test_params_validation(self):
@@ -250,3 +255,12 @@ class TestMhDetect:
             MHParams(radius=0)
         # low > high is irrelevant when hysteresis is off
         MHParams(use_hysteresis=False, low=0.5, high=0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.inf), ("sigma", -math.inf), ("sigma", math.nan),
+        ("slope_threshold", math.nan), ("low", math.nan), ("high", math.nan),
+    ])
+    @pytest.mark.parametrize("use_hysteresis", [False, True])
+    def test_params_refuse_nan_and_infinite_values_by_name(self, field, value, use_hysteresis):
+        with pytest.raises(ValueError, match=f"{field}={value}" if field in ("low", "high") else f"got {value}"):
+            MHParams(use_hysteresis=use_hysteresis, **{field: value})

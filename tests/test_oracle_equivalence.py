@@ -1,22 +1,28 @@
-"""The labelling and distance-transform kernels against their slow oracles.
+"""The vectorised kernels against their slow oracles.
 
-hysteresis, count_components and score must give exactly what the flood
-fills and k-d tree queries in oracles.py give, on every plane shape from one
-pixel up to 128x128, including values that sit exactly on a threshold.
+nonmax_suppress, hysteresis, count_components and score must give exactly
+what the per-pixel loop, flood fills and k-d tree queries in oracles.py
+give, on every plane shape from one pixel up to 128x128, including values
+that sit exactly on a threshold.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from edgebench.canny import CannyParams, component_maxima, hysteresis, thinned_magnitude
+from edgebench.canny import (CannyParams, GradientField, component_maxima, gradient, hysteresis, nonmax_suppress,
+                             thinned_magnitude)
 from edgebench.evaluation import THRESHOLD_GRID, count_components, f_score, noisy_step_suite, score, tune_canny, tune_mh
+from edgebench.filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
-from oracles import bfs_count_components, bfs_hysteresis, kdtree_score
+from oracles import bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -207,3 +213,59 @@ class TestTuningMatchesTheOracleSweep:
         expected = oracle_tune(slopes, scene.truth, self.GRID,
                                lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
         assert repr(tune_mh(scene, 1.0, 1.5, use_hysteresis=True, grid=self.GRID)) == repr(expected)
+
+
+# gradient components where the sample arithmetic is delicate: signed zeros,
+# the smallest denormal, a mid-range denormal, the smallest normal, and
+# levels whose sums and ratios tie exactly
+COMPONENT_LEVELS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                    0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0)
+components = st.one_of(st.sampled_from(COMPONENT_LEVELS), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+def assert_nonmax_matches(field: GradientField) -> None:
+    got = nonmax_suppress(field).pixels
+    assert got.tobytes() == loop_nonmax_suppress(field).pixels.tobytes(), field.gx.shape
+
+
+def quantised_field(rng, shape) -> GradientField:
+    gx = rng.choice(COMPONENT_LEVELS, size=shape)
+    gy = rng.choice(COMPONENT_LEVELS, size=shape)
+    # about a third of the pixels sit exactly on a diagonal, |gx| == |gy|
+    diagonal = rng.random(shape) < 0.35
+    gy[diagonal] = gx[diagonal] * rng.choice((1.0, -1.0), size=np.count_nonzero(diagonal))
+    return GradientField(gx, gy)
+
+
+def load_detect_composite():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.detect_composite
+
+
+class TestNonmaxMatchesLoop:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_seeded_fields(self, shape):
+        rng = np.random.default_rng(31 * shape[0] + shape[1])
+        assert_nonmax_matches(GradientField(rng.normal(size=shape), rng.normal(size=shape)))
+        assert_nonmax_matches(gradient(GrayImage(random_plane(rng, shape))))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quantised_fields_with_diagonals_signed_zeros_and_denormals(self, shape, seed):
+        assert_nonmax_matches(quantised_field(np.random.default_rng(seed), shape))
+
+    def test_smoothed_detect_composite(self):
+        gray, _ = load_detect_composite()(0)
+        assert gray.shape == (1024, 1024)
+        k = gaussian_kernel_1d(1.4, gaussian_radius(1.4))
+        field = gradient(convolve_separable(GrayImage(gray), k, k))
+        assert_nonmax_matches(field)
+
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=components),
+                                hnp.arrays(np.float64, shape, elements=components))))
+    def test_random_fields(self, planes):
+        assert_nonmax_matches(GradientField(*planes))
