@@ -187,8 +187,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if not args.tolerance >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {args.tolerance}")
     scene = _build_scene(args)
     edges = _run_detector(scene.image, args)
     report = score(edges, scene.truth, args.tolerance)
@@ -201,8 +199,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     canny, mh = _detector_params(args)
-    if not args.tolerance >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {args.tolerance}")
     if args.suite == "noisy-step":
         seeds = _parse_seeds(args.seeds)
         scenes = noisy_step_suite(seeds, noise_stddev=args.noise_stddev)

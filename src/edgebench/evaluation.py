@@ -107,13 +107,8 @@ def synth_circle(size: int, center: tuple, radius: float) -> Scene:
         )
     ys, xs = np.mgrid[0:size, 0:size]
     inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
-    outside = ~inside
-    touches_outside = np.zeros_like(inside)
-    touches_outside[1:, :] |= outside[:-1, :]
-    touches_outside[:-1, :] |= outside[1:, :]
-    touches_outside[:, 1:] |= outside[:, :-1]
-    touches_outside[:, :-1] |= outside[:, 1:]
-    truth = inside & touches_outside
+    # erosion by the default cross keeps pixels whose 4-neighbours are all inside
+    truth = inside & ~ndimage.binary_erosion(inside, border_value=1)
     return Scene(GrayImage(inside.astype(np.float64)), EdgeMap(truth), f"circle-{size}-r{radius:g}")
 
 

@@ -37,6 +37,8 @@ LUMA_GREEN = 0.5870 / _RAW_SUM
 LUMA_BLUE = 1.0 - (LUMA_RED + LUMA_GREEN)
 
 _HEADER_WHITESPACE = b" \t\n\r\x0b\x0c"
+# netpbm allows whitespace and '#' comments (to end of line) before each token
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,30 +142,11 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     return GrayImage(gray)
 
 
-def _skip_header_filler(data: bytes, pos: int) -> int:
-    # netpbm allows whitespace and '#' comments (to end of line) between tokens
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _HEADER_WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
 def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    pos = _skip_header_filler(data, pos)
-    if pos >= len(data):
+    match = _HEADER_TOKEN.match(data, pos)
+    if not match[1]:
         raise FormatError("unexpected end of file inside header")
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] not in _HEADER_WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int, int]:

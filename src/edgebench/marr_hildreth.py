@@ -70,38 +70,20 @@ def crossing_slope_map(resp: GrayImage) -> GrayImage:
     """
     v = resp.pixels
     slopes = np.zeros_like(v)
-
-    def accumulate(ay, ax, by, bx):
+    # row pairs, then column pairs as rows of the transpose, whose writes land in slopes
+    for val, out in ((v, slopes), (v.T, slopes.T)):
+        pos, neg = val > 0, val < 0
+        a, b = val[:, :-1], val[:, 1:]
+        # |a - b| is finite unless a and b have opposite signs, so the mask products
+        # leave exact +0s; an overflowing slope turns inf or NaN, which GrayImage refuses
+        slope = np.abs(a - b) * ((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
         # a is the scan-order earlier member, so <= sends ties its way
-        a, b = v[ay, ax], v[by, bx]
-        diff = np.abs(a - b)
-        pick_a = np.abs(a) <= np.abs(b)
-        np.maximum.at(slopes, (np.where(pick_a, ay, by), np.where(pick_a, ax, bx)), diff)
-
-    # horizontal neighbour pairs
-    a, b = v[:, :-1], v[:, 1:]
-    ys, xs = np.nonzero(((a > 0) & (b < 0)) | ((a < 0) & (b > 0)))
-    if ys.size:
-        accumulate(ys, xs, ys, xs + 1)
-
-    # vertical neighbour pairs
-    a, b = v[:-1, :], v[1:, :]
-    ys, xs = np.nonzero(((a > 0) & (b < 0)) | ((a < 0) & (b > 0)))
-    if ys.size:
-        accumulate(ys, xs, ys + 1, xs)
-
-    # exact zeros straddled by opposite signs
-    if v.shape[1] >= 3:
-        c, l, r = v[:, 1:-1], v[:, :-2], v[:, 2:]
-        ys, xs = np.nonzero((c == 0) & (((l > 0) & (r < 0)) | ((l < 0) & (r > 0))))
-        if ys.size:
-            np.maximum.at(slopes, (ys, xs + 1), np.abs(v[ys, xs] - v[ys, xs + 2]))
-    if v.shape[0] >= 3:
-        c, up, dn = v[1:-1, :], v[:-2, :], v[2:, :]
-        ys, xs = np.nonzero((c == 0) & (((up > 0) & (dn < 0)) | ((up < 0) & (dn > 0))))
-        if ys.size:
-            np.maximum.at(slopes, (ys + 1, xs), np.abs(v[ys, xs] - v[ys + 2, xs]))
-
+        to_a = slope * (np.abs(a) <= np.abs(b))
+        np.maximum(out[:, :-1], to_a, out=out[:, :-1])
+        np.maximum(out[:, 1:], slope - to_a, out=out[:, 1:])
+        # exact zeros straddled by opposite signs
+        straddle = (val[:, 1:-1] == 0) & ((pos[:, :-2] & neg[:, 2:]) | (neg[:, :-2] & pos[:, 2:]))
+        np.maximum(out[:, 1:-1], np.where(straddle, np.abs(val[:, :-2] - val[:, 2:]), 0.0), out=out[:, 1:-1])
     return GrayImage(slopes)
 
 

@@ -1,11 +1,12 @@
 """Slow reference implementations kept as test oracles.
 
 These are the per-pixel non-maximum suppression loop, the breadth-first
-flood fills and the k-d tree queries that edgebench used before its
-thinning moved to numpy gathers and its linking, component counting and
-scoring moved to scipy.ndimage labelling and distance transforms. They
-state each contract directly, one pixel at a time, so the fast versions can
-be checked against them.
+flood fills, the k-d tree queries and the index scatter of zero crossings
+that edgebench used before its thinning moved to numpy gathers, its
+linking, component counting and scoring moved to scipy.ndimage labelling
+and distance transforms, and its crossing-slope map moved to whole-slice
+maxima. They state each contract directly, one pixel or one crossing at a
+time, so the fast versions can be checked against them.
 """
 
 from collections import deque
@@ -151,3 +152,50 @@ def loop_nonmax_suppress(field: GradientField) -> GrayImage:
             if v >= fwd and v > bwd:
                 out[y, x] = v
     return GrayImage(out)
+
+
+def scatter_crossing_slope_map(resp: GrayImage) -> GrayImage:
+    """Per-pixel slope magnitude at sign changes of the response, 0 elsewhere.
+
+    A sign change between axis-aligned neighbours (a, b) with strictly
+    opposite signs lands on the member with the smaller absolute value
+    (scan-order earlier on a tie) and carries slope |a - b|. A pixel whose
+    value is exactly 0 between opposite-signed axis neighbours carries the
+    slope of that straddling pair. A pixel hit by several crossings keeps
+    the largest slope.
+    """
+    v = resp.pixels
+    slopes = np.zeros_like(v)
+
+    def accumulate(ay, ax, by, bx):
+        # a is the scan-order earlier member, so <= sends ties its way
+        a, b = v[ay, ax], v[by, bx]
+        diff = np.abs(a - b)
+        pick_a = np.abs(a) <= np.abs(b)
+        np.maximum.at(slopes, (np.where(pick_a, ay, by), np.where(pick_a, ax, bx)), diff)
+
+    # horizontal neighbour pairs
+    a, b = v[:, :-1], v[:, 1:]
+    ys, xs = np.nonzero(((a > 0) & (b < 0)) | ((a < 0) & (b > 0)))
+    if ys.size:
+        accumulate(ys, xs, ys, xs + 1)
+
+    # vertical neighbour pairs
+    a, b = v[:-1, :], v[1:, :]
+    ys, xs = np.nonzero(((a > 0) & (b < 0)) | ((a < 0) & (b > 0)))
+    if ys.size:
+        accumulate(ys, xs, ys + 1, xs)
+
+    # exact zeros straddled by opposite signs
+    if v.shape[1] >= 3:
+        c, l, r = v[:, 1:-1], v[:, :-2], v[:, 2:]
+        ys, xs = np.nonzero((c == 0) & (((l > 0) & (r < 0)) | ((l < 0) & (r > 0))))
+        if ys.size:
+            np.maximum.at(slopes, (ys, xs + 1), np.abs(v[ys, xs] - v[ys, xs + 2]))
+    if v.shape[0] >= 3:
+        c, up, dn = v[1:-1, :], v[:-2, :], v[2:, :]
+        ys, xs = np.nonzero((c == 0) & (((up > 0) & (dn < 0)) | ((up < 0) & (dn > 0))))
+        if ys.size:
+            np.maximum.at(slopes, (ys + 1, xs), np.abs(v[ys, xs] - v[ys + 2, xs]))
+
+    return GrayImage(slopes)

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from edgebench.cli import run
 from edgebench.evaluation import CSV_COLUMNS, synth_step
 from edgebench.image_core import GrayImage, read_image, write_image
+from test_image_core import damaged_netpbm_files
 
 
 @pytest.fixture
@@ -83,6 +85,14 @@ class TestDetect:
         assert run(detect_args(bad, tmp_path / "e.pgm")) == 2
         assert "malformed" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
+
+    @given(damaged_netpbm_files())
+    def test_damaged_netpbm_input_exits_0_or_2(self, tmp_path_factory, body):
+        tmp = tmp_path_factory.mktemp("detect")
+        (tmp / "in.pnm").write_bytes(body)
+        code = run(detect_args(tmp / "in.pnm", tmp / "e.pgm"))
+        assert code in (0, 2)
+        assert (tmp / "e.pgm").exists() == (code == 0)
 
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         code = run(["detect", "--no-such-flag"])
@@ -271,6 +281,7 @@ class TestNonFiniteParameters:
         (EVALUATE + ["--detector", "marr-hildreth", "--slope-threshold", "nan"], "nan"),
         (COMPARE + ["--noise-stddev", "inf"], "inf"),
         (COMPARE + ["--tolerance", "nan"], "nan"),
+        (COMPARE + ["--tolerance", "-1"], "-1.0"),
         (COMPARE + ["--sigma", "1e308"], "1e+308"),
         (COMPARE + ["--low", "nan"], "nan"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)

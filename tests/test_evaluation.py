@@ -93,6 +93,8 @@ class TestSynthCircle:
         (64, (31.5, 31.5), 19.2),
         (32, (15.5, 15.5), 9.0),
         (48, (23.0, 24.0), 13.7),
+        (64, (31.0, 31.0), 0.4),
+        (32, (15.5, 15.5), 13.5),
     ])
     def test_truth_is_a_single_closed_ring(self, size, center, radius):
         scene = synth_circle(size, center, radius)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,6 +32,50 @@ rgb_arrays = hnp.arrays(
     st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(3)),
     elements=st.floats(0.0, 1.0, allow_nan=False),
 )
+
+
+# separators a header may use between tokens, comments included
+HEADER_SEPARATORS = (b" ", b"\n", b"\t", b"\r", b"\r\n", b"\x0b\x0c", b" # note\n", b"#\r", b"\n#\n\t")
+# bytes that move a damaged file across the reader's token and comment rules
+MUTATION_BYTES = tuple(b"# \t\n\r0123456789-")
+
+
+@st.composite
+def netpbm_files(draw):
+    """A valid P2/P3/P5/P6 file at maxval 255 or 65535, with its samples."""
+    magic = draw(st.sampled_from((b"P2", b"P3", b"P5", b"P6")))
+    maxval = draw(st.sampled_from((255, 65535)))
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = width * height * (3 if magic in (b"P3", b"P6") else 1)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+    seps = [draw(st.sampled_from(HEADER_SEPARATORS)) for _ in range(3)]
+    header = magic + seps[0] + b"%d" % width + seps[1] + b"%d" % height + seps[2] + b"%d" % maxval
+    if magic in (b"P5", b"P6"):
+        last = draw(st.sampled_from((b" ", b"\n", b"\t", b"\r")))
+        raster = np.array(samples, dtype=np.uint8 if maxval == 255 else ">u2").tobytes()
+    else:
+        last = draw(st.sampled_from(HEADER_SEPARATORS))
+        raster = b" ".join(b"%d" % v for v in samples) + b"\n"
+    return header + last + raster, samples, maxval
+
+
+@st.composite
+def damaged_netpbm_files(draw):
+    """A valid file, maybe truncated, then with 1 to 3 bytes replaced, inserted or deleted."""
+    data = bytearray(draw(netpbm_files())[0])
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from(MUTATION_BYTES), st.integers(0, 255)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if pos == len(data) or kind == "insert":
+            data.insert(pos, byte)
+        elif kind == "replace":
+            data[pos] = byte
+        else:
+            del data[pos]
+    return bytes(data)
 
 
 class TestLuma:
@@ -295,6 +339,45 @@ class TestRead:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P2 " + b"0" * 5000 + b"2 1 0255\n0000 00255\n")
         assert read_image(p).pixels.tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("body, pixels", [
+        (b"P2#magic\n1 1 255#maxval\n7\n", [[7 / 255]]),
+        (b"P5\r1\r1\r255\r\x07", [[7 / 255]]),
+        (b"P2\r#c\r2 1\r255\r1\r2\r", [[1 / 255, 2 / 255]]),
+    ], ids=["comments-glued-to-magic-and-maxval", "cr-line-ends", "cr-ended-comments"])
+    def test_header_filler_edge_cases_parse(self, tmp_path, body, pixels):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(body)
+        assert read_image(p).pixels.tolist() == pixels
+
+    @pytest.mark.parametrize("body, message", [
+        (b"", "unexpected end of file inside header"),
+        (b"P5 1 1 # no line end", "unexpected end of file inside header"),
+        (b"P5 1 1\r\n#\r\n", "unexpected end of file inside header"),
+        (b"P5 1 1 255#\n\x07", "missing whitespace between maxval and pixel data"),
+    ], ids=["empty", "comment-to-eof", "comment-then-eof", "comment-glued-to-p5-maxval"])
+    def test_header_filler_edge_cases_fail(self, tmp_path, body, message):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(body)
+        with pytest.raises(FormatError, match=message):
+            read_image(p)
+
+    @given(netpbm_files())
+    def test_valid_files_read_back_their_samples(self, tmp_path_factory, case):
+        body, samples, maxval = case
+        p = tmp_path_factory.mktemp("netpbm") / "t.pnm"
+        p.write_bytes(body)
+        assert read_image(p).pixels.ravel().tolist() == [v / maxval for v in samples]
+
+    @settings(max_examples=300)
+    @given(damaged_netpbm_files())
+    def test_damaged_files_give_an_image_or_a_netpbm_error(self, tmp_path_factory, body):
+        p = tmp_path_factory.mktemp("netpbm") / "t.pnm"
+        p.write_bytes(body)
+        try:
+            assert isinstance(read_image(p), (GrayImage, RgbImage))
+        except (FormatError, TruncationError):
+            pass
 
     def test_errors_are_value_errors(self):
         assert issubclass(FormatError, ValueError)

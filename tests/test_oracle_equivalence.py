@@ -1,9 +1,10 @@
 """The vectorised kernels against their slow oracles.
 
-nonmax_suppress, hysteresis, count_components and score must give exactly
-what the per-pixel loop, flood fills and k-d tree queries in oracles.py
-give, on every plane shape from one pixel up to 128x128, including values
-that sit exactly on a threshold.
+nonmax_suppress, hysteresis, count_components, score and crossing_slope_map
+must give exactly what the per-pixel loop, flood fills, k-d tree queries and
+crossing scatter in oracles.py give, on every plane shape from one pixel up
+to 128x128, including values that sit exactly on a threshold or exactly on
+zero.
 """
 
 import importlib.util
@@ -22,7 +23,8 @@ from edgebench.evaluation import THRESHOLD_GRID, count_components, f_score, nois
 from edgebench.filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
-from oracles import bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress
+from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
+                     scatter_crossing_slope_map)
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -269,3 +271,55 @@ class TestNonmaxMatchesLoop:
                                 hnp.arrays(np.float64, shape, elements=components))))
     def test_random_fields(self, planes):
         assert_nonmax_matches(GradientField(*planes))
+
+
+# Laplacian levels where the crossing rules are delicate: exact zeros of
+# both signs, the smallest denormals, and opposite pairs whose magnitudes tie
+RESPONSE_LEVELS = (0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0)
+responses = st.one_of(st.sampled_from(RESPONSE_LEVELS), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+def assert_crossings_match(px: np.ndarray) -> None:
+    resp = GrayImage(px)
+    got = crossing_slope_map(resp).pixels
+    assert got.tobytes() == scatter_crossing_slope_map(resp).pixels.tobytes(), px.shape
+
+
+class TestCrossingSlopeMatchesScatter:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_seeded_planes(self, shape):
+        rng = np.random.default_rng(17 * shape[0] + shape[1])
+        assert_crossings_match(rng.normal(size=shape))
+        assert_crossings_match(random_plane(rng, shape) - 0.2)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quantised_planes_with_exact_zeros_signed_zeros_and_ties(self, shape, seed):
+        assert_crossings_match(np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=shape))
+
+    @pytest.mark.parametrize("row, overflows", [
+        ([1e308, -1e-300, -1e308], False),  # the outer pair straddles no zero
+        ([-1e308, 0.0, 1e308], True),       # a straddle whose slope overflows
+        ([1.5e308, -1e308], True),          # a pair whose slope overflows, on the later member
+        ([-1e308, 1e308], True),            # the same on a tie, on the earlier member
+    ])
+    def test_huge_opposite_neighbours(self, row, overflows):
+        for px in (np.array([row]), np.array([row]).T):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not overflows:
+                    assert_crossings_match(px)
+                    continue
+                for fn in (crossing_slope_map, scatter_crossing_slope_map):
+                    with pytest.raises(ValueError, match="finite"):
+                        fn(GrayImage(px))
+
+    def test_laplacian_of_detect_composite(self):
+        gray, _ = load_detect_composite()(0)
+        # sigma 1.0 is what the detect workload's Marr-Hildreth runs use
+        resp = laplacian_of_smoothed(GrayImage(gray), 1.0)
+        assert np.count_nonzero(crossing_slope_map(resp).pixels) > 10_000
+        assert_crossings_match(resp.pixels)
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=responses))
+    def test_random_planes(self, px):
+        assert_crossings_match(px)
