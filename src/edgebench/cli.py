@@ -22,7 +22,8 @@ from .evaluation import (
     synth_rectangle,
     synth_step,
 )
-from .image_core import FormatError, GrayImage, RgbImage, TruncationError, atomic_write_bytes, read_image, rgb_to_gray, write_image
+from .image_core import (EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, atomic_write_bytes, read_image,
+                         rgb_to_gray, write_image)
 from .marr_hildreth import MHParams, mh_detect
 
 __all__ = ["main", "run"]
@@ -133,7 +134,8 @@ def _detector_params(args):
                   radius=args.radius)
     return canny, mh
 
-def _run_detector(image: GrayImage, args) -> "EdgeMap":
+
+def _run_detector(image: GrayImage, args) -> EdgeMap:
     canny, mh = _detector_params(args)
     if args.detector == "canny":
         return canny_detect(image, canny)

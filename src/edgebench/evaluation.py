@@ -165,38 +165,40 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     (ndimage.distance_transform_edt) of each mask's complement, in
     row-major pixel order.
     """
-    if not match_tolerance >= 0:
-        raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
+    _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
     det = detected.mask
     tru = truth.mask
     n_det = int(np.count_nonzero(det))
     n_tru = int(np.count_nonzero(tru))
-
-    if n_det == 0:
-        fp = 0.0
-        matched = 0
-        msd = 0.0
-    elif n_tru == 0:
-        fp = 1.0
-        matched = 0
-        msd = 0.0
-    else:
+    matched_sq = uncovered = None
+    if n_det and n_tru:
         dist = ndimage.distance_transform_edt(~tru)[det]
-        matched_mask = dist <= match_tolerance
-        matched = int(np.count_nonzero(matched_mask))
-        fp = float((n_det - matched) / n_det)
-        msd = float(np.mean(dist[matched_mask] ** 2)) if matched else 0.0
+        matched_sq = dist[dist <= match_tolerance] ** 2
+        uncovered = np.count_nonzero(ndimage.distance_transform_edt(~det)[tru] > match_tolerance)
+    return _report(n_det, n_tru, matched_sq, uncovered, match_tolerance)
 
-    if n_tru == 0:
-        fn = 0.0
-    elif n_det == 0:
-        fn = 1.0
+
+def _check_tolerance(match_tolerance: float) -> None:
+    if not match_tolerance >= 0:
+        raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
+
+
+def _report(n_det: int, n_tru: int, matched_sq, uncovered, match_tolerance: float) -> EvalReport:
+    # the rates of score's contract from the squared truth distances of the
+    # matched detections and the uncovered truth count, both None unless
+    # n_det and n_tru are non-zero
+    if n_det == 0 or n_tru == 0:
+        fp = 1.0 if n_det else 0.0
+        fn = 1.0 if n_tru else 0.0
+        matched = 0
+        msd = 0.0
     else:
-        dist = ndimage.distance_transform_edt(~det)[tru]
-        fn = float(np.count_nonzero(dist > match_tolerance) / n_tru)
-
+        matched = matched_sq.size
+        fp = float((n_det - matched) / n_det)
+        fn = float(uncovered / n_tru)
+        msd = float(np.mean(matched_sq)) if matched else 0.0
     return EvalReport(
         false_positive_rate=fp,
         false_negative_rate=fn,
@@ -206,6 +208,53 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
         matched_count=matched,
         match_tolerance=float(match_tolerance),
     )
+
+
+def _scored_sweep(sweeps, truth: EdgeMap, match_tolerance: float):
+    """(params, report) for every candidate of every (level, pairs) sweep.
+
+    A candidate (params, h) in pairs detects level > h, and its report
+    equals score(EdgeMap(level > h), truth, match_tolerance). The truth
+    transform is taken once: near marks the pixels within the tolerance of
+    truth and sq holds their squared distances. Coverage needs no transform
+    of the detection: a truth pixel is covered at h exactly when the
+    maximum of level over the disc of the tolerance around it is above h,
+    and one max filter per level plane gives that maximum.
+    """
+    tru = truth.mask
+    n_tru = int(np.count_nonzero(tru))
+    if n_tru:
+        dist = ndimage.distance_transform_edt(~tru)
+        near = dist <= match_tolerance
+        sq = dist ** 2
+        # the offsets the transform would measure within the tolerance,
+        # clipped to the image first so an infinite tolerance works
+        ry, rx = (math.floor(min(match_tolerance, n - 1)) for n in tru.shape)
+        dy, dx = np.ogrid[-ry:ry + 1, -rx:rx + 1]
+        widths = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= match_tolerance, axis=1)
+        ty, tx = np.nonzero(tru)
+        # each disc row is a centred run of offsets, so the disc maximum is
+        # the largest, over the disc's rows, of a running row maximum as wide
+        # as that row's run: one maximum_filter1d per distinct width, read
+        # in the plane padded by ry rows of -inf, where a footprint
+        # maximum_filter would cost the disc's area per pixel
+        spans = [(width, ty + np.flatnonzero(widths == width)[:, None]) for width in np.unique(widths)]
+    for level, pairs in sweeps:
+        if n_tru:
+            padded = np.pad(level, ((ry, ry), (0, 0)), constant_values=-np.inf)
+            reach = np.max([
+                ndimage.maximum_filter1d(padded, width, axis=1, mode="constant", cval=-np.inf)[rows, tx].max(axis=0)
+                for width, rows in spans], axis=0)
+        for params, h in pairs:
+            det = level > h
+            n_det = int(np.count_nonzero(det))
+            matched_sq = uncovered = None
+            if n_det and n_tru:
+                # the same pixels in the same row-major order as in score,
+                # so the mean has the same bits
+                matched_sq = sq[det & near]
+                uncovered = np.count_nonzero(reach <= h)
+            yield params, _report(n_det, n_tru, matched_sq, uncovered, match_tolerance)
 
 
 def f_score(report: EvalReport) -> float:
@@ -248,23 +297,32 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     return rows
 
 
-def _best_operating_point(candidates, truth: EdgeMap, tolerance: float):
-    # first (params, report) of the highest f_score over (params, mask) pairs
-    best = None
-    for params, mask in candidates:
-        report = score(EdgeMap(mask), truth, tolerance)
-        if best is None or f_score(report) > f_score(best[1]):
-            best = (params, report)
-    return best
+def _best_operating_point(scored):
+    # the first (params, report) of the highest f_score
+    return max(scored, key=lambda pair: f_score(pair[1]))
 
 
-def _hysteresis_candidates(plane: GrayImage, grid, make_params):
-    # every (low, high >= low) grid pair: one labelling per low, then one
-    # lookup per high, equal to hysteresis(plane, low, high)
-    for i, low in enumerate(grid):
+def _threshold_grid(grid, ascending: bool) -> tuple:
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("the threshold grid must not be empty")
+    if ascending and any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"a hysteresis sweep needs an ascending threshold grid, got {grid}")
+    return grid
+
+
+def _hysteresis_pairs(grid, make_params) -> list:
+    # per low, the (params, high) of every high >= low; made up front, so
+    # every threshold is checked before any detector work
+    return [(low, [(make_params(low, high), high) for high in grid[i:]]) for i, low in enumerate(grid)]
+
+
+def _linked_levels(plane: GrayImage, rows):
+    # one labelling per low: pixels of the level plane maxima[labels] above
+    # high are exactly hysteresis(plane, low, high)
+    for low, pairs in rows:
         labels, maxima = component_maxima(plane, low)
-        for high in grid[i:]:
-            yield make_params(low, high), (maxima > high)[labels]
+        yield maxima[labels], pairs
 
 
 def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
@@ -272,26 +330,37 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     """Grid-search the slope threshold(s) maximising the scene's f_score.
 
     Returns (MHParams, EvalReport) for the best operating point; ties keep
-    the earliest grid point, so the result is deterministic.
+    the earliest grid point, so the result is deterministic. Each report
+    equals score() of that candidate. With use_hysteresis every (low, high)
+    pair with high at or after low in the grid is tried, so the grid must
+    be ascending (ties allowed). An empty grid, a grid that is not
+    ascending where that is needed, any grid value the parameters refuse,
+    and a negative or NaN tolerance raise ValueError before any detector
+    work.
     """
-    slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
+    grid = _threshold_grid(grid, use_hysteresis)
+    _check_tolerance(tolerance)
     if use_hysteresis:
-        candidates = _hysteresis_candidates(
-            slopes, grid, lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
+        rows = _hysteresis_pairs(
+            grid, lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
     else:
-        candidates = ((MHParams(sigma=sigma, slope_threshold=t), slopes.pixels > t) for t in grid)
-    return _best_operating_point(candidates, scene.truth, tolerance)
+        pairs = [(MHParams(sigma=sigma, slope_threshold=t), t) for t in grid]
+    slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
+    sweeps = _linked_levels(slopes, rows) if use_hysteresis else [(slopes.pixels, pairs)]
+    return _best_operating_point(_scored_sweep(sweeps, scene.truth, tolerance))
 
 
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport); deterministic like tune_mh.
+    Returns (CannyParams, EvalReport); deterministic like tune_mh, and it
+    refuses the same grids and tolerances as tune_mh with use_hysteresis.
     """
-    candidates = _hysteresis_candidates(
-        thinned_magnitude(scene.image, sigma), grid,
-        lambda low, high: CannyParams(sigma=sigma, low=low, high=high))
-    return _best_operating_point(candidates, scene.truth, tolerance)
+    grid = _threshold_grid(grid, True)
+    _check_tolerance(tolerance)
+    rows = _hysteresis_pairs(grid, lambda low, high: CannyParams(sigma=sigma, low=low, high=high))
+    plane = thinned_magnitude(scene.image, sigma)
+    return _best_operating_point(_scored_sweep(_linked_levels(plane, rows), scene.truth, tolerance))
 
 
 def noisy_step_suite(seeds, size: int = 64, contrast: float = 0.5, noise_stddev: float = 0.1) -> list:

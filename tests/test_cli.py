@@ -1,14 +1,16 @@
 """Exit codes, flag validation, and file/stream output of the edgebench CLI."""
 
 import json
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from edgebench import cli
 from edgebench.cli import run
 from edgebench.evaluation import CSV_COLUMNS, synth_step
-from edgebench.image_core import GrayImage, read_image, write_image
+from edgebench.image_core import EdgeMap, GrayImage, read_image, write_image
 from test_image_core import damaged_netpbm_files
 
 
@@ -294,6 +296,10 @@ class TestNonFiniteParameters:
 
 
 class TestTopLevel:
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(cli._run_detector)
+        assert hints == {"image": GrayImage, "return": EdgeMap}
+
     def test_no_subcommand_exits_1(self, capsys):
         assert run([]) == 1
         assert "usage" in capsys.readouterr().err

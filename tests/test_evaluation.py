@@ -1,5 +1,6 @@
 """Scene generators, scoring, tuning helpers, and report serialisation."""
 
+import functools
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from edgebench import evaluation
 from edgebench.canny import CannyParams, canny_detect
 from edgebench.evaluation import (
     CSV_COLUMNS,
@@ -387,6 +389,56 @@ class TestSuitesAndTuning:
     def test_scene_type_requires_matching_dimensions(self):
         with pytest.raises(ValueError):
             Scene(GrayImage(np.zeros((4, 4))), make_map((4, 5), []), "bad")
+
+
+TUNERS = {"canny": tune_canny, "mh": tune_mh, "mh-hysteresis": functools.partial(tune_mh, use_hysteresis=True)}
+
+
+class TestTuningRefusesBadSweeps:
+    @pytest.fixture
+    def no_detector(self, monkeypatch):
+        # every refusal must come before the detector's front end runs
+        def ran(*args, **kwargs):
+            raise AssertionError("detector work started")
+        for name in ("thinned_magnitude", "laplacian_of_smoothed"):
+            monkeypatch.setattr(evaluation, name, ran)
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    @pytest.mark.parametrize("grid", [(), [], iter(())])
+    def test_empty_grid(self, no_detector, tuner, grid):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+
+    @pytest.mark.parametrize("tuner", ["canny", "mh-hysteresis"])
+    @pytest.mark.parametrize("grid", [(0.1, 0.05), (0.01, 0.2, 0.1), tuple(reversed(THRESHOLD_GRID))])
+    def test_hysteresis_grid_must_ascend(self, no_detector, tuner, grid):
+        with pytest.raises(ValueError, match="ascending") as err:
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+        assert str(grid) in str(err.value)
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-9, math.nan, -math.inf])
+    def test_tolerance(self, no_detector, tuner, tolerance):
+        with pytest.raises(ValueError, match="match_tolerance must be non-negative"):
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), tolerance=tolerance)
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    @pytest.mark.parametrize("grid", [(-0.1, 0.2), (0.1, math.nan)])
+    def test_grid_values_the_parameters_refuse(self, no_detector, tuner, grid):
+        with pytest.raises(ValueError, match="non-negative|low <= high"):
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_equal_grid_values_are_ascending(self, tuner):
+        params, report = TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=(0.05, 0.05))
+        assert report.truth_count == 16
+
+    def test_single_threshold_grid_may_descend(self):
+        scene = synth_step(32, 32, 16, 0.5)
+        params, report = tune_mh(scene, grid=tuple(reversed(THRESHOLD_GRID)))
+        assert params.slope_threshold in THRESHOLD_GRID
+        assert f_score(report) == f_score(tune_mh(scene)[1])
+        assert score(mh_detect(scene.image, params), scene.truth, 1.5) == report
 
 
 class TestSerialisation:

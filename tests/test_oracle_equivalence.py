@@ -4,7 +4,7 @@ nonmax_suppress, hysteresis, count_components, score and crossing_slope_map
 must give exactly what the per-pixel loop, flood fills, k-d tree queries and
 crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
-zero.
+zero. The tuning sweeps' reports must equal score() of each candidate.
 """
 
 import importlib.util
@@ -19,7 +19,9 @@ from hypothesis.extra import numpy as hnp
 
 from edgebench.canny import (CannyParams, GradientField, component_maxima, gradient, hysteresis, nonmax_suppress,
                              thinned_magnitude)
-from edgebench.evaluation import THRESHOLD_GRID, count_components, f_score, noisy_step_suite, score, tune_canny, tune_mh
+from edgebench.evaluation import (THRESHOLD_GRID, Scene, _hysteresis_pairs, _linked_levels, _scored_sweep,
+                                  add_gaussian_noise, circle_scene, count_components, f_score, noisy_step_suite,
+                                  rectangle_scene, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
@@ -185,36 +187,120 @@ class TestScoreMatchesKdTree:
         assert_score_matches(det, tru, tolerance)
 
 
-def oracle_tune(plane: GrayImage, truth: EdgeMap, grid, make_params):
-    # the sweep as it was before the per-low labelling: one flood fill and
-    # one pair of k-d trees per grid point
+def oracle_tune(candidates, truth: EdgeMap, tolerance: float):
+    # the sweep as it was before the per-low labelling and the sweep scorer:
+    # one flood fill and one pair of k-d trees per (params, EdgeMap) candidate
     best = None
-    for i, low in enumerate(grid):
-        for high in grid[i:]:
-            report = kdtree_score(bfs_hysteresis(plane, low, high), truth, 1.5)
-            params = make_params(low, high)
-            if best is None or f_score(report) > f_score(best[1]):
-                best = (params, report)
+    for params, edges in candidates:
+        report = kdtree_score(edges, truth, tolerance)
+        if best is None or f_score(report) > f_score(best[1]):
+            best = (params, report)
     return best
+
+
+def bfs_candidates(plane: GrayImage, grid, make_params):
+    return ((make_params(lo, hi), bfs_hysteresis(plane, lo, hi)) for i, lo in enumerate(grid) for hi in grid[i:])
 
 
 class TestTuningMatchesTheOracleSweep:
     GRID = THRESHOLD_GRID[::3]
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_tune_canny(self, seed):
+    @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
+    def test_tune_canny(self, seed, tolerance):
         scene = noisy_step_suite([seed])[0]
-        expected = oracle_tune(thinned_magnitude(scene.image, 1.0), scene.truth, self.GRID,
-                               lambda lo, hi: CannyParams(sigma=1.0, low=lo, high=hi))
-        assert repr(tune_canny(scene, 1.0, 1.5, grid=self.GRID)) == repr(expected)
+        candidates = bfs_candidates(thinned_magnitude(scene.image, 1.0), self.GRID,
+                                    lambda lo, hi: CannyParams(sigma=1.0, low=lo, high=hi))
+        expected = oracle_tune(candidates, scene.truth, tolerance)
+        assert repr(tune_canny(scene, 1.0, tolerance, grid=self.GRID)) == repr(expected)
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_tune_mh_with_hysteresis(self, seed):
+    @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
+    def test_tune_mh_with_hysteresis(self, seed, tolerance):
         scene = noisy_step_suite([seed])[0]
         slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0))
-        expected = oracle_tune(slopes, scene.truth, self.GRID,
-                               lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
-        assert repr(tune_mh(scene, 1.0, 1.5, use_hysteresis=True, grid=self.GRID)) == repr(expected)
+        candidates = bfs_candidates(slopes, self.GRID,
+                                    lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
+        expected = oracle_tune(candidates, scene.truth, tolerance)
+        assert repr(tune_mh(scene, 1.0, tolerance, use_hysteresis=True, grid=self.GRID)) == repr(expected)
+
+    @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
+    def test_tune_mh_single_threshold(self, seed, tolerance):
+        scene = noisy_step_suite([seed])[0]
+        slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0)).pixels
+        candidates = ((MHParams(sigma=1.0, slope_threshold=t), EdgeMap(slopes > t)) for t in THRESHOLD_GRID)
+        expected = oracle_tune(candidates, scene.truth, tolerance)
+        assert repr(tune_mh(scene, 1.0, tolerance)) == repr(expected)
+
+
+SWEEP_TOLERANCES = (0.0, 1.0, 1.5, 2.0, 3.3, math.inf)
+
+
+def non_square_scene() -> Scene:
+    base = synth_step(47, 33, 20, 0.5)
+    return Scene(add_gaussian_noise(base.image, 0.3, 4), base.truth, "noisy-step-47x33")
+
+
+SWEEP_SCENES = {
+    "noisy-step": lambda: noisy_step_suite([1])[0],
+    "circle": circle_scene,
+    "rectangle": rectangle_scene,
+    "33x47": non_square_scene,
+}
+
+
+def assert_sweep_reports_match_score(plane: GrayImage, truth: EdgeMap, tolerance: float, grid=THRESHOLD_GRID):
+    # the candidates the tuning sweeps score, with (low, high) or the
+    # threshold standing in for the parameters
+    rows = _hysteresis_pairs(grid, lambda low, high: (low, high))
+    linked = list(_scored_sweep(_linked_levels(plane, rows), truth, tolerance))
+    assert len(linked) == len(grid) * (len(grid) + 1) // 2
+    for (low, high), report in linked:
+        assert repr(report) == repr(score(hysteresis(plane, low, high), truth, tolerance)), (low, high)
+    single = list(_scored_sweep([(plane.pixels, [(t, t) for t in grid])], truth, tolerance))
+    assert len(single) == len(grid)
+    for t, report in single:
+        assert repr(report) == repr(score(EdgeMap(plane.pixels > t), truth, tolerance)), t
+
+
+class TestSweepReportsMatchScore:
+    @pytest.mark.parametrize("tolerance", SWEEP_TOLERANCES)
+    @pytest.mark.parametrize("name", SWEEP_SCENES)
+    def test_scene_planes_every_grid_pair(self, name, tolerance):
+        scene = SWEEP_SCENES[name]()
+        for plane in (thinned_magnitude(scene.image, 1.0),
+                      crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0))):
+            assert_sweep_reports_match_score(plane, scene.truth, tolerance)
+
+    @pytest.mark.parametrize("tolerance", SWEEP_TOLERANCES)
+    def test_empty_truth(self, tolerance):
+        scene = noisy_step_suite([2])[0]
+        empty = EdgeMap(np.zeros(scene.truth.mask.shape, dtype=bool))
+        assert_sweep_reports_match_score(thinned_magnitude(scene.image, 1.0), empty, tolerance)
+
+    @pytest.mark.parametrize("tolerance", SWEEP_TOLERANCES)
+    def test_nothing_above_low(self, tolerance):
+        # every pixel sits on or below the lowest grid value
+        px = np.where(np.random.default_rng(6).random((20, 30)) < 0.5, THRESHOLD_GRID[0], 0.0)
+        truth = EdgeMap(np.random.default_rng(7).random((20, 30)) < 0.1)
+        assert_sweep_reports_match_score(GrayImage(px), truth, tolerance)
+        assert_sweep_reports_match_score(GrayImage(np.zeros((20, 30))), truth, tolerance)
+
+    @pytest.mark.parametrize("tolerance", (1.5, 3.3, math.inf))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_truth_under_dense_detections(self, seed, tolerance):
+        # many matched distances of several sizes, where summing the squares
+        # in any other order than score's changes the mean's last bits
+        rng = np.random.default_rng(seed)
+        plane = GrayImage(random_plane(rng, (40, 48)))
+        truth = EdgeMap(random_mask(rng, (40, 48), 0.02))
+        assert_sweep_reports_match_score(plane, truth, tolerance, grid=THRESHOLDS)
+
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)), seeds, st.floats(0.0, 0.5),
+           st.one_of(st.sampled_from(SWEEP_TOLERANCES + (math.sqrt(2.0), 30.0)), st.floats(0.0, 8.0)))
+    def test_random_planes_and_masks(self, shape, seed, density, tolerance):
+        rng = np.random.default_rng(seed)
+        plane = GrayImage(random_plane(rng, shape))
+        truth = EdgeMap(random_mask(rng, shape, density))
+        assert_sweep_reports_match_score(plane, truth, tolerance, grid=THRESHOLDS)
 
 
 # gradient components where the sample arithmetic is delicate: signed zeros,
