@@ -85,7 +85,7 @@ def gradient(img: GrayImage) -> GradientField:
     return GradientField(gx, gy)
 
 
-def nonmax_suppress(field: GradientField) -> GrayImage:
+def nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
     """Keep a pixel's magnitude only where it tops both directional samples.
 
     The two samples sit one pixel away along the gradient direction, each
@@ -93,11 +93,17 @@ def nonmax_suppress(field: GradientField) -> GrayImage:
     quadrant. The keep rule is magnitude >= forward sample and strictly >
     backward sample, so a flat run of equal values keeps exactly one pixel.
     Border pixels are always suppressed.
+
+    Only pixels with magnitude strictly above floor are tested; the rest
+    come out 0. The samples read every magnitude, so hysteresis with any
+    low >= floor links the same pixels as at floor 0.
     """
+    if not floor >= 0:
+        raise ValueError(f"floor must be non-negative, got {floor}")
     mag = field.magnitude
     w = mag.shape[1]
     inner = np.zeros(mag.shape, dtype=bool)
-    inner[1:-1, 1:-1] = mag[1:-1, 1:-1] != 0.0
+    inner[1:-1, 1:-1] = mag[1:-1, 1:-1] > floor
     idx = np.flatnonzero(inner)
     gx = field.gx.ravel()[idx]
     gy = field.gy.ravel()[idx]
@@ -154,19 +160,19 @@ def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
     return EdgeMap((maxima > high)[labels])
 
 
-def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
-    """Gaussian smoothing, gradient, and non-maximum suppression in one go.
+def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None, floor: float = 0.0) -> GrayImage:
+    """Gaussian smoothing, gradient, and non-maximum suppression above floor.
 
-    This is the threshold-free front half of the detector; sweeping
-    hysteresis thresholds can reuse one thinned plane.
+    This is the front half of the detector. At floor 0 it is threshold-free,
+    so sweeping hysteresis thresholds can reuse one thinned plane.
     """
     r = gaussian_radius(sigma) if radius is None else radius
     k = gaussian_kernel_1d(sigma, r)
     smoothed = convolve_separable(img, k, k)
-    return nonmax_suppress(gradient(smoothed))
+    return nonmax_suppress(gradient(smoothed), floor)
 
 
 def canny_detect(img: GrayImage, params: CannyParams) -> EdgeMap:
-    """Full detector: smooth, differentiate, thin, then link with hysteresis."""
-    thinned = thinned_magnitude(img, params.sigma, params.radius)
+    """Full detector: smooth, differentiate, thin above low, then link with hysteresis."""
+    thinned = thinned_magnitude(img, params.sigma, params.radius, params.low)
     return hysteresis(thinned, params.low, params.high)

@@ -22,6 +22,9 @@ __all__ = [
     "outer_kernel",
 ]
 
+# bytes of float64 plane per row strip; 32 rows at width 1024
+_STRIP_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class Kernel1D:
@@ -33,6 +36,8 @@ class Kernel1D:
         arr = np.array(self.taps, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size % 2 == 0:
             raise ValueError(f"1-D kernel needs an odd number of taps, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("1-D kernel taps must be finite, got NaN or infinity")
         if not np.array_equal(arr, arr[::-1]):
             raise ValueError("1-D kernel taps must be symmetric about the centre")
         arr.setflags(write=False)
@@ -53,6 +58,8 @@ class Kernel2D:
         arr = np.array(self.taps, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
             raise ValueError(f"2-D kernel must be square with odd side, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("2-D kernel taps must be finite, got NaN or infinity")
         arr.setflags(write=False)
         object.__setattr__(self, "taps", arr)
 
@@ -79,8 +86,13 @@ def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
+    spread = 2.0 * sigma * sigma
+    if spread == 0.0:
+        raise ValueError(f"sigma must be large enough that 2*sigma**2 is not 0, got {sigma}")
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    taps = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    # a tiny sigma sends the outer exponents to -inf, whose taps are exactly 0
+    with np.errstate(over="ignore"):
+        taps = np.exp(-(offsets**2) / spread)
     return Kernel1D(taps / taps.sum())
 
 
@@ -98,27 +110,50 @@ def outer_kernel(ky: Kernel1D, kx: Kernel1D) -> Kernel2D:
     return Kernel2D(np.outer(ky.taps, kx.taps))
 
 
+def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
+    """stage(plane), computed over row strips of about _STRIP_BYTES.
+
+    stage's output row y must read only input rows y - halo .. y + halo, and
+    its border handling must start at the plane's first and last rows. Each
+    strip runs with the halo rows the image has and keeps its own rows, so
+    the result is bit-identical. A plane that fits in one strip, or a halo
+    taller than half a strip, takes one whole-plane call.
+    """
+    h, w = plane.shape
+    rows = max(1, _STRIP_BYTES // (plane.itemsize * w))
+    if h <= rows or 2 * halo > rows:
+        return stage(plane)
+    out = np.empty_like(plane)
+    for top in range(0, h, rows):
+        bottom = min(top + rows, h)
+        lo = max(top - halo, 0)
+        out[top:bottom] = stage(plane[lo:min(bottom + halo, h)])[top - lo:bottom - lo]
+    return out
+
+
 def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
     """Correlate with kx along rows, then ky along columns.
 
     Out-of-range samples replicate the nearest border pixel, which keeps
     the two 1-D passes exactly equivalent to the 2-D outer-product pass.
+    Large planes run in row strips with a halo of ky's radius, bit for bit.
     """
-    px = img.pixels
-    h, w = px.shape
+    def stage(px):
+        h, w = px.shape
+        rx = kx.radius
+        padded = np.pad(px, ((0, 0), (rx, rx)), mode="edge")
+        tmp = np.zeros_like(px)
+        for i, tap in enumerate(kx.taps):
+            tmp += tap * padded[:, i:i + w]
 
-    rx = kx.radius
-    padded = np.pad(px, ((0, 0), (rx, rx)), mode="edge")
-    tmp = np.zeros_like(px)
-    for i, tap in enumerate(kx.taps):
-        tmp += tap * padded[:, i:i + w]
+        ry = ky.radius
+        padded = np.pad(tmp, ((ry, ry), (0, 0)), mode="edge")
+        out = np.zeros_like(px)
+        for i, tap in enumerate(ky.taps):
+            out += tap * padded[i:i + h, :]
+        return out
 
-    ry = ky.radius
-    padded = np.pad(tmp, ((ry, ry), (0, 0)), mode="edge")
-    out = np.zeros_like(px)
-    for i, tap in enumerate(ky.taps):
-        out += tap * padded[i:i + h, :]
-    return GrayImage(out)
+    return GrayImage(_by_strips(stage, img.pixels, ky.radius))
 
 
 def convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
@@ -127,16 +162,19 @@ def convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
     Every output pixel accumulates the full tap grid directly; this is the
     reference path the separable route is checked against.
     """
-    px = img.pixels
-    h, w = px.shape
     r = kernel.radius
-    padded = np.pad(px, r, mode="edge")
-    out = np.zeros_like(px)
-    side = 2 * r + 1
-    for i in range(side):
-        for j in range(side):
-            tap = kernel.taps[i, j]
-            if tap == 0.0:
-                continue
-            out += tap * padded[i:i + h, j:j + w]
-    return GrayImage(out)
+
+    def stage(px):
+        h, w = px.shape
+        padded = np.pad(px, r, mode="edge")
+        out = np.zeros_like(px)
+        side = 2 * r + 1
+        for i in range(side):
+            for j in range(side):
+                tap = kernel.taps[i, j]
+                if tap == 0.0:
+                    continue
+                out += tap * padded[i:i + h, j:j + w]
+        return out
+
+    return GrayImage(_by_strips(stage, img.pixels, r))

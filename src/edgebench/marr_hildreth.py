@@ -8,6 +8,7 @@ import numpy as np
 
 from .canny import hysteresis
 from .filtering import (
+    _by_strips,
     convolve_2d,
     convolve_separable,
     gaussian_kernel_1d,
@@ -66,9 +67,13 @@ def crossing_slope_map(resp: GrayImage) -> GrayImage:
     (scan-order earlier on a tie) and carries slope |a - b|. A pixel whose
     value is exactly 0 between opposite-signed axis neighbours carries the
     slope of that straddling pair. A pixel hit by several crossings keeps
-    the largest slope.
+    the largest slope. Large planes run in row strips with a one-row halo,
+    bit for bit.
     """
-    v = resp.pixels
+    return GrayImage(_by_strips(_crossing_slopes, resp.pixels, 1))
+
+
+def _crossing_slopes(v: np.ndarray) -> np.ndarray:
     slopes = np.zeros_like(v)
     # row pairs, then column pairs as rows of the transpose, whose writes land in slopes
     for val, out in ((v, slopes), (v.T, slopes.T)):
@@ -84,7 +89,7 @@ def crossing_slope_map(resp: GrayImage) -> GrayImage:
         # exact zeros straddled by opposite signs
         straddle = (val[:, 1:-1] == 0) & ((pos[:, :-2] & neg[:, 2:]) | (neg[:, :-2] & pos[:, 2:]))
         np.maximum(out[:, 1:-1], np.where(straddle, np.abs(val[:, :-2] - val[:, 2:]), 0.0), out=out[:, 1:-1])
-    return GrayImage(slopes)
+    return slopes
 
 
 def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:

@@ -7,6 +7,10 @@ linking, component counting and scoring moved to scipy.ndimage labelling
 and distance transforms, and its crossing-slope map moved to whole-slice
 maxima. They state each contract directly, one pixel or one crossing at a
 time, so the fast versions can be checked against them.
+
+The whole_plane_* functions are the convolutions and the crossing-slope map
+as they ran before large planes were split into row strips; the strip-wise
+versions must equal them bit for bit.
 """
 
 from collections import deque
@@ -16,6 +20,7 @@ from scipy.spatial import cKDTree
 
 from edgebench.canny import GradientField
 from edgebench.evaluation import EvalReport
+from edgebench.filtering import Kernel1D, Kernel2D
 from edgebench.image_core import EdgeMap, GrayImage
 
 
@@ -198,4 +203,77 @@ def scatter_crossing_slope_map(resp: GrayImage) -> GrayImage:
         if ys.size:
             np.maximum.at(slopes, (ys + 1, xs), np.abs(v[ys, xs] - v[ys + 2, xs]))
 
+    return GrayImage(slopes)
+
+
+def whole_plane_convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
+    """Correlate with kx along rows, then ky along columns.
+
+    Out-of-range samples replicate the nearest border pixel, which keeps
+    the two 1-D passes exactly equivalent to the 2-D outer-product pass.
+    """
+    px = img.pixels
+    h, w = px.shape
+
+    rx = kx.radius
+    padded = np.pad(px, ((0, 0), (rx, rx)), mode="edge")
+    tmp = np.zeros_like(px)
+    for i, tap in enumerate(kx.taps):
+        tmp += tap * padded[:, i:i + w]
+
+    ry = ky.radius
+    padded = np.pad(tmp, ((ry, ry), (0, 0)), mode="edge")
+    out = np.zeros_like(px)
+    for i, tap in enumerate(ky.taps):
+        out += tap * padded[i:i + h, :]
+    return GrayImage(out)
+
+
+def whole_plane_convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
+    """Dense 2-D correlation with edge-replicated borders.
+
+    Every output pixel accumulates the full tap grid directly; this is the
+    reference path the separable route is checked against.
+    """
+    px = img.pixels
+    h, w = px.shape
+    r = kernel.radius
+    padded = np.pad(px, r, mode="edge")
+    out = np.zeros_like(px)
+    side = 2 * r + 1
+    for i in range(side):
+        for j in range(side):
+            tap = kernel.taps[i, j]
+            if tap == 0.0:
+                continue
+            out += tap * padded[i:i + h, j:j + w]
+    return GrayImage(out)
+
+
+def whole_plane_crossing_slope_map(resp: GrayImage) -> GrayImage:
+    """Per-pixel slope magnitude at sign changes of the response, 0 elsewhere.
+
+    A sign change between axis-aligned neighbours (a, b) with strictly
+    opposite signs lands on the member with the smaller absolute value
+    (scan-order earlier on a tie) and carries slope |a - b|. A pixel whose
+    value is exactly 0 between opposite-signed axis neighbours carries the
+    slope of that straddling pair. A pixel hit by several crossings keeps
+    the largest slope.
+    """
+    v = resp.pixels
+    slopes = np.zeros_like(v)
+    # row pairs, then column pairs as rows of the transpose, whose writes land in slopes
+    for val, out in ((v, slopes), (v.T, slopes.T)):
+        pos, neg = val > 0, val < 0
+        a, b = val[:, :-1], val[:, 1:]
+        # |a - b| is finite unless a and b have opposite signs, so the mask products
+        # leave exact +0s; an overflowing slope turns inf or NaN, which GrayImage refuses
+        slope = np.abs(a - b) * ((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
+        # a is the scan-order earlier member, so <= sends ties its way
+        to_a = slope * (np.abs(a) <= np.abs(b))
+        np.maximum(out[:, :-1], to_a, out=out[:, :-1])
+        np.maximum(out[:, 1:], slope - to_a, out=out[:, 1:])
+        # exact zeros straddled by opposite signs
+        straddle = (val[:, 1:-1] == 0) & ((pos[:, :-2] & neg[:, 2:]) | (neg[:, :-2] & pos[:, 2:]))
+        np.maximum(out[:, 1:-1], np.where(straddle, np.abs(val[:, :-2] - val[:, 2:]), 0.0), out=out[:, 1:-1])
     return GrayImage(slopes)

@@ -2,6 +2,7 @@
 
 import json
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ class TestNonFiniteParameters:
         assert code == 1
         assert f"got {float(sigma)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    @pytest.mark.parametrize("extra", [[], ["--radius", "3"]])
+    def test_detect_sigma_too_small_for_a_kernel(self, step_pgm, tmp_path, capsys, detector, extra):
+        out = tmp_path / "e.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["detect", "--detector", detector, "--in", str(step_pgm), "--out", str(out),
+                        "--sigma", "1e-300", *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and "2*sigma**2 is not 0, got 1e-300" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    def test_detect_tiny_sigma_runs_without_warnings(self, step_pgm, tmp_path, detector):
+        out = tmp_path / "e.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["detect", "--detector", detector, "--in", str(step_pgm), "--out", str(out),
+                        "--sigma", "1e-160"]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("argv, value", [
         (EVALUATE + ["--detector", "canny", "--sigma", "inf"], "inf"),

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,28 @@ class TestGaussianKernel:
         with pytest.raises(ValueError, match=f"got {sigma}"):
             gaussian_kernel_1d(sigma, 3)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-324, 1e-162])
+    def test_kernel_refuses_sigma_whose_spread_underflows_by_value(self, sigma):
+        assert 2.0 * sigma * sigma == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"2*sigma**2 is not 0, got {sigma}")):
+                gaussian_kernel_1d(sigma, 1)
+
+    @pytest.mark.parametrize("sigma", [3e-162, 1e-160, 1e-100, 1e-10, 0.05, 0.3, 1.0, 1.4, 3.0, 1e10, 1e200])
+    @pytest.mark.parametrize("radius", [1, 4])
+    def test_tiny_and_huge_sigma_keep_their_taps_without_warnings(self, sigma, radius):
+        # the taps as they were built before: the same expression, warnings off
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            raw = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            taps = gaussian_kernel_1d(sigma, radius).taps
+        assert taps.tobytes() == (raw / raw.sum()).tobytes()
+        if sigma <= 1e-100:
+            assert taps.tolist() == [0.0] * radius + [1.0] + [0.0] * radius
+
 
 class TestKernelTypes:
     def test_kernel1d_rejects_even_length(self):
@@ -96,6 +119,18 @@ class TestKernelTypes:
     def test_kernel1d_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             Kernel1D(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("taps", [[math.inf], [math.nan], [-math.inf], [1.0, math.inf, 1.0],
+                                      [math.nan, 1.0, math.nan]])
+    def test_kernel1d_rejects_non_finite_taps(self, taps):
+        with pytest.raises(ValueError, match="1-D kernel taps must be finite"):
+            Kernel1D(np.array(taps))
+
+    @pytest.mark.parametrize("taps", [[[math.nan]], [[math.inf]], [[0.0, 1.0, 0.0], [1.0, -math.inf, 1.0],
+                                                                   [0.0, 1.0, 0.0]]])
+    def test_kernel2d_rejects_non_finite_taps(self, taps):
+        with pytest.raises(ValueError, match="2-D kernel taps must be finite"):
+            Kernel2D(np.array(taps))
 
     def test_kernel2d_rejects_non_square_or_even(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ nonmax_suppress, hysteresis, count_components, score and crossing_slope_map
 must give exactly what the per-pixel loop, flood fills, k-d tree queries and
 crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
-zero. The tuning sweeps' reports must equal score() of each candidate.
+zero. The tuning sweeps' reports must equal score() of each candidate. The
+strip-wise convolutions and crossing-slope map must equal their whole-plane
+forms, and thinning above low must leave every Canny map as it was.
 """
 
 import importlib.util
@@ -17,16 +19,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgebench.canny import (CannyParams, GradientField, component_maxima, gradient, hysteresis, nonmax_suppress,
-                             thinned_magnitude)
+from edgebench import filtering
+from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
+                             nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, _hysteresis_pairs, _linked_levels, _scored_sweep,
                                   add_gaussian_noise, circle_scene, count_components, f_score, noisy_step_suite,
                                   rectangle_scene, score, synth_step, tune_canny, tune_mh)
-from edgebench.filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
+from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
+                                 laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     scatter_crossing_slope_map)
+                     scatter_crossing_slope_map, whole_plane_convolve_2d, whole_plane_convolve_separable,
+                     whole_plane_crossing_slope_map)
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -409,3 +414,188 @@ class TestCrossingSlopeMatchesScatter:
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=responses))
     def test_random_planes(self, px):
         assert_crossings_match(px)
+
+
+def floored(plane: GrayImage, floor: float) -> np.ndarray:
+    return np.where(plane.pixels > floor, plane.pixels, 0.0)
+
+
+def magnitude_levels(field: GradientField) -> list:
+    # floors that sit exactly on interior magnitudes, including kept ones
+    inner = np.unique(field.magnitude[1:-1, 1:-1])
+    return inner[np.linspace(0, inner.size - 1, 5).astype(int)].tolist() if inner.size else []
+
+
+def assert_floor_matches(field: GradientField, floor: float) -> None:
+    got = nonmax_suppress(field, floor).pixels
+    assert got.tobytes() == floored(loop_nonmax_suppress(field), floor).tobytes(), (field.gx.shape, floor)
+
+
+def assert_canny_unchanged_by_floor(img: GrayImage, params: CannyParams) -> None:
+    expected = hysteresis(thinned_magnitude(img, params.sigma, params.radius), params.low, params.high)
+    assert canny_detect(img, params).mask.tobytes() == expected.mask.tobytes(), params
+
+
+def canny_cases(img: GrayImage, sigma: float = 1.0):
+    """Threshold pairs for img: low 0, low == high, and lows that sit exactly
+    on a thinned value and on a raw gradient magnitude."""
+    k = gaussian_kernel_1d(sigma, gaussian_radius(sigma))
+    magnitude = gradient(convolve_separable(img, k, k)).magnitude
+    thinned = thinned_magnitude(img, sigma).pixels
+    on_plane = [float(np.sort(values)[values.size // 2]) for values in (thinned[thinned > 0], magnitude.ravel())
+                if values.size]
+    pairs = [(0.0, 0.0), (0.0, 0.1), (0.05, 0.15), (0.1, 0.1)]
+    pairs += [(low, low) for low in on_plane] + [(low, 2 * low) for low in on_plane]
+    return [CannyParams(sigma=sigma, low=low, high=high) for low, high in pairs]
+
+
+class TestNonmaxFloor:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_seeded_fields_floors_on_magnitudes(self, shape):
+        rng = np.random.default_rng(41 * shape[0] + shape[1])
+        for field in (GradientField(rng.normal(size=shape), rng.normal(size=shape)),
+                      quantised_field(rng, shape)):
+            for floor in [0.0, 0.05, math.inf] + magnitude_levels(field):
+                assert_floor_matches(field, floor)
+
+    @pytest.mark.parametrize("floor", [-1e-300, -1.0, math.nan, -math.inf])
+    def test_refuses_negative_or_nan_floor(self, floor):
+        field = quantised_field(np.random.default_rng(9), (5, 5))
+        with pytest.raises(ValueError, match="floor"):
+            nonmax_suppress(field, floor)
+
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=components),
+                                hnp.arrays(np.float64, shape, elements=components))),
+        st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1e3)))
+    def test_random_fields(self, planes, floor):
+        field = GradientField(*planes)
+        for f in [floor] + magnitude_levels(field):
+            assert_floor_matches(field, f)
+
+
+class TestCannyUnchangedByTheFloor:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 9), (9, 1), (2, 7), (3, 3), (17, 64),
+                                       (64, 17), (128, 128)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_seeded_images(self, shape):
+        rng = np.random.default_rng(53 * shape[0] + shape[1])
+        for px in (rng.random(shape), random_plane(rng, shape)):
+            img = GrayImage(px)
+            for params in canny_cases(img):
+                assert_canny_unchanged_by_floor(img, params)
+
+    @pytest.mark.parametrize("name", SWEEP_SCENES)
+    def test_scenes(self, name):
+        img = SWEEP_SCENES[name]().image
+        for sigma in (1.0, 1.4):
+            for params in canny_cases(img, sigma):
+                assert_canny_unchanged_by_floor(img, params)
+
+    def test_detect_composite(self):
+        gray, _ = load_detect_composite()(0)
+        img = GrayImage(gray)
+        for params in (CannyParams(sigma=1.4), CannyParams(sigma=1.4, low=0.1, high=0.1)):
+            assert_canny_unchanged_by_floor(img, params)
+
+    @given(shapes, seeds, st.floats(0.3, 3.0), st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+    def test_random_images(self, shape, seed, sigma, a, b):
+        img = GrayImage(random_plane(np.random.default_rng(seed), shape))
+        assert_canny_unchanged_by_floor(img, CannyParams(sigma=sigma, low=min(a, b), high=max(a, b)))
+        for params in canny_cases(img, sigma):
+            assert_canny_unchanged_by_floor(img, params)
+
+
+STRIP_SHAPES = [(8, 8), (9, 8), (8, 13), (31, 17), (37, 100), (100, 37)]
+STRIP_SIGMAS = (1.0, 1.4, 3.0)
+
+
+def set_strip_rows(monkeypatch, rows: int, width: int) -> None:
+    # a budget that gives strips of exactly `rows` rows at this width
+    monkeypatch.setattr(filtering, "_STRIP_BYTES", rows * 8 * width)
+
+
+def assert_strips_match(px: np.ndarray, sigma: float, radius=None) -> None:
+    img = GrayImage(px)
+    k = gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
+    narrow = gaussian_kernel_1d(0.7, 2)
+    for kx, ky in ((k, k), (narrow, k), (k, narrow)):
+        got = convolve_separable(img, kx, ky).pixels
+        assert got.tobytes() == whole_plane_convolve_separable(img, kx, ky).pixels.tobytes(), (px.shape, sigma)
+    for kernel in (laplacian_kernel_2d(), outer_kernel(k, k)):
+        got = convolve_2d(img, kernel).pixels
+        assert got.tobytes() == whole_plane_convolve_2d(img, kernel).pixels.tobytes(), (px.shape, sigma)
+    resp = whole_plane_convolve_2d(whole_plane_convolve_separable(img, k, k), laplacian_kernel_2d())
+    quantised = np.random.default_rng(px.size).choice(RESPONSE_LEVELS, size=px.shape)
+    for plane in (resp, GrayImage(quantised), GrayImage(px - 0.5)):
+        got = crossing_slope_map(plane).pixels
+        assert got.tobytes() == whole_plane_crossing_slope_map(plane).pixels.tobytes(), (px.shape, sigma)
+
+
+class TestStripsMatchWholePlane:
+    @pytest.mark.parametrize("sigma", STRIP_SIGMAS)
+    @pytest.mark.parametrize("shape", STRIP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_seeded_planes_every_strip_height(self, monkeypatch, shape, sigma):
+        rows = shape[0]
+        px = np.random.default_rng(7 * shape[0] + shape[1]).random(shape)
+        # 1 row, a few rows, rows - 1 (a last strip of one row, shorter than
+        # any halo), rows and rows + 1 (one strip); 21 and 24 rows leave a
+        # last strip of 16 and 4 rows under sigma 3's halo of 9 on 100 rows
+        for strip in sorted({1, 2, 3, 5, 8, 21, 24, rows - 1, rows, rows + 1} - {0}):
+            set_strip_rows(monkeypatch, strip, shape[1])
+            assert_strips_match(px, sigma)
+
+    @pytest.mark.parametrize("radius", [40, 60])
+    def test_radius_override_takes_the_whole_plane(self, monkeypatch, radius):
+        px = np.random.default_rng(radius).random((100, 37))
+        set_strip_rows(monkeypatch, 32, 37)
+        assert_strips_match(px, 1.4, radius)
+
+    def test_plane_wider_than_a_strip(self, monkeypatch):
+        px = np.random.default_rng(4).random((6, 50))
+        # a budget below one row gives one-row strips, so every halo takes the whole-plane path
+        monkeypatch.setattr(filtering, "_STRIP_BYTES", 100)
+        assert_strips_match(px, 1.0)
+        wide = np.random.default_rng(5).random((3, 40_000))
+        monkeypatch.undo()
+        assert filtering._STRIP_BYTES < 8 * wide.shape[1]
+        assert_strips_match(wide, 1.0)
+
+    def test_detect_composite_at_the_real_budget(self):
+        gray, _ = load_detect_composite()(0)
+        img = GrayImage(gray)
+        assert filtering._STRIP_BYTES // (8 * img.width) < img.height
+        for sigma in (1.0, 1.4):
+            k = gaussian_kernel_1d(sigma, gaussian_radius(sigma))
+            smoothed = convolve_separable(img, k, k)
+            assert smoothed.pixels.tobytes() == whole_plane_convolve_separable(img, k, k).pixels.tobytes()
+            resp = convolve_2d(smoothed, laplacian_kernel_2d())
+            assert resp.pixels.tobytes() == whole_plane_convolve_2d(smoothed, laplacian_kernel_2d()).pixels.tobytes()
+            got = crossing_slope_map(resp).pixels
+            assert got.tobytes() == whole_plane_crossing_slope_map(resp).pixels.tobytes()
+
+    @pytest.mark.parametrize("halo", [0, 1, 2, 5])
+    @pytest.mark.parametrize("h, strip", [(1, 1), (10, 1), (10, 3), (10, 4), (10, 9), (10, 10), (10, 11), (33, 10)])
+    def test_strips_and_their_halos(self, monkeypatch, h, strip, halo):
+        plane = np.arange(h * 4, dtype=np.float64).reshape(h, 4)
+        set_strip_rows(monkeypatch, strip, 4)
+        seen = []
+
+        def stage(px):
+            seen.append((px[0, 0] // 4, px.shape[0]))
+            return px + 1.0
+
+        assert np.array_equal(_by_strips(stage, plane, halo), plane + 1.0)
+        if h <= strip or 2 * halo > strip:
+            assert seen == [(0, h)]
+        else:
+            tops = range(0, h, strip)
+            assert seen == [(max(t - halo, 0), min(t + strip + halo, h) - max(t - halo, 0)) for t in tops]
+
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)), st.integers(1, 45), seeds,
+           st.one_of(st.floats(0.3, 3.0).map(lambda s: (s, None)),
+                     st.tuples(st.floats(0.3, 3.0), st.integers(1, 12))))
+    def test_random_planes(self, shape, strip, seed, kernel):
+        px = random_plane(np.random.default_rng(seed), shape) - 0.2
+        with pytest.MonkeyPatch.context() as mp:
+            set_strip_rows(mp, strip, shape[1])
+            assert_strips_match(px, *kernel)
