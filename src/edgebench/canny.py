@@ -1,12 +1,11 @@
 """Canny edge detection: gradient, non-maximum suppression, hysteresis."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
+from .filtering import check_sigma, convolve_separable, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -63,8 +62,7 @@ class CannyParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         if not 0 <= self.low <= self.high:
             raise ValueError(
                 f"canny thresholds require 0 <= low <= high, got low={self.low}, high={self.high}"

@@ -76,19 +76,24 @@ def gaussian_radius(sigma: float) -> int:
     return math.ceil(reach)
 
 
+def check_sigma(sigma: float) -> None:
+    """Refuse a Gaussian width that no kernel can be sampled for."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"sigma must be large enough that 2*sigma**2 is not 0, got {sigma}")
+
+
 def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
     """Sampled Gaussian taps exp(-k^2 / (2 sigma^2)) for k in [-radius, radius].
 
     The truncated taps are re-normalised to sum to one, so smoothing
     preserves the mean intensity.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_sigma(sigma)
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     spread = 2.0 * sigma * sigma
-    if spread == 0.0:
-        raise ValueError(f"sigma must be large enough that 2*sigma**2 is not 0, got {sigma}")
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     # a tiny sigma sends the outer exponents to -inf, whose taps are exactly 0
     with np.errstate(over="ignore"):

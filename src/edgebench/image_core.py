@@ -39,6 +39,8 @@ LUMA_BLUE = 1.0 - (LUMA_RED + LUMA_GREEN)
 _HEADER_WHITESPACE = b" \t\n\r\x0b\x0c"
 # netpbm allows whitespace and '#' comments (to end of line) before each token
 _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
+# an ASCII sample of this many digits, with '0' offsets, still fits an int64
+_EXACT_DIGITS = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,19 +163,51 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    raster = data[pos:]
-    if b"#" in raster:
+    if data.find(b"#", pos) >= 0:
         # as in the header, a comment runs from '#' to the end of its line
-        raster = re.sub(rb"#[^\r\n]*", b"", raster)
-    kept = raster.split()[:count]
-    if len(kept) < count:
-        raise TruncationError(f"pixel data truncated: expected {count} samples, got {len(kept)}")
-    # samples are unsigned decimals; float() rounds each one exactly as
-    # int() then float64 would, and an overlong one becomes inf > maxval
-    if not all(map(bytes.isdigit, kept)):
-        bad = next(tok for tok in kept if not tok.isdigit())
-        raise FormatError(f"malformed sample token {bad!r}")
-    return np.fromiter(map(float, kept), np.float64, count)
+        data, pos = re.sub(rb"#[^\r\n]*", b"", data[pos:]), 0
+    buf = np.frombuffer(data, np.uint8, offset=pos)
+    # tok marks the bytes outside the six whitespace bytes 9-13 and 32, padded
+    # with a blank at each end so every token has a start and an end change
+    tok = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf - 9, 4, out=tok[1:-1])
+    tok[1:-1] &= buf != 32
+    bounds = np.flatnonzero(tok[1:] != tok[:-1])  # start, end, start, end, ...
+    if bounds.size < 2 * count:
+        raise TruncationError(f"pixel data truncated: expected {count} samples, got {bounds.size // 2}")
+    bounds = bounds[:2 * count]
+    # samples are unsigned decimals, and bytes after the last one are never
+    # read; tok > digit marks the token bytes that are not digits
+    end = bounds[-1]
+    bad = tok[1:end + 1] > ((buf[:end] - 48) < 10)
+    # the parse sets a large read's peak memory, so each mask goes once it is spent
+    del tok
+    if bad.any():
+        first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
+        raise FormatError(f"malformed sample token {buf[bounds[first]:bounds[first + 1]].tobytes()!r}")
+    del bad
+    starts, lengths = bounds[0::2], bounds[1::2]
+    lengths -= starts
+    samples = np.empty(count)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        group = lengths == length
+        if length > _EXACT_DIGITS:
+            # float() rounds each one exactly as int() then float64 would,
+            # and an overlong one becomes inf > maxval
+            for i in np.flatnonzero(group):
+                samples[i] = float(buf[starts[i]:starts[i] + length].tobytes())
+            continue
+        # Horner's rule over the digit bytes; the ASCII '0' offsets of all
+        # length digits come off at the end as 48 times the repunit
+        at = starts[group]
+        value = buf[at].astype(np.int64)
+        for _ in range(length - 1):
+            at += 1
+            value *= 10
+            value += buf[at]
+        value -= 48 * ((10**length - 1) // 9)
+        samples[group] = value
+    return samples
 
 
 def read_image(path) -> "GrayImage | RgbImage":

@@ -1,7 +1,6 @@
 """Marr-Hildreth edge detection: Laplacian of a smoothed image, then
 zero-crossing localisation with a slope threshold."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +8,7 @@ import numpy as np
 from .canny import hysteresis
 from .filtering import (
     _by_strips,
+    check_sigma,
     convolve_2d,
     convolve_separable,
     gaussian_kernel_1d,
@@ -39,8 +39,7 @@ class MHParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         if not self.slope_threshold >= 0:
             raise ValueError(f"slope_threshold must be non-negative, got {self.slope_threshold}")
         if not (self.low >= 0 and self.high >= 0):

@@ -10,9 +10,12 @@ time, so the fast versions can be checked against them.
 
 The whole_plane_* functions are the convolutions and the crossing-slope map
 as they ran before large planes were split into row strips; the strip-wise
-versions must equal them bit for bit.
+versions must equal them bit for bit. split_ascii_samples is the P2/P3
+raster parse as it ran before it moved to whole-array byte passes, one
+bytes token at a time.
 """
 
+import re
 from collections import deque
 
 import numpy as np
@@ -21,7 +24,7 @@ from scipy.spatial import cKDTree
 from edgebench.canny import GradientField
 from edgebench.evaluation import EvalReport
 from edgebench.filtering import Kernel1D, Kernel2D
-from edgebench.image_core import EdgeMap, GrayImage
+from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError
 
 
 def bfs_hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
@@ -277,3 +280,20 @@ def whole_plane_crossing_slope_map(resp: GrayImage) -> GrayImage:
         straddle = (val[:, 1:-1] == 0) & ((pos[:, :-2] & neg[:, 2:]) | (neg[:, :-2] & pos[:, 2:]))
         np.maximum(out[:, 1:-1], np.where(straddle, np.abs(val[:, :-2] - val[:, 2:]), 0.0), out=out[:, 1:-1])
     return GrayImage(slopes)
+
+
+def split_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first count whitespace-separated decimal samples of data[pos:]."""
+    raster = data[pos:]
+    if b"#" in raster:
+        # as in the header, a comment runs from '#' to the end of its line
+        raster = re.sub(rb"#[^\r\n]*", b"", raster)
+    kept = raster.split()[:count]
+    if len(kept) < count:
+        raise TruncationError(f"pixel data truncated: expected {count} samples, got {len(kept)}")
+    # samples are unsigned decimals; float() rounds each one exactly as
+    # int() then float64 would, and an overlong one becomes inf > maxval
+    if not all(map(bytes.isdigit, kept)):
+        bad = next(tok for tok in kept if not tok.isdigit())
+        raise FormatError(f"malformed sample token {bad!r}")
+    return np.fromiter(map(float, kept), np.float64, count)

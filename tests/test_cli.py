@@ -289,6 +289,14 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
     @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    def test_detect_tiny_sigma_is_refused_before_the_input_is_opened(self, tmp_path, capsys, detector):
+        code = run(["detect", "--detector", detector, "--in", str(tmp_path / "absent.pgm"),
+                    "--out", str(tmp_path / "e.pgm"), "--sigma", "1e-300"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and "sigma" in err and "i/o error" not in err
+
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
     def test_detect_tiny_sigma_runs_without_warnings(self, step_pgm, tmp_path, detector):
         out = tmp_path / "e.pgm"
         with warnings.catch_warnings():

@@ -1,6 +1,8 @@
 """Pixel types, grayscale conversion, and PGM/PPM round trips."""
 
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from edgebench.image_core import (
     GrayImage,
     RgbImage,
     TruncationError,
+    _ascii_samples,
     read_image,
     rgb_to_gray,
     write_image,
@@ -294,6 +297,23 @@ class TestRead:
         p.write_text("P2\n3 1\n255\n1 2\n")
         with pytest.raises(TruncationError, match=r"3.*2"):
             read_image(p)
+
+    def test_ascii_parse_of_512_squared_stays_within_its_memory_budget(self):
+        count = 512 * 512
+        samples = np.random.default_rng(0).integers(0, 256, count)
+        buf = io.BytesIO()
+        np.savetxt(buf, samples.reshape(-1, 16), fmt="%d")
+        raster = buf.getvalue()
+        tracemalloc.start()
+        try:
+            parsed = _ascii_samples(raster, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(parsed, samples)
+        # about 38 bytes a sample, the 8-byte result included; one bytes
+        # object per token, as bytes.split() makes, needs over 50
+        assert peak < 44 * count, peak / count
 
     def test_header_cut_short(self, tmp_path):
         p = tmp_path / "t.pgm"

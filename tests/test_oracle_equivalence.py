@@ -6,7 +6,9 @@ crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
 zero. The tuning sweeps' reports must equal score() of each candidate. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
-forms, and thinning above low must leave every Canny map as it was.
+forms, and thinning above low must leave every Canny map as it was. An
+ASCII raster must read to the same bytes, or fail with the same error, as
+the token-by-token parse.
 """
 
 import importlib.util
@@ -15,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgebench import filtering
+from edgebench import filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, _hysteresis_pairs, _linked_levels, _scored_sweep,
@@ -27,11 +29,11 @@ from edgebench.evaluation import (THRESHOLD_GRID, Scene, _hysteresis_pairs, _lin
                                   rectangle_scene, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
-from edgebench.image_core import EdgeMap, GrayImage
+from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     scatter_crossing_slope_map, whole_plane_convolve_2d, whole_plane_convolve_separable,
-                     whole_plane_crossing_slope_map)
+                     scatter_crossing_slope_map, split_ascii_samples, whole_plane_convolve_2d,
+                     whole_plane_convolve_separable, whole_plane_crossing_slope_map)
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -330,12 +332,16 @@ def quantised_field(rng, shape) -> GradientField:
     return GradientField(gx, gy)
 
 
-def load_detect_composite():
+def perfbench_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.detect_composite
+    return module
+
+
+def load_detect_composite():
+    return perfbench_workloads().detect_composite
 
 
 class TestNonmaxMatchesLoop:
@@ -599,3 +605,111 @@ class TestStripsMatchWholePlane:
         with pytest.MonkeyPatch.context() as mp:
             set_strip_rows(mp, strip, shape[1])
             assert_strips_match(px, *kernel)
+
+
+# the six Netpbm whitespace bytes and a CRLF line end
+ASCII_SEPARATORS = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n")
+# bytes a sample token must not hold
+STRAY_BYTES = (b"\x00", b"\xff", b"+", b"-", b".")
+
+
+@st.composite
+def ascii_tokens(draw, maxval):
+    token = draw(st.one_of(st.integers(0, maxval).map(b"%d".__mod__),
+                           st.text("0123456789", min_size=1, max_size=25).map(str.encode)))
+    if draw(st.integers(0, 29)) == 0:
+        at = draw(st.integers(0, len(token)))
+        token = token[:at] + draw(st.sampled_from(STRAY_BYTES)) + token[at:]
+    return token
+
+
+# a comment runs to its line end, which may come early or never
+ascii_comments = st.tuples(st.binary(max_size=6), st.sampled_from((b"\n", b"\r", b"\r\n", b""))).map(
+    lambda parts: b"#" + parts[0] + parts[1])
+
+
+@st.composite
+def ascii_fillers(draw):
+    """Mostly one whitespace byte; now and then comments, or nothing, which glues two tokens."""
+    if draw(st.integers(0, 9)):
+        return draw(st.sampled_from(ASCII_SEPARATORS))
+    return b"".join(draw(st.lists(st.one_of(st.sampled_from(ASCII_SEPARATORS), ascii_comments), max_size=3)))
+
+
+@st.composite
+def ascii_netpbm_files(draw):
+    """A P2/P3 file whose raster may be short, malformed or followed by garbage."""
+    magic = draw(st.sampled_from((b"P2", b"P3")))
+    maxval = draw(st.sampled_from((1, 255, 256, 65535)))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = width * height * (3 if magic == b"P3" else 1)
+    # the raster starts with whitespace or a comment, or it would run into maxval
+    raster = draw(st.sampled_from(ASCII_SEPARATORS)) + draw(ascii_fillers())
+    # fewer tokens than count truncate the raster; more leave tokens it never reads
+    for _ in range(max(count + draw(st.sampled_from((0, 1, 3, -1))), 0)):
+        raster += draw(ascii_tokens(maxval)) + draw(ascii_fillers())
+    raster += draw(st.binary(max_size=6))
+    return magic + b" %d %d %d" % (width, height, maxval) + raster
+
+
+def read_outcome(path):
+    try:
+        img = read_image(path)
+    except (FormatError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return type(img), img.pixels.shape, img.pixels.tobytes()
+
+
+def assert_ascii_read_matches(path) -> None:
+    got = read_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(image_core, "_ascii_samples", split_ascii_samples)
+        assert got == read_outcome(path), path.read_bytes()[:200]
+
+
+class TestAsciiRasterMatchesTokenSplit:
+    @pytest.mark.parametrize("body", [
+        b"P2 4 2 255\n1\t2\n3\r4\x0b5\x0c6 7\r\n8\r\n",
+        b"P2 2 1 255 1 2#comment at the end of the file",
+        b"P2 3 1 255\n1#glued\r2\r\n# line\n3#x",
+        b"P2 3 1 255\n1 2 # 3 4 5\n",
+        b"P2 3 1 255\n#1 2 3",
+        b"P2 2 1 65535 " + b"0" * 24 + b"7 0000000000000000000065535",
+        b"P2 2 1 255 " + b"9" * 18 + b" " + b"9" * 19,
+        b"P2 3 1 255 " + b"1" * 25 + b" 0 " + b"9" * 400,
+        b"P2 2 1 255 000255 18446744073709551617",
+        b"P2 5 1 255 1\x002 1\xff2 +1 -1 1.0",
+        b"P2 2 1 255 1 -2 +3",
+        b"P2 2 1 255 1 2 \xff-junk.#\x00",
+        b"P2 2 1 255 1 2\x00",
+        b"P2 3 1 255 1 2",
+        b"P2 3 1 255 1 x",
+        b"P2 3 1 255 ",
+        b"P2 3 1 255",
+        b"P3 2 1 65535\n65535 0 32768\r\n1 65534 00065535\n",
+        b"P3 1 1 65535 65535 65536 0",
+        b"P3 1 1 65535 1 2 3 4 5 6 \xff",
+    ], ids=["six-whitespace-bytes-and-crlf", "comment-at-eof", "glued-comments", "comment-hides-samples",
+            "comment-hides-all", "leading-zeros-25-digits", "18-and-19-digits", "25-and-400-digits",
+            "wider-than-uint64", "stray-bytes", "signs", "garbage-after-count", "nul-after-count",
+            "truncated", "truncated-and-malformed", "empty-raster", "no-raster", "p3-65535",
+            "p3-above-maxval", "p3-garbage-after-count"])
+    def test_cases(self, tmp_path, body):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(body)
+        assert_ascii_read_matches(path)
+
+    @settings(max_examples=400)
+    @given(ascii_netpbm_files())
+    def test_random_files(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("ascii") / "t.pnm"
+        path.write_bytes(body)
+        assert_ascii_read_matches(path)
+
+    def test_detect_composite_as_p2(self, tmp_path):
+        workloads = perfbench_workloads()
+        gray, rgb = workloads.detect_composite(0)
+        path = tmp_path / "composite.pgm"
+        path.write_bytes(workloads.encode_netpbm("p2", gray, rgb))
+        assert read_image(path).pixels.shape == (1024, 1024)
+        assert_ascii_read_matches(path)
