@@ -98,6 +98,8 @@ def synth_circle(size: int, center: tuple, radius: float) -> Scene:
     cx, cy = center
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
+    if not all(map(math.isfinite, (cx, cy, radius))):
+        raise ValueError(f"circle centre and radius must be finite, got centre {center}, radius {radius}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     clearance = min(cx, cy, size - 1 - cx, size - 1 - cy)
@@ -172,36 +174,17 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     tru = truth.mask
     n_det = int(np.count_nonzero(det))
     n_tru = int(np.count_nonzero(tru))
-    matched_sq = uncovered = None
+    # with nothing detected every truth pixel is uncovered
+    matched, uncovered, msd = 0, n_tru, 0.0
     if n_det and n_tru:
         dist = ndimage.distance_transform_edt(~tru)[det]
         matched_sq = dist[dist <= match_tolerance] ** 2
-        uncovered = np.count_nonzero(ndimage.distance_transform_edt(~det)[tru] > match_tolerance)
-    return _report(n_det, n_tru, matched_sq, uncovered, match_tolerance)
-
-
-def _check_tolerance(match_tolerance: float) -> None:
-    if not match_tolerance >= 0:
-        raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
-
-
-def _report(n_det: int, n_tru: int, matched_sq, uncovered, match_tolerance: float) -> EvalReport:
-    # the rates of score's contract from the squared truth distances of the
-    # matched detections and the uncovered truth count, both None unless
-    # n_det and n_tru are non-zero
-    if n_det == 0 or n_tru == 0:
-        fp = 1.0 if n_det else 0.0
-        fn = 1.0 if n_tru else 0.0
-        matched = 0
-        msd = 0.0
-    else:
         matched = matched_sq.size
-        fp = float((n_det - matched) / n_det)
-        fn = float(uncovered / n_tru)
         msd = float(np.mean(matched_sq)) if matched else 0.0
+        uncovered = np.count_nonzero(ndimage.distance_transform_edt(~det)[tru] > match_tolerance)
     return EvalReport(
-        false_positive_rate=fp,
-        false_negative_rate=fn,
+        false_positive_rate=float((n_det - matched) / max(n_det, 1)),
+        false_negative_rate=float(uncovered / max(n_tru, 1)),
         mean_sq_distance=msd,
         detected_count=n_det,
         truth_count=n_tru,
@@ -210,23 +193,28 @@ def _report(n_det: int, n_tru: int, matched_sq, uncovered, match_tolerance: floa
     )
 
 
-def _scored_sweep(sweeps, truth: EdgeMap, match_tolerance: float):
-    """(params, report) for every candidate of every (level, pairs) sweep.
+def _check_tolerance(match_tolerance: float) -> None:
+    if not match_tolerance >= 0:
+        raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
 
-    A candidate (params, h) in pairs detects level > h, and its report
-    equals score(EdgeMap(level > h), truth, match_tolerance). The truth
-    transform is taken once: near marks the pixels within the tolerance of
-    truth and sq holds their squared distances. Coverage needs no transform
-    of the detection: a truth pixel is covered at h exactly when the
-    maximum of level over the disc of the tolerance around it is above h,
-    and one max filter per level plane gives that maximum.
+
+def _sweep_f_scores(sweeps, truth: EdgeMap, match_tolerance: float):
+    """(level, pairs, f) for every (level, pairs) sweep, f in pairs' order.
+
+    A candidate (params, h) in pairs detects level > h, and its f is
+    f_score(score(EdgeMap(level > h), truth, match_tolerance)), read from
+    counts: the detected, matched and uncovered counts of every h come from
+    sorted arrays and the rates from score's arithmetic. The truth transform
+    is taken once: near marks the pixels within the tolerance of truth.
+    Coverage needs no transform of the detection: a truth pixel is covered
+    at h exactly when the maximum of level over the disc of the tolerance
+    around it (reach) is above h, and one max filter per level plane gives
+    that maximum.
     """
     tru = truth.mask
     n_tru = int(np.count_nonzero(tru))
     if n_tru:
-        dist = ndimage.distance_transform_edt(~tru)
-        near = dist <= match_tolerance
-        sq = dist ** 2
+        near = ndimage.distance_transform_edt(~tru) <= match_tolerance
         # the offsets the transform would measure within the tolerance,
         # clipped to the image first so an infinite tolerance works
         ry, rx = (math.floor(min(match_tolerance, n - 1)) for n in tru.shape)
@@ -240,30 +228,45 @@ def _scored_sweep(sweeps, truth: EdgeMap, match_tolerance: float):
         # maximum_filter would cost the disc's area per pixel
         spans = [(width, ty + np.flatnonzero(widths == width)[:, None]) for width in np.unique(widths)]
     for level, pairs in sweeps:
+        hs = np.array([h for _, h in pairs], dtype=np.float64)
+        n_det = _counts_above(level, hs)
+        matched = uncovered = 0
         if n_tru:
             padded = np.pad(level, ((ry, ry), (0, 0)), constant_values=-np.inf)
             reach = np.max([
                 ndimage.maximum_filter1d(padded, width, axis=1, mode="constant", cval=-np.inf)[rows, tx].max(axis=0)
                 for width, rows in spans], axis=0)
-        for params, h in pairs:
-            det = level > h
-            n_det = int(np.count_nonzero(det))
-            matched_sq = uncovered = None
-            if n_det and n_tru:
-                # the same pixels in the same row-major order as in score,
-                # so the mean has the same bits
-                matched_sq = sq[det & near]
-                uncovered = np.count_nonzero(reach <= h)
-            yield params, _report(n_det, n_tru, matched_sq, uncovered, match_tolerance)
+            matched = _counts_above(level[near], hs)
+            uncovered = n_tru - _counts_above(reach, hs)
+        fp = (n_det - matched) / np.maximum(n_det, 1)
+        fn = uncovered / max(n_tru, 1)
+        yield level, pairs, _harmonic_mean(1.0 - fp, 1.0 - fn)
+
+
+def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    # for each h in hs, the number of values above h
+    return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
+
+
+def _harmonic_mean(p, r):
+    # elementwise 2pr / (p + r), and 0.0 where p and r are both 0.0
+    return 2.0 * p * r / np.where(p + r == 0.0, 1.0, p + r)
+
+
+def _best_operating_point(sweeps, truth: EdgeMap, match_tolerance: float):
+    # the first (params, report) of the highest f in grid order; only it is scored
+    best = None
+    for level, pairs, f in _sweep_f_scores(sweeps, truth, match_tolerance):
+        i = int(np.argmax(f))
+        if best is None or f[i] > best[0]:
+            best = f[i], level, pairs[i]
+    _, level, (params, h) = best
+    return params, score(EdgeMap(level > h), truth, match_tolerance)
 
 
 def f_score(report: EvalReport) -> float:
     """Harmonic mean of (1 - FP) and (1 - FN); 0.0 when both are zero."""
-    p = 1.0 - report.false_positive_rate
-    r = 1.0 - report.false_negative_rate
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
+    return float(_harmonic_mean(1.0 - report.false_positive_rate, 1.0 - report.false_negative_rate))
 
 
 def count_components(edges, connectivity: int = 8) -> int:
@@ -297,11 +300,6 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     return rows
 
 
-def _best_operating_point(scored):
-    # the first (params, report) of the highest f_score
-    return max(scored, key=lambda pair: f_score(pair[1]))
-
-
 def _threshold_grid(grid, ascending: bool) -> tuple:
     grid = tuple(grid)
     if not grid:
@@ -330,13 +328,14 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     """Grid-search the slope threshold(s) maximising the scene's f_score.
 
     Returns (MHParams, EvalReport) for the best operating point; ties keep
-    the earliest grid point, so the result is deterministic. Each report
-    equals score() of that candidate. With use_hysteresis every (low, high)
-    pair with high at or after low in the grid is tried, so the grid must
-    be ascending (ties allowed). An empty grid, a grid that is not
-    ascending where that is needed, any grid value the parameters refuse,
-    and a negative or NaN tolerance raise ValueError before any detector
-    work.
+    the earliest grid point, so the result is deterministic. Candidates are
+    ranked by f-scores read from their detected, matched and uncovered
+    counts; score() runs once, for the winner, to give the report. With
+    use_hysteresis every (low, high) pair with high at or after low in the
+    grid is tried, so the grid must be ascending (ties allowed). An empty
+    grid, a grid that is not ascending where that is needed, any grid value
+    the parameters refuse, and a negative or NaN tolerance raise ValueError
+    before any detector work.
     """
     grid = _threshold_grid(grid, use_hysteresis)
     _check_tolerance(tolerance)
@@ -347,20 +346,21 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
         pairs = [(MHParams(sigma=sigma, slope_threshold=t), t) for t in grid]
     slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
     sweeps = _linked_levels(slopes, rows) if use_hysteresis else [(slopes.pixels, pairs)]
-    return _best_operating_point(_scored_sweep(sweeps, scene.truth, tolerance))
+    return _best_operating_point(sweeps, scene.truth, tolerance)
 
 
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport); deterministic like tune_mh, and it
-    refuses the same grids and tolerances as tune_mh with use_hysteresis.
+    Returns (CannyParams, EvalReport); ranked from counts and scored once
+    for the winner, deterministic like tune_mh, and it refuses the same
+    grids and tolerances as tune_mh with use_hysteresis.
     """
     grid = _threshold_grid(grid, True)
     _check_tolerance(tolerance)
     rows = _hysteresis_pairs(grid, lambda low, high: CannyParams(sigma=sigma, low=low, high=high))
     plane = thinned_magnitude(scene.image, sigma)
-    return _best_operating_point(_scored_sweep(_linked_levels(plane, rows), scene.truth, tolerance))
+    return _best_operating_point(_linked_levels(plane, rows), scene.truth, tolerance)
 
 
 def noisy_step_suite(seeds, size: int = 64, contrast: float = 0.5, noise_stddev: float = 0.1) -> list:

@@ -137,11 +137,11 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     """Collapse RGB to luminance with the BT.601 weights.
 
     The weighted sum is a convex combination, so output intensities stay
-    in [0, 1].
+    in [0, 1]. A pixel whose three channels equal v gives v exactly, so a
+    gray picture stored as RGB reads as the same gray plane.
     """
-    px = img.pixels
-    gray = px[..., 0] * LUMA_RED + px[..., 1] * LUMA_GREEN + px[..., 2] * LUMA_BLUE
-    return GrayImage(gray)
+    r, g, b = np.moveaxis(img.pixels, 2, 0)
+    return GrayImage(np.where((r == g) & (g == b), r, r * LUMA_RED + g * LUMA_GREEN + b * LUMA_BLUE))
 
 
 def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:

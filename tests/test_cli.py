@@ -10,7 +10,7 @@ from hypothesis import given
 
 from edgebench import cli
 from edgebench.cli import run
-from edgebench.evaluation import CSV_COLUMNS, synth_step
+from edgebench.evaluation import CSV_COLUMNS, add_gaussian_noise, synth_circle, synth_step
 from edgebench.image_core import EdgeMap, GrayImage, read_image, write_image
 from test_image_core import damaged_netpbm_files
 
@@ -53,6 +53,21 @@ class TestDetect:
         out = tmp_path / "edges.pgm"
         assert run(detect_args(src, out)) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("detector", [["canny"], ["marr-hildreth"], ["marr-hildreth", "--mh-hysteresis"]])
+    def test_gray_picture_as_p6_gives_the_map_of_p5(self, tmp_path, detector):
+        scene = synth_circle(96, (47.5, 47.5), 30.0)
+        p5 = tmp_path / "g.pgm"
+        write_image(add_gaussian_noise(scene.image, 0.1, 3), p5)
+        body = p5.read_bytes()[-96 * 96:]
+        p6 = tmp_path / "g.ppm"
+        p6.write_bytes(b"P6\n96 96\n255\n" + bytes(np.frombuffer(body, np.uint8).repeat(3)))
+        maps = []
+        for src in (p5, p6):
+            out = tmp_path / f"{src.suffix[1:]}-edges.pgm"
+            assert run(["detect", "--detector", *detector, "--in", str(src), "--out", str(out)]) == 0
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
 
     def test_threshold_violation_exits_1_and_names_values(self, step_pgm, tmp_path, capsys):
         code = run(detect_args(step_pgm, tmp_path / "e.pgm",
@@ -324,6 +339,15 @@ class TestNonFiniteParameters:
         assert "invalid parameters" in captured.err
         assert f"got {value}" in captured.err or f"={value}" in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("flag", ["--cx", "--cy", "--circle-radius"])
+    def test_synth_circle_geometry(self, tmp_path, capsys, flag):
+        image, truth = tmp_path / "c.pgm", tmp_path / "ct.pgm"
+        assert run(["synth", "--scene", "circle", flag, "nan",
+                    "--out-image", str(image), "--out-truth", str(truth)]) == 1
+        assert "invalid parameters" in capsys.readouterr().err
+        assert not image.exists() and not truth.exists()
 
 
 class TestTopLevel:

@@ -125,6 +125,14 @@ class TestSynthCircle:
         with pytest.raises(ValueError):
             synth_circle(32, (3.0, 15.5), 4.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["cx", "cy", "radius"])
+    def test_non_finite_centre_or_radius_is_rejected(self, which, value):
+        # a NaN slips past min() and every comparison, so it must be refused by name
+        args = {"cx": 15.5, "cy": 15.5, "radius": 5.0, which: value}
+        with pytest.raises(ValueError, match="finite"):
+            synth_circle(32, (args["cx"], args["cy"]), args["radius"])
+
 
 class TestSynthRectangle:
     def test_single_pixel_rectangle(self):

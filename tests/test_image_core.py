@@ -135,6 +135,22 @@ class TestLuma:
         scaled = rgb_to_gray(RgbImage(px * t)).pixels
         assert np.allclose(scaled, base * t, atol=1e-12, rtol=0.0)
 
+    def test_every_8_bit_gray_level_reads_the_same_from_p6_as_from_p5(self, tmp_path):
+        # the weighted sum alone moves 49 of these levels by one ulp
+        levels = bytes(range(256))
+        (tmp_path / "g.pgm").write_bytes(b"P5 256 1 255\n" + levels)
+        (tmp_path / "g.ppm").write_bytes(b"P6 256 1 255\n" + bytes(np.repeat(np.arange(256, dtype=np.uint8), 3)))
+        gray = rgb_to_gray(read_image(tmp_path / "g.ppm")).pixels
+        assert gray.tobytes() == read_image(tmp_path / "g.pgm").pixels.tobytes()
+
+    @given(rgb_arrays)
+    def test_pixels_with_unequal_channels_keep_the_weighted_sum(self, px):
+        gray = rgb_to_gray(RgbImage(px)).pixels
+        weighted = px[..., 0] * LUMA_RED + px[..., 1] * LUMA_GREEN + px[..., 2] * LUMA_BLUE
+        unequal = (px[..., 0] != px[..., 1]) | (px[..., 1] != px[..., 2])
+        assert gray[unequal].tobytes() == weighted[unequal].tobytes()
+        assert np.array_equal(gray[~unequal], px[..., 0][~unequal])
+
 
 class TestTypes:
     def test_gray_rejects_empty_and_wrong_rank(self):

@@ -4,7 +4,8 @@ nonmax_suppress, hysteresis, count_components, score and crossing_slope_map
 must give exactly what the per-pixel loop, flood fills, k-d tree queries and
 crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
-zero. The tuning sweeps' reports must equal score() of each candidate. The
+zero. The f-score the tuning sweeps read from counts must equal f_score of
+score() for each candidate, and a tie must keep the earliest candidate. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
 forms, and thinning above low must leave every Canny map as it was. An
 ASCII raster must read to the same bytes, or fail with the same error, as
@@ -21,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgebench import filtering, image_core
+from edgebench import evaluation, filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
-from edgebench.evaluation import (THRESHOLD_GRID, Scene, _hysteresis_pairs, _linked_levels, _scored_sweep,
-                                  add_gaussian_noise, circle_scene, count_components, f_score, noisy_step_suite,
-                                  rectangle_scene, score, synth_step, tune_canny, tune_mh)
+from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _hysteresis_pairs, _linked_levels,
+                                  _sweep_f_scores, add_gaussian_noise, circle_scene, count_components, f_score,
+                                  noisy_step_suite, rectangle_scene, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
@@ -254,18 +255,23 @@ SWEEP_SCENES = {
 }
 
 
-def assert_sweep_reports_match_score(plane: GrayImage, truth: EdgeMap, tolerance: float, grid=THRESHOLD_GRID):
-    # the candidates the tuning sweeps score, with (low, high) or the
-    # threshold standing in for the parameters
+def assert_sweep_f_scores_match_score(plane: GrayImage, truth: EdgeMap, tolerance: float, grid=THRESHOLD_GRID):
+    # the candidates the tuning sweeps rank, with (low, high) or the
+    # threshold standing in for the parameters; every f-score read from
+    # counts must have the bits of f_score(score(...)) of the candidate
     rows = _hysteresis_pairs(grid, lambda low, high: (low, high))
-    linked = list(_scored_sweep(_linked_levels(plane, rows), truth, tolerance))
+    linked = [(level, pair, f) for level, pairs, fs in _sweep_f_scores(_linked_levels(plane, rows), truth, tolerance)
+              for pair, f in zip(pairs, fs)]
     assert len(linked) == len(grid) * (len(grid) + 1) // 2
-    for (low, high), report in linked:
-        assert repr(report) == repr(score(hysteresis(plane, low, high), truth, tolerance)), (low, high)
-    single = list(_scored_sweep([(plane.pixels, [(t, t) for t in grid])], truth, tolerance))
+    for level, ((low, high), h), f in linked:
+        edges = hysteresis(plane, low, high)
+        assert np.array_equal(level > h, edges.mask), (low, high)
+        assert float(f).hex() == f_score(score(edges, truth, tolerance)).hex(), (low, high)
+    single = [(t, f) for _, pairs, fs in _sweep_f_scores([(plane.pixels, [(t, t) for t in grid])], truth, tolerance)
+              for (t, _), f in zip(pairs, fs)]
     assert len(single) == len(grid)
-    for t, report in single:
-        assert repr(report) == repr(score(EdgeMap(plane.pixels > t), truth, tolerance)), t
+    for t, f in single:
+        assert float(f).hex() == f_score(score(EdgeMap(plane.pixels > t), truth, tolerance)).hex(), t
 
 
 class TestSweepReportsMatchScore:
@@ -275,31 +281,30 @@ class TestSweepReportsMatchScore:
         scene = SWEEP_SCENES[name]()
         for plane in (thinned_magnitude(scene.image, 1.0),
                       crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0))):
-            assert_sweep_reports_match_score(plane, scene.truth, tolerance)
+            assert_sweep_f_scores_match_score(plane, scene.truth, tolerance)
 
     @pytest.mark.parametrize("tolerance", SWEEP_TOLERANCES)
     def test_empty_truth(self, tolerance):
         scene = noisy_step_suite([2])[0]
         empty = EdgeMap(np.zeros(scene.truth.mask.shape, dtype=bool))
-        assert_sweep_reports_match_score(thinned_magnitude(scene.image, 1.0), empty, tolerance)
+        assert_sweep_f_scores_match_score(thinned_magnitude(scene.image, 1.0), empty, tolerance)
 
     @pytest.mark.parametrize("tolerance", SWEEP_TOLERANCES)
     def test_nothing_above_low(self, tolerance):
         # every pixel sits on or below the lowest grid value
         px = np.where(np.random.default_rng(6).random((20, 30)) < 0.5, THRESHOLD_GRID[0], 0.0)
         truth = EdgeMap(np.random.default_rng(7).random((20, 30)) < 0.1)
-        assert_sweep_reports_match_score(GrayImage(px), truth, tolerance)
-        assert_sweep_reports_match_score(GrayImage(np.zeros((20, 30))), truth, tolerance)
+        assert_sweep_f_scores_match_score(GrayImage(px), truth, tolerance)
+        assert_sweep_f_scores_match_score(GrayImage(np.zeros((20, 30))), truth, tolerance)
 
     @pytest.mark.parametrize("tolerance", (1.5, 3.3, math.inf))
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_truth_under_dense_detections(self, seed, tolerance):
-        # many matched distances of several sizes, where summing the squares
-        # in any other order than score's changes the mean's last bits
+        # many detections against few truth pixels: rates far from 0 and 1
         rng = np.random.default_rng(seed)
         plane = GrayImage(random_plane(rng, (40, 48)))
         truth = EdgeMap(random_mask(rng, (40, 48), 0.02))
-        assert_sweep_reports_match_score(plane, truth, tolerance, grid=THRESHOLDS)
+        assert_sweep_f_scores_match_score(plane, truth, tolerance, grid=THRESHOLDS)
 
     @given(st.tuples(st.integers(1, 24), st.integers(1, 24)), seeds, st.floats(0.0, 0.5),
            st.one_of(st.sampled_from(SWEEP_TOLERANCES + (math.sqrt(2.0), 30.0)), st.floats(0.0, 8.0)))
@@ -307,7 +312,36 @@ class TestSweepReportsMatchScore:
         rng = np.random.default_rng(seed)
         plane = GrayImage(random_plane(rng, shape))
         truth = EdgeMap(random_mask(rng, shape, density))
-        assert_sweep_reports_match_score(plane, truth, tolerance, grid=THRESHOLDS)
+        assert_sweep_f_scores_match_score(plane, truth, tolerance, grid=THRESHOLDS)
+
+
+class TestSweepSelection:
+    @pytest.mark.parametrize("tolerance", (0.0, 1.5, 3.3))
+    def test_a_tie_across_level_planes_goes_to_the_earlier_plane(self, tolerance):
+        # each plane's best candidate is its second one and detects exactly
+        # the truth column, so the planes tie at f = 1 on different candidates
+        truth = EdgeMap(np.arange(12) == np.full((12, 1), 2))
+        noisy = np.where(truth.mask, 0.5, np.where(np.arange(12) == 9, 0.15, 0.0))
+        clean = np.where(truth.mask, 0.9, 0.0)
+        first = (noisy, [("noisy-0.1", 0.1), ("noisy-0.2", 0.2)])
+        second = (clean, [("clean-0.95", 0.95), ("clean-0.3", 0.3)])
+        fs = [f.tolist() for _, _, f in _sweep_f_scores([first, second], truth, tolerance)]
+        assert fs[0][1] == fs[1][1] == 1.0 and fs[0][0] < 1.0 and fs[1][0] < 1.0
+        for sweeps, winner in (([first, second], "noisy-0.2"), ([second, first], "clean-0.3")):
+            params, report = _best_operating_point(sweeps, truth, tolerance)
+            assert params == winner
+            assert report == score(truth, truth, tolerance)
+
+    def test_tuning_runs_score_once(self, monkeypatch):
+        calls = []
+        real = evaluation.score
+        monkeypatch.setattr(evaluation, "score", lambda *args: calls.append(args) or real(*args))
+        scene = noisy_step_suite([0])[0]
+        for tune in (tune_canny, tune_mh, lambda s: tune_mh(s, use_hysteresis=True)):
+            calls.clear()
+            params, report = tune(scene)
+            assert len(calls) == 1
+            assert report == real(*calls[0])
 
 
 # gradient components where the sample arithmetic is delicate: signed zeros,
