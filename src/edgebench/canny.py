@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .filtering import check_sigma, convolve_separable, gaussian_kernel_1d, gaussian_radius
+from .filtering import _smooth, check_sigma
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -164,13 +164,15 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None,
     This is the front half of the detector. At floor 0 it is threshold-free,
     so sweeping hysteresis thresholds can reuse one thinned plane.
     """
-    r = gaussian_radius(sigma) if radius is None else radius
-    k = gaussian_kernel_1d(sigma, r)
-    smoothed = convolve_separable(img, k, k)
-    return nonmax_suppress(gradient(smoothed), floor)
+    return nonmax_suppress(gradient(_smooth(img, sigma, radius)), floor)
+
+
+def _canny_from_smoothed(smoothed: GrayImage, params: CannyParams) -> EdgeMap:
+    # the detector after its blur: differentiate, thin above low, link
+    thinned = nonmax_suppress(gradient(smoothed), params.low)
+    return hysteresis(thinned, params.low, params.high)
 
 
 def canny_detect(img: GrayImage, params: CannyParams) -> EdgeMap:
     """Full detector: smooth, differentiate, thin above low, then link with hysteresis."""
-    thinned = thinned_magnitude(img, params.sigma, params.radius, params.low)
-    return hysteresis(thinned, params.low, params.high)
+    return _canny_from_smoothed(_smooth(img, params.sigma, params.radius), params)

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 bad flags or parameter values, 2 I/O failure.
 """
 
 import argparse
+import functools
 import sys
 
 from .canny import CannyParams, canny_detect
@@ -69,7 +70,9 @@ def _add_scene_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="noise seed")
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    # built on the first run() and reused by every later one in the process
     parser = _Parser(prog="edgebench", description=__doc__,
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,9 +224,8 @@ def _cmd_compare(args) -> int:
 
 def run(argv=None) -> int:
     """Parse argv and execute one subcommand, mapping failures to exit codes."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .canny import CannyParams, canny_detect, component_maxima, thinned_magnitude
+from .canny import CannyParams, _canny_from_smoothed, component_maxima, thinned_magnitude
 from .canny import hysteresis  # noqa: F401  re-exported as edgebench.evaluation.hysteresis
+from .filtering import _smooth, gaussian_radius
 from .image_core import EdgeMap, GrayImage
-from .marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
+from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
 
 __all__ = [
     "CSV_COLUMNS",
@@ -170,6 +171,12 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
+    return _score(detected, truth, ndimage.distance_transform_edt(~truth.mask), match_tolerance)
+
+
+def _score(detected: EdgeMap, truth: EdgeMap, truth_distance: np.ndarray, match_tolerance: float) -> EvalReport:
+    # score() given truth_distance = distance_transform_edt(~truth.mask),
+    # which run_comparison takes once for all the rows of one truth mask
     det = detected.mask
     tru = truth.mask
     n_det = int(np.count_nonzero(det))
@@ -177,7 +184,7 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     # with nothing detected every truth pixel is uncovered
     matched, uncovered, msd = 0, n_tru, 0.0
     if n_det and n_tru:
-        dist = ndimage.distance_transform_edt(~tru)[det]
+        dist = truth_distance[det]
         matched_sq = dist[dist <= match_tolerance] ** 2
         matched = matched_sq.size
         msd = float(np.mean(matched_sq)) if matched else 0.0
@@ -288,15 +295,32 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     """Run both detectors on every scene.
 
     Returns one (scene name, detector name, EvalReport) row per pair, scenes
-    in the given order and detectors alphabetical within a scene.
+    in the given order and detectors alphabetical within a scene; each
+    report equals score(canny_detect(...)) or score(mh_detect(...)). A scene
+    is blurred once when both detectors smooth alike (equal sigma, and radii
+    equal once None stands for gaussian_radius(sigma)), and each distinct
+    truth mask object is distance-transformed once. An empty scene list or
+    a negative or NaN tolerance raises ValueError before any detector work.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("run_comparison needs at least one scene")
+    _check_tolerance(tolerance)
+    canny_blur, mh_blur = ((p.sigma, gaussian_radius(p.sigma) if p.radius is None else p.radius) for p in (canny, mh))
+    # EdgeMap compares by identity, so scenes sharing one truth object share its transform
+    truth_distance = {}
     rows = []
     for scene in scenes:
-        rows.append((scene.name, "canny", score(canny_detect(scene.image, canny), scene.truth, tolerance)))
-        rows.append((scene.name, "marr-hildreth", score(mh_detect(scene.image, mh), scene.truth, tolerance)))
+        if scene.truth not in truth_distance:
+            truth_distance[scene.truth] = ndimage.distance_transform_edt(~scene.truth.mask)
+        dist = truth_distance[scene.truth]
+        smoothed = _smooth(scene.image, *canny_blur)
+        edges = _canny_from_smoothed(smoothed, canny)
+        rows.append((scene.name, "canny", _score(edges, scene.truth, dist, tolerance)))
+        if mh_blur != canny_blur:
+            smoothed = _smooth(scene.image, *mh_blur)
+        edges = _mh_from_smoothed(smoothed, mh)
+        rows.append((scene.name, "marr-hildreth", _score(edges, scene.truth, dist, tolerance)))
     return rows
 
 

@@ -161,6 +161,12 @@ def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
     return GrayImage(_by_strips(stage, img.pixels, ky.radius))
 
 
+def _smooth(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
+    """Separable Gaussian blur of width sigma, truncated at radius (default ceil(3*sigma))."""
+    k = gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
+    return convolve_separable(img, k, k)
+
+
 def convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
     """Dense 2-D correlation with edge-replicated borders.
 

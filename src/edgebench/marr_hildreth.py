@@ -6,15 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import hysteresis
-from .filtering import (
-    _by_strips,
-    check_sigma,
-    convolve_2d,
-    convolve_separable,
-    gaussian_kernel_1d,
-    gaussian_radius,
-    laplacian_kernel_2d,
-)
+from .filtering import _by_strips, _smooth, check_sigma, convolve_2d, laplacian_kernel_2d
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -52,10 +44,7 @@ class MHParams:
 
 def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
     """Gaussian smoothing followed by the four-neighbour Laplacian stencil."""
-    r = gaussian_radius(sigma) if radius is None else radius
-    k = gaussian_kernel_1d(sigma, r)
-    smoothed = convolve_separable(img, k, k)
-    return convolve_2d(smoothed, laplacian_kernel_2d())
+    return convolve_2d(_smooth(img, sigma, radius), laplacian_kernel_2d())
 
 
 def crossing_slope_map(resp: GrayImage) -> GrayImage:
@@ -98,11 +87,16 @@ def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
     return EdgeMap(crossing_slope_map(resp).pixels > slope_threshold)
 
 
+def _mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeMap:
+    # the detector after its blur: Laplacian, then threshold or link the crossings
+    resp = convolve_2d(smoothed, laplacian_kernel_2d())
+    if params.use_hysteresis:
+        return hysteresis(crossing_slope_map(resp), params.low, params.high)
+    return zero_crossings(resp, params.slope_threshold)
+
+
 def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
     """Full detector. With use_hysteresis the crossing-slope plane goes
     through the same two-threshold linking the Canny detector uses;
     otherwise a single slope threshold decides."""
-    resp = laplacian_of_smoothed(img, params.sigma, params.radius)
-    if params.use_hysteresis:
-        return hysteresis(crossing_slope_map(resp), params.low, params.high)
-    return zero_crossings(resp, params.slope_threshold)
+    return _mh_from_smoothed(_smooth(img, params.sigma, params.radius), params)

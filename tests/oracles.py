@@ -12,7 +12,10 @@ The whole_plane_* functions are the convolutions and the crossing-slope map
 as they ran before large planes were split into row strips; the strip-wise
 versions must equal them bit for bit. split_ascii_samples is the P2/P3
 raster parse as it ran before it moved to whole-array byte passes, one
-bytes token at a time.
+bytes token at a time. two_pass_comparison is run_comparison as it ran
+before a scene's blur and a truth mask's distance transform were shared:
+each detector blurs every scene itself and score() transforms the truth
+for every row.
 """
 
 import re
@@ -21,10 +24,11 @@ from collections import deque
 import numpy as np
 from scipy.spatial import cKDTree
 
-from edgebench.canny import GradientField
-from edgebench.evaluation import EvalReport
+from edgebench.canny import CannyParams, GradientField, canny_detect
+from edgebench.evaluation import EvalReport, score
 from edgebench.filtering import Kernel1D, Kernel2D
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError
+from edgebench.marr_hildreth import MHParams, mh_detect
 
 
 def bfs_hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
@@ -117,6 +121,18 @@ def kdtree_score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5
         matched_count=matched,
         match_tolerance=float(match_tolerance),
     )
+
+
+def two_pass_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 1.5) -> list:
+    """run_comparison with one full detector run and one score() per row."""
+    scenes = list(scenes)
+    if not scenes:
+        raise ValueError("run_comparison needs at least one scene")
+    rows = []
+    for scene in scenes:
+        rows.append((scene.name, "canny", score(canny_detect(scene.image, canny), scene.truth, tolerance)))
+        rows.append((scene.name, "marr-hildreth", score(mh_detect(scene.image, mh), scene.truth, tolerance)))
+    return rows
 
 
 def loop_nonmax_suppress(field: GradientField) -> GrayImage:

@@ -365,3 +365,36 @@ class TestTopLevel:
         assert "--sigma" in out
         assert "1.0" in out
         assert "0.15" in out
+
+
+class TestParserReuse:
+    def sequence(self, step_pgm, out_path):
+        return [
+            ["compare", "--suite", "no-such-suite"],
+            ["compare", "--suite", "noisy-step", "--seeds", "0..2"],
+            ["--help"],
+            detect_args(step_pgm, out_path, "--sigma", "1.4"),
+            ["evaluate", "--detector", "marr-hildreth", "--scene", "circle", "--format", "json"],
+        ]
+
+    def outcome(self, argv, out_path, capsys):
+        out_path.unlink(missing_ok=True)
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out_path.read_bytes() if out_path.exists() else None
+
+    def test_back_to_back_calls_match_first_calls(self, step_pgm, tmp_path, capsys):
+        out_path = tmp_path / "edges.pgm"
+        sequence = self.sequence(step_pgm, out_path)
+        first = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            first.append(self.outcome(argv, out_path, capsys))
+        assert [code for code, *_ in first] == [1, 0, 0, 0, 0]
+        detect_written = first[3][3]
+        assert detect_written is not None
+
+        cli._parser.cache_clear()
+        again = [self.outcome(argv, out_path, capsys) for argv in sequence]
+        assert cli._parser.cache_info().misses == 1
+        assert again == first

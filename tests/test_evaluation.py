@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from edgebench import evaluation
+from edgebench import evaluation, filtering
 from edgebench.canny import CannyParams, canny_detect
 from edgebench.evaluation import (
     CSV_COLUMNS,
@@ -37,6 +37,19 @@ from edgebench.evaluation import (
 )
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, mh_detect
+
+
+def count_calls(monkeypatch, calls: dict, module, name: str) -> None:
+    """Wrap module.<name> so that calls[name] counts its calls."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
 
 bool_masks = hnp.arrays(np.bool_, st.tuples(st.integers(1, 10), st.integers(1, 10)))
 
@@ -347,6 +360,43 @@ class TestSuitesAndTuning:
     def test_run_comparison_rejects_empty_input(self):
         with pytest.raises(ValueError):
             run_comparison([], MHParams(), CannyParams())
+
+    @pytest.mark.parametrize("tolerance", [-0.5, -math.inf, math.nan])
+    def test_run_comparison_refuses_bad_tolerance_before_detecting(self, monkeypatch, tolerance):
+        scene = synth_step(16, 16, 8, 0.5)
+
+        def blur(*args):
+            raise AssertionError("a detector ran before the tolerance was checked")
+
+        monkeypatch.setattr(filtering, "convolve_separable", blur)
+        with pytest.raises(ValueError, match="match_tolerance"):
+            run_comparison([scene], MHParams(), CannyParams(), tolerance)
+
+    @pytest.mark.parametrize("mh, canny, blurs", [
+        (MHParams(), CannyParams(), 10),
+        (MHParams(radius=3), CannyParams(), 10),
+        (MHParams(sigma=1.4), CannyParams(), 20),
+        (MHParams(radius=2), CannyParams(), 20),
+    ], ids=["defaults", "default-radius-resolved", "sigmas-differ", "radii-differ"])
+    def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny, blurs):
+        # ten scenes share one truth object: one truth transform, and one
+        # transform per detection
+        scenes = noisy_step_suite(range(10))
+        calls = {}
+        count_calls(monkeypatch, calls, filtering, "convolve_separable")
+        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        rows = run_comparison(scenes, mh, canny)
+        assert all(report.detected_count for _, _, report in rows)
+        assert calls == {"convolve_separable": blurs, "distance_transform_edt": 21}
+
+    def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):
+        scenes = [circle_scene(), *noisy_step_suite([0, 1]), rectangle_scene(), circle_scene()]
+        calls = {}
+        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        rows = run_comparison(scenes, MHParams(), CannyParams())
+        assert all(report.detected_count for _, _, report in rows)
+        # circle_scene() makes a new truth object per call
+        assert calls == {"distance_transform_edt": 4 + len(rows)}
 
     def test_threshold_grid_shape(self):
         assert len(THRESHOLD_GRID) == 22

@@ -9,7 +9,9 @@ score() for each candidate, and a tie must keep the earliest candidate. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
 forms, and thinning above low must leave every Canny map as it was. An
 ASCII raster must read to the same bytes, or fail with the same error, as
-the token-by-token parse.
+the token-by-token parse. run_comparison, which shares a scene's blur and
+a truth mask's transform, must give the rows and report bytes of one
+detector run and one score() per row.
 """
 
 import importlib.util
@@ -26,15 +28,16 @@ from edgebench import evaluation, filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _hysteresis_pairs, _linked_levels,
-                                  _sweep_f_scores, add_gaussian_noise, circle_scene, count_components, f_score,
-                                  noisy_step_suite, rectangle_scene, score, synth_step, tune_canny, tune_mh)
+                                  _sweep_f_scores, add_gaussian_noise, circle_scene, comparison_record,
+                                  count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
+                                  rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     scatter_crossing_slope_map, split_ascii_samples, whole_plane_convolve_2d,
-                     whole_plane_convolve_separable, whole_plane_crossing_slope_map)
+                     scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
+                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map)
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -747,3 +750,57 @@ class TestAsciiRasterMatchesTokenSplit:
         path.write_bytes(workloads.encode_netpbm("p2", gray, rgb))
         assert read_image(path).pixels.shape == (1024, 1024)
         assert_ascii_read_matches(path)
+
+
+def flat_scene() -> Scene:
+    # a constant image: neither detector finds anything against the step's truth
+    return Scene(GrayImage(np.full((64, 64), 0.5)), synth_step(64, 64, 32, 0.5).truth, "flat")
+
+
+COMPARISON_SCENES = {
+    "noisy-step": lambda: noisy_step_suite(range(10)),
+    "circle": lambda: [circle_scene()],
+    "rectangle-corners": lambda: [rectangle_scene()],
+    # two truth objects shared by two scenes each, and three used once
+    "mixed-truths": lambda: (noisy_step_suite([0, 1]) + [circle_scene(), flat_scene(), non_square_scene()]
+                             + noisy_step_suite([2]) + [circle_scene(), rectangle_scene()]),
+    "empty-detection": lambda: [flat_scene()],
+}
+
+COMPARISON_PARAMS = {
+    "defaults": (MHParams(), CannyParams()),
+    "sigmas-differ": (MHParams(sigma=1.4), CannyParams(sigma=0.8)),
+    "default-radius-vs-explicit": (MHParams(sigma=1.4), CannyParams(sigma=1.4, radius=gaussian_radius(1.4))),
+    "explicit-radius-vs-default": (MHParams(radius=gaussian_radius(1.0)), CannyParams()),
+    "radii-differ": (MHParams(radius=2), CannyParams()),
+    "mh-hysteresis": (MHParams(sigma=2.0, use_hysteresis=True, low=0.01, high=0.05),
+                      CannyParams(sigma=2.0, low=0.02, high=0.1)),
+}
+
+
+def report_bytes(rows, mh: MHParams, canny: CannyParams) -> tuple:
+    sigma = {"canny": canny.sigma, "marr-hildreth": mh.sigma}
+    records = [comparison_record(name, detector, report, sigma=sigma[detector]) for name, detector, report in rows]
+    return records_to_csv(records).encode(), records_to_json(records).encode()
+
+
+class TestComparisonMatchesTwoPasses:
+    @pytest.mark.parametrize("params", COMPARISON_PARAMS.values(), ids=COMPARISON_PARAMS.keys())
+    @pytest.mark.parametrize("suite", COMPARISON_SCENES.values(), ids=COMPARISON_SCENES.keys())
+    def test_rows_and_reports(self, suite, params):
+        mh, canny = params
+        rows = run_comparison(suite(), mh, canny)
+        expected = two_pass_comparison(suite(), mh, canny)
+        assert rows == expected
+        assert report_bytes(rows, mh, canny) == report_bytes(expected, mh, canny)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0, 3.3, math.inf])
+    def test_tolerances(self, tolerance):
+        scenes = COMPARISON_SCENES["mixed-truths"]()
+        assert run_comparison(scenes, MHParams(), CannyParams(), tolerance) == \
+            two_pass_comparison(scenes, MHParams(), CannyParams(), tolerance)
+
+    def test_flat_scene_detects_nothing(self):
+        rows = run_comparison([flat_scene()], MHParams(), CannyParams())
+        assert [report.detected_count for _, _, report in rows] == [0, 0]
+        assert all(report.false_negative_rate == 1.0 for _, _, report in rows)
