@@ -158,13 +158,14 @@ def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
     return EdgeMap((maxima > high)[labels])
 
 
-def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None, floor: float = 0.0) -> GrayImage:
-    """Gaussian smoothing, gradient, and non-maximum suppression above floor.
+def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
+    """Gaussian smoothing, gradient, and non-maximum suppression.
 
-    This is the front half of the detector. At floor 0 it is threshold-free,
-    so sweeping hysteresis thresholds can reuse one thinned plane.
+    This is the front half of the detector. It thins every nonzero
+    magnitude, so it is threshold-free and sweeping hysteresis thresholds
+    can reuse one thinned plane.
     """
-    return nonmax_suppress(gradient(_smooth(img, sigma, radius)), floor)
+    return nonmax_suppress(gradient(_smooth(img, sigma, radius)))
 
 
 def _canny_from_smoothed(smoothed: GrayImage, params: CannyParams) -> EdgeMap:

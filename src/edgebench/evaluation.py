@@ -164,40 +164,16 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     matched). Rates over an empty set are 0.0, except that an empty
     detection against non-empty truth gives a false-negative rate of 1.0.
 
-    Nearest distances are read from exact Euclidean distance transforms
-    (ndimage.distance_transform_edt) of each mask's complement, in
-    row-major pixel order.
+    Nearest-truth distances come from one exact Euclidean distance
+    transform (ndimage.distance_transform_edt) of the truth's complement,
+    in row-major pixel order. A truth pixel is covered when the detection's
+    maximum over the tolerance disc around it, read from box maximum
+    filters, is set; the detection itself is never transformed.
     """
     _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
-    return _score(detected, truth, ndimage.distance_transform_edt(~truth.mask), match_tolerance)
-
-
-def _score(detected: EdgeMap, truth: EdgeMap, truth_distance: np.ndarray, match_tolerance: float) -> EvalReport:
-    # score() given truth_distance = distance_transform_edt(~truth.mask),
-    # which run_comparison takes once for all the rows of one truth mask
-    det = detected.mask
-    tru = truth.mask
-    n_det = int(np.count_nonzero(det))
-    n_tru = int(np.count_nonzero(tru))
-    # with nothing detected every truth pixel is uncovered
-    matched, uncovered, msd = 0, n_tru, 0.0
-    if n_det and n_tru:
-        dist = truth_distance[det]
-        matched_sq = dist[dist <= match_tolerance] ** 2
-        matched = matched_sq.size
-        msd = float(np.mean(matched_sq)) if matched else 0.0
-        uncovered = np.count_nonzero(ndimage.distance_transform_edt(~det)[tru] > match_tolerance)
-    return EvalReport(
-        false_positive_rate=float((n_det - matched) / max(n_det, 1)),
-        false_negative_rate=float(uncovered / max(n_tru, 1)),
-        mean_sq_distance=msd,
-        detected_count=n_det,
-        truth_count=n_tru,
-        matched_count=matched,
-        match_tolerance=float(match_tolerance),
-    )
+    return _ToleranceMatch(truth, match_tolerance).report(detected)
 
 
 def _check_tolerance(match_tolerance: float) -> None:
@@ -205,48 +181,69 @@ def _check_tolerance(match_tolerance: float) -> None:
         raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
 
 
-def _sweep_f_scores(sweeps, truth: EdgeMap, match_tolerance: float):
-    """(level, pairs, f) for every (level, pairs) sweep, f in pairs' order.
+class _ToleranceMatch:
+    """score()'s match rule for one truth mask and one checked tolerance.
 
-    A candidate (params, h) in pairs detects level > h, and its f is
-    f_score(score(EdgeMap(level > h), truth, match_tolerance)), read from
-    counts: the detected, matched and uncovered counts of every h come from
-    sorted arrays and the rates from score's arithmetic. The truth transform
-    is taken once: near marks the pixels within the tolerance of truth.
-    Coverage needs no transform of the detection: a truth pixel is covered
-    at h exactly when the maximum of level over the disc of the tolerance
-    around it (reach) is above h, and one max filter per level plane gives
-    that maximum.
+    It holds the truth's distance transform, near (the pixels within the
+    tolerance of truth) and the tolerance disc as boxes: one centred
+    (rows, width) box per distinct disc-row width, spanning every disc row
+    at least that wide. run_comparison and the tuning sweeps build one per
+    truth mask and read every detection through it.
     """
-    tru = truth.mask
-    n_tru = int(np.count_nonzero(tru))
-    if n_tru:
-        near = ndimage.distance_transform_edt(~tru) <= match_tolerance
+
+    def __init__(self, truth: EdgeMap, tolerance: float) -> None:
+        tru = truth.mask
+        self.tolerance = float(tolerance)
+        self.distance = ndimage.distance_transform_edt(~tru)
+        self.near = self.distance <= tolerance
+        self.ty, self.tx = np.nonzero(tru)
         # the offsets the transform would measure within the tolerance,
-        # clipped to the image first so an infinite tolerance works
-        ry, rx = (math.floor(min(match_tolerance, n - 1)) for n in tru.shape)
-        dy, dx = np.ogrid[-ry:ry + 1, -rx:rx + 1]
-        widths = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= match_tolerance, axis=1)
-        ty, tx = np.nonzero(tru)
-        # each disc row is a centred run of offsets, so the disc maximum is
-        # the largest, over the disc's rows, of a running row maximum as wide
-        # as that row's run: one maximum_filter1d per distinct width, read
-        # in the plane padded by ry rows of -inf, where a footprint
-        # maximum_filter would cost the disc's area per pixel
-        spans = [(width, ty + np.flatnonzero(widths == width)[:, None]) for width in np.unique(widths)]
-    for level, pairs in sweeps:
-        hs = np.array([h for _, h in pairs], dtype=np.float64)
+        # clipped to the image first so an infinite tolerance works, in one
+        # quadrant: disc rows +-d are 2 * half[d] - 1 wide, and the disc is
+        # convex, so the rows at least that wide are a centred run
+        ry, rx = (math.floor(min(tolerance, n - 1)) for n in tru.shape)
+        dy, dx = np.ogrid[:ry + 1, :rx + 1]
+        half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
+        self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
+
+    def rates(self, level: np.ndarray, hs):
+        """(detected, matched, fp, fn) of the detection level > h, per h in hs.
+
+        A truth pixel is covered at h exactly when the maximum of level over
+        its disc is above h. Padding with level's minimum leaves every disc
+        maximum as it is, since each disc holds its own centre pixel.
+        """
+        n_tru = self.ty.size
         n_det = _counts_above(level, hs)
         matched = uncovered = 0
         if n_tru:
-            padded = np.pad(level, ((ry, ry), (0, 0)), constant_values=-np.inf)
-            reach = np.max([
-                ndimage.maximum_filter1d(padded, width, axis=1, mode="constant", cval=-np.inf)[rows, tx].max(axis=0)
-                for width, rows in spans], axis=0)
-            matched = _counts_above(level[near], hs)
+            cval = level.min()
+            reach = np.max([ndimage.maximum_filter(level, box, mode="constant", cval=cval)[self.ty, self.tx]
+                            for box in self.boxes], axis=0)
+            matched = _counts_above(level[self.near], hs)
             uncovered = n_tru - _counts_above(reach, hs)
         fp = (n_det - matched) / np.maximum(n_det, 1)
         fn = uncovered / max(n_tru, 1)
+        return n_det, matched, fp, fn
+
+    def report(self, detected: EdgeMap) -> EvalReport:
+        """score(detected, truth, tolerance)."""
+        det = detected.mask
+        n_det, matched, fp, fn = self.rates(det, False)  # det > False is det
+        msd = float(np.mean(self.distance[det & self.near] ** 2)) if matched else 0.0
+        return EvalReport(float(fp), float(fn), msd, int(n_det), int(self.ty.size), int(matched), self.tolerance)
+
+
+def _sweep_f_scores(sweeps, match: _ToleranceMatch):
+    """(level, pairs, f) for every (level, pairs) sweep, f in pairs' order.
+
+    A candidate (params, h) in pairs detects level > h, and its f is
+    f_score(score(EdgeMap(level > h), truth, tolerance)) for match's truth
+    and tolerance, read from the counts match.rates gives for every h at
+    once from sorted arrays.
+    """
+    for level, pairs in sweeps:
+        _, _, fp, fn = match.rates(level, np.array([h for _, h in pairs], dtype=np.float64))
         yield level, pairs, _harmonic_mean(1.0 - fp, 1.0 - fn)
 
 
@@ -262,13 +259,14 @@ def _harmonic_mean(p, r):
 
 def _best_operating_point(sweeps, truth: EdgeMap, match_tolerance: float):
     # the first (params, report) of the highest f in grid order; only it is scored
+    match = _ToleranceMatch(truth, match_tolerance)
     best = None
-    for level, pairs, f in _sweep_f_scores(sweeps, truth, match_tolerance):
+    for level, pairs, f in _sweep_f_scores(sweeps, match):
         i = int(np.argmax(f))
         if best is None or f[i] > best[0]:
             best = f[i], level, pairs[i]
     _, level, (params, h) = best
-    return params, score(EdgeMap(level > h), truth, match_tolerance)
+    return params, match.report(EdgeMap(level > h))
 
 
 def f_score(report: EvalReport) -> float:
@@ -307,20 +305,20 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
         raise ValueError("run_comparison needs at least one scene")
     _check_tolerance(tolerance)
     canny_blur, mh_blur = ((p.sigma, gaussian_radius(p.sigma) if p.radius is None else p.radius) for p in (canny, mh))
-    # EdgeMap compares by identity, so scenes sharing one truth object share its transform
-    truth_distance = {}
+    # EdgeMap compares by identity, so scenes sharing one truth object share its match rule
+    matches = {}
     rows = []
     for scene in scenes:
-        if scene.truth not in truth_distance:
-            truth_distance[scene.truth] = ndimage.distance_transform_edt(~scene.truth.mask)
-        dist = truth_distance[scene.truth]
+        if scene.truth not in matches:
+            matches[scene.truth] = _ToleranceMatch(scene.truth, tolerance)
+        match = matches[scene.truth]
         smoothed = _smooth(scene.image, *canny_blur)
         edges = _canny_from_smoothed(smoothed, canny)
-        rows.append((scene.name, "canny", _score(edges, scene.truth, dist, tolerance)))
+        rows.append((scene.name, "canny", match.report(edges)))
         if mh_blur != canny_blur:
             smoothed = _smooth(scene.image, *mh_blur)
         edges = _mh_from_smoothed(smoothed, mh)
-        rows.append((scene.name, "marr-hildreth", _score(edges, scene.truth, dist, tolerance)))
+        rows.append((scene.name, "marr-hildreth", match.report(edges)))
     return rows
 
 
@@ -354,12 +352,13 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     Returns (MHParams, EvalReport) for the best operating point; ties keep
     the earliest grid point, so the result is deterministic. Candidates are
     ranked by f-scores read from their detected, matched and uncovered
-    counts; score() runs once, for the winner, to give the report. With
-    use_hysteresis every (low, high) pair with high at or after low in the
-    grid is tried, so the grid must be ascending (ties allowed). An empty
-    grid, a grid that is not ascending where that is needed, any grid value
-    the parameters refuse, and a negative or NaN tolerance raise ValueError
-    before any detector work.
+    counts, and the winner's report equals score() of its map; the ranking
+    and the report share one truth transform. With use_hysteresis every
+    (low, high) pair with high at or after low in the grid is tried, so the
+    grid must be ascending (ties allowed). An empty grid, a grid that is
+    not ascending where that is needed, any grid value the parameters
+    refuse, and a negative or NaN tolerance raise ValueError before any
+    detector work.
     """
     grid = _threshold_grid(grid, use_hysteresis)
     _check_tolerance(tolerance)
@@ -376,8 +375,8 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport); ranked from counts and scored once
-    for the winner, deterministic like tune_mh, and it refuses the same
+    Returns (CannyParams, EvalReport); ranked from counts with one truth
+    transform, deterministic like tune_mh, and it refuses the same
     grids and tolerances as tune_mh with use_hysteresis.
     """
     grid = _threshold_grid(grid, True)

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,17 @@ class TestScore:
         with pytest.raises(ValueError, match=f"got {tolerance}"):
             score(em, em, tolerance)
 
+    @pytest.mark.parametrize("tolerance", [0.0, 1.5, math.inf])
+    def test_takes_one_truth_transform_per_call(self, monkeypatch, tolerance):
+        # the detection is matched through the truth's transform, never transformed itself
+        scene = noisy_step_suite([0])[0]
+        edges = canny_detect(scene.image, CannyParams())
+        calls = {}
+        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        for n in (1, 2):
+            score(edges, scene.truth, tolerance)
+            assert calls == {"distance_transform_edt": n}
+
     @given(bool_masks, st.sampled_from([0.0, 1.0, 2.5]))
     def test_truth_against_itself_is_perfect(self, mask, tol):
         em = EdgeMap(mask)
@@ -379,15 +391,15 @@ class TestSuitesAndTuning:
         (MHParams(radius=2), CannyParams(), 20),
     ], ids=["defaults", "default-radius-resolved", "sigmas-differ", "radii-differ"])
     def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny, blurs):
-        # ten scenes share one truth object: one truth transform, and one
-        # transform per detection
+        # ten scenes share one truth object, so one truth transform; the
+        # detections are matched through it and never transformed
         scenes = noisy_step_suite(range(10))
         calls = {}
         count_calls(monkeypatch, calls, filtering, "convolve_separable")
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
         rows = run_comparison(scenes, mh, canny)
         assert all(report.detected_count for _, _, report in rows)
-        assert calls == {"convolve_separable": blurs, "distance_transform_edt": 21}
+        assert calls == {"convolve_separable": blurs, "distance_transform_edt": 1}
 
     def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):
         scenes = [circle_scene(), *noisy_step_suite([0, 1]), rectangle_scene(), circle_scene()]
@@ -396,7 +408,7 @@ class TestSuitesAndTuning:
         rows = run_comparison(scenes, MHParams(), CannyParams())
         assert all(report.detected_count for _, _, report in rows)
         # circle_scene() makes a new truth object per call
-        assert calls == {"distance_transform_edt": 4 + len(rows)}
+        assert calls == {"distance_transform_edt": 4}
 
     def test_threshold_grid_shape(self):
         assert len(THRESHOLD_GRID) == 22
@@ -450,6 +462,34 @@ class TestSuitesAndTuning:
 
 
 TUNERS = {"canny": tune_canny, "mh": tune_mh, "mh-hysteresis": functools.partial(tune_mh, use_hysteresis=True)}
+
+
+class TestScoringMemoryIsBounded:
+    # an infinite tolerance makes the disc the whole image; its coverage
+    # maximum must still cost a few planes, not disc rows times truth pixels
+    LIMIT = 32 * 2**20
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rng = np.random.default_rng(10)
+        return Scene(GrayImage(rng.random((256, 256))), EdgeMap(rng.random((256, 256)) < 0.5), "dense-256")
+
+    def peak(self, run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_tuning_at_infinite_tolerance(self, scene, tuner):
+        grid = THRESHOLD_GRID[::3]
+        assert self.peak(lambda: TUNERS[tuner](scene, tolerance=math.inf, grid=grid)) < self.LIMIT
+
+    def test_score_at_infinite_tolerance(self, scene):
+        detected = EdgeMap(scene.image.pixels < 0.5)
+        assert self.peak(lambda: score(detected, scene.truth, math.inf)) < self.LIMIT
 
 
 class TestTuningRefusesBadSweeps:

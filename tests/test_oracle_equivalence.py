@@ -28,13 +28,13 @@ from edgebench import evaluation, filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _hysteresis_pairs, _linked_levels,
-                                  _sweep_f_scores, add_gaussian_noise, circle_scene, comparison_record,
+                                  _sweep_f_scores, _ToleranceMatch, add_gaussian_noise, circle_scene, comparison_record,
                                   count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
                                   rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
-from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed
+from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
                      scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
                      whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map)
@@ -46,7 +46,8 @@ PAIRS = tuple((lo, hi) for i, lo in enumerate(THRESHOLDS) for hi in THRESHOLDS[i
 SHAPES = [(1, 1), (1, 2), (2, 1), (1, 128), (128, 1), (2, 2), (3, 7), (7, 3),
           (17, 64), (64, 17), (128, 128)]
 SHAPE_IDS = [f"{h}x{w}" for h, w in SHAPES]
-TOLERANCES = (0.0, 1.0, math.sqrt(2.0), 1.5, 2.0, 2.5, 5.0)
+# 200 clips the disc to the image on every shape here, and inf is the whole image
+TOLERANCES = (0.0, 1.0, math.sqrt(2.0), 1.5, 2.0, 2.5, 5.0, 200.0, math.inf)
 
 shapes = st.tuples(st.integers(1, 128), st.integers(1, 128))
 seeds = st.integers(0, 2**32 - 1)
@@ -174,7 +175,7 @@ class TestScoreMatchesKdTree:
             assert_score_matches(det, tru, tolerance)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (9, 23)])
-    @pytest.mark.parametrize("tolerance", [0.0, 1.5])
+    @pytest.mark.parametrize("tolerance", [0.0, 1.5, math.inf])
     def test_empty_sides(self, shape, tolerance):
         rng = np.random.default_rng(3)
         empty = EdgeMap(np.zeros(shape, dtype=bool))
@@ -263,14 +264,15 @@ def assert_sweep_f_scores_match_score(plane: GrayImage, truth: EdgeMap, toleranc
     # threshold standing in for the parameters; every f-score read from
     # counts must have the bits of f_score(score(...)) of the candidate
     rows = _hysteresis_pairs(grid, lambda low, high: (low, high))
-    linked = [(level, pair, f) for level, pairs, fs in _sweep_f_scores(_linked_levels(plane, rows), truth, tolerance)
+    match = _ToleranceMatch(truth, tolerance)
+    linked = [(level, pair, f) for level, pairs, fs in _sweep_f_scores(_linked_levels(plane, rows), match)
               for pair, f in zip(pairs, fs)]
     assert len(linked) == len(grid) * (len(grid) + 1) // 2
     for level, ((low, high), h), f in linked:
         edges = hysteresis(plane, low, high)
         assert np.array_equal(level > h, edges.mask), (low, high)
         assert float(f).hex() == f_score(score(edges, truth, tolerance)).hex(), (low, high)
-    single = [(t, f) for _, pairs, fs in _sweep_f_scores([(plane.pixels, [(t, t) for t in grid])], truth, tolerance)
+    single = [(t, f) for _, pairs, fs in _sweep_f_scores([(plane.pixels, [(t, t) for t in grid])], match)
               for (t, _), f in zip(pairs, fs)]
     assert len(single) == len(grid)
     for t, f in single:
@@ -301,6 +303,17 @@ class TestSweepReportsMatchScore:
         assert_sweep_f_scores_match_score(GrayImage(np.zeros((20, 30))), truth, tolerance)
 
     @pytest.mark.parametrize("tolerance", (1.5, 3.3, math.inf))
+    def test_levels_below_zero(self, tolerance):
+        # the disc maximum pads the plane with its own minimum, not with 0
+        rng = np.random.default_rng(8)
+        level = -rng.random((20, 30))
+        truth = EdgeMap(rng.random((20, 30)) < 0.1)
+        hs = (-0.9, -0.5, -0.1)
+        (_, _, fs), = _sweep_f_scores([(level, [(h, h) for h in hs])], _ToleranceMatch(truth, tolerance))
+        for h, f in zip(hs, fs):
+            assert float(f).hex() == f_score(score(EdgeMap(level > h), truth, tolerance)).hex(), h
+
+    @pytest.mark.parametrize("tolerance", (1.5, 3.3, math.inf))
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_truth_under_dense_detections(self, seed, tolerance):
         # many detections against few truth pixels: rates far from 0 and 1
@@ -328,23 +341,26 @@ class TestSweepSelection:
         clean = np.where(truth.mask, 0.9, 0.0)
         first = (noisy, [("noisy-0.1", 0.1), ("noisy-0.2", 0.2)])
         second = (clean, [("clean-0.95", 0.95), ("clean-0.3", 0.3)])
-        fs = [f.tolist() for _, _, f in _sweep_f_scores([first, second], truth, tolerance)]
+        fs = [f.tolist() for _, _, f in _sweep_f_scores([first, second], _ToleranceMatch(truth, tolerance))]
         assert fs[0][1] == fs[1][1] == 1.0 and fs[0][0] < 1.0 and fs[1][0] < 1.0
         for sweeps, winner in (([first, second], "noisy-0.2"), ([second, first], "clean-0.3")):
             params, report = _best_operating_point(sweeps, truth, tolerance)
             assert params == winner
             assert report == score(truth, truth, tolerance)
 
-    def test_tuning_runs_score_once(self, monkeypatch):
+    def test_tuning_takes_one_transform_and_reports_score_of_the_winner(self, monkeypatch):
+        # the sweep and the winner's report read one truth transform
         calls = []
-        real = evaluation.score
-        monkeypatch.setattr(evaluation, "score", lambda *args: calls.append(args) or real(*args))
+        real = evaluation.ndimage.distance_transform_edt
+        monkeypatch.setattr(evaluation.ndimage, "distance_transform_edt",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
         scene = noisy_step_suite([0])[0]
-        for tune in (tune_canny, tune_mh, lambda s: tune_mh(s, use_hysteresis=True)):
+        for tune, detect in ((tune_canny, canny_detect), (tune_mh, mh_detect),
+                             (lambda s: tune_mh(s, use_hysteresis=True), mh_detect)):
             calls.clear()
             params, report = tune(scene)
             assert len(calls) == 1
-            assert report == real(*calls[0])
+            assert report == score(detect(scene.image, params), scene.truth)
 
 
 # gradient components where the sample arithmetic is delicate: signed zeros,
