@@ -234,19 +234,6 @@ class _ToleranceMatch:
         return EvalReport(float(fp), float(fn), msd, int(n_det), int(self.ty.size), int(matched), self.tolerance)
 
 
-def _sweep_f_scores(sweeps, match: _ToleranceMatch):
-    """(level, pairs, f) for every (level, pairs) sweep, f in pairs' order.
-
-    A candidate (params, h) in pairs detects level > h, and its f is
-    f_score(score(EdgeMap(level > h), truth, tolerance)) for match's truth
-    and tolerance, read from the counts match.rates gives for every h at
-    once from sorted arrays.
-    """
-    for level, pairs in sweeps:
-        _, _, fp, fn = match.rates(level, np.array([h for _, h in pairs], dtype=np.float64))
-        yield level, pairs, _harmonic_mean(1.0 - fp, 1.0 - fn)
-
-
 def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
     # for each h in hs, the number of values above h
     return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
@@ -257,16 +244,19 @@ def _harmonic_mean(p, r):
     return 2.0 * p * r / np.where(p + r == 0.0, 1.0, p + r)
 
 
-def _best_operating_point(sweeps, truth: EdgeMap, match_tolerance: float):
-    # the first (params, report) of the highest f in grid order; only it is scored
+def _best_operating_point(levels, grid, make_params, truth: EdgeMap, match_tolerance: float):
+    # level plane i detects level > grid[j] for each j >= i; the first highest
+    # f in that order wins, and only the winner gets params and a report
     match = _ToleranceMatch(truth, match_tolerance)
     best = None
-    for level, pairs, f in _sweep_f_scores(sweeps, match):
-        i = int(np.argmax(f))
-        if best is None or f[i] > best[0]:
-            best = f[i], level, pairs[i]
-    _, level, (params, h) = best
-    return params, match.report(EdgeMap(level > h))
+    for i, level in enumerate(levels):
+        _, _, fp, fn = match.rates(level, np.array(grid[i:], dtype=np.float64))
+        f = _harmonic_mean(1.0 - fp, 1.0 - fn)
+        j = int(np.argmax(f))
+        if best is None or f[j] > best[0]:
+            best = f[j], level, i, i + j
+    _, level, i, j = best
+    return make_params(grid[i], grid[j]), match.report(EdgeMap(level > grid[j]))
 
 
 def f_score(report: EvalReport) -> float:
@@ -322,27 +312,26 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     return rows
 
 
-def _threshold_grid(grid, ascending: bool) -> tuple:
+def _threshold_grid(grid, ascending: bool, make_params, tolerance: float) -> tuple:
+    # in an ascending grid every pair (low, high) has low <= high, so a pair
+    # is refused exactly when one of its values is refused, as (t, t), alone
     grid = tuple(grid)
     if not grid:
         raise ValueError("the threshold grid must not be empty")
     if ascending and any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"a hysteresis sweep needs an ascending threshold grid, got {grid}")
+    _check_tolerance(tolerance)
+    for t in grid:
+        make_params(t, t)
     return grid
 
 
-def _hysteresis_pairs(grid, make_params) -> list:
-    # per low, the (params, high) of every high >= low; made up front, so
-    # every threshold is checked before any detector work
-    return [(low, [(make_params(low, high), high) for high in grid[i:]]) for i, low in enumerate(grid)]
-
-
-def _linked_levels(plane: GrayImage, rows):
+def _linked_levels(plane: GrayImage, grid):
     # one labelling per low: pixels of the level plane maxima[labels] above
     # high are exactly hysteresis(plane, low, high)
-    for low, pairs in rows:
+    for low in grid:
         labels, maxima = component_maxima(plane, low)
-        yield maxima[labels], pairs
+        yield maxima[labels]
 
 
 def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
@@ -358,32 +347,29 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     grid must be ascending (ties allowed). An empty grid, a grid that is
     not ascending where that is needed, any grid value the parameters
     refuse, and a negative or NaN tolerance raise ValueError before any
-    detector work.
+    detector work. Each grid value is checked once, and only the winner's
+    MHParams is built.
     """
-    grid = _threshold_grid(grid, use_hysteresis)
-    _check_tolerance(tolerance)
-    if use_hysteresis:
-        rows = _hysteresis_pairs(
-            grid, lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
-    else:
-        pairs = [(MHParams(sigma=sigma, slope_threshold=t), t) for t in grid]
+    make_params = ((lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
+                   if use_hysteresis else (lambda _, t: MHParams(sigma=sigma, slope_threshold=t)))
+    grid = _threshold_grid(grid, use_hysteresis, make_params, tolerance)
     slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
-    sweeps = _linked_levels(slopes, rows) if use_hysteresis else [(slopes.pixels, pairs)]
-    return _best_operating_point(sweeps, scene.truth, tolerance)
+    levels = _linked_levels(slopes, grid) if use_hysteresis else [slopes.pixels]
+    return _best_operating_point(levels, grid, make_params, scene.truth, tolerance)
 
 
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport); ranked from counts with one truth
-    transform, deterministic like tune_mh, and it refuses the same
-    grids and tolerances as tune_mh with use_hysteresis.
+    Returns (CannyParams, EvalReport). It ranks from counts with one truth
+    transform, breaks ties, refuses grids and tolerances, checks each grid
+    value once and builds params only for the winner, all like tune_mh
+    with use_hysteresis.
     """
-    grid = _threshold_grid(grid, True)
-    _check_tolerance(tolerance)
-    rows = _hysteresis_pairs(grid, lambda low, high: CannyParams(sigma=sigma, low=low, high=high))
+    make_params = lambda low, high: CannyParams(sigma=sigma, low=low, high=high)
+    grid = _threshold_grid(grid, True, make_params, tolerance)
     plane = thinned_magnitude(scene.image, sigma)
-    return _best_operating_point(_linked_levels(plane, rows), scene.truth, tolerance)
+    return _best_operating_point(_linked_levels(plane, grid), grid, make_params, scene.truth, tolerance)
 
 
 def noisy_step_suite(seeds, size: int = 64, contrast: float = 0.5, noise_stddev: float = 0.1) -> list:

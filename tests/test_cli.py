@@ -1,8 +1,12 @@
 """Exit codes, flag validation, and file/stream output of the edgebench CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +369,23 @@ class TestTopLevel:
         assert "--sigma" in out
         assert "1.0" in out
         assert "0.15" in out
+
+    @pytest.mark.parametrize("module", ["edgebench", "edgebench.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, tmp_path, capsys):
+        argv = ["compare", "--suite", "circle"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+
+        def python_m(*args):
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+            return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = python_m(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+        bad = python_m("compare", "--no-such-flag")
+        assert bad.returncode == 1
+        assert bad.stderr.startswith("usage: edgebench")
 
 
 class TestParserReuse:

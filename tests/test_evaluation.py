@@ -464,6 +464,18 @@ class TestSuitesAndTuning:
 TUNERS = {"canny": tune_canny, "mh": tune_mh, "mh-hysteresis": functools.partial(tune_mh, use_hysteresis=True)}
 
 
+class TestTuningWork:
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_builds_params_once_per_grid_value_and_for_the_winner(self, monkeypatch, tuner):
+        # one check per grid value and the winner, not one per (low, high) pair
+        calls = {}
+        for name in ("CannyParams", "MHParams"):
+            count_calls(monkeypatch, calls, evaluation, name)
+        params, report = TUNERS[tuner](noisy_step_suite([0])[0])
+        assert sum(calls.values()) <= len(THRESHOLD_GRID) + 1
+        assert type(params) in (CannyParams, MHParams)
+
+
 class TestScoringMemoryIsBounded:
     # an infinite tolerance makes the disc the whole image; its coverage
     # maximum must still cost a few planes, not disc rows times truth pixels
@@ -525,6 +537,11 @@ class TestTuningRefusesBadSweeps:
     def test_grid_values_the_parameters_refuse(self, no_detector, tuner, grid):
         with pytest.raises(ValueError, match="non-negative|low <= high"):
             TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_tolerance_is_refused_before_grid_values(self, no_detector, tuner):
+        with pytest.raises(ValueError, match="match_tolerance must be non-negative"):
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), tolerance=-1.0, grid=(-0.1, 0.2))
 
     @pytest.mark.parametrize("tuner", TUNERS)
     def test_equal_grid_values_are_ascending(self, tuner):

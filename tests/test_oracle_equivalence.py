@@ -17,6 +17,7 @@ detector run and one score() per row.
 import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from hypothesis.extra import numpy as hnp
 from edgebench import evaluation, filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
-from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _hysteresis_pairs, _linked_levels,
-                                  _sweep_f_scores, _ToleranceMatch, add_gaussian_noise, circle_scene, comparison_record,
-                                  count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
-                                  rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
+from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _linked_levels, add_gaussian_noise,
+                                  circle_scene, comparison_record, count_components, f_score, noisy_step_suite,
+                                  records_to_csv, records_to_json, rectangle_scene, run_comparison, score, synth_step,
+                                  tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
@@ -215,32 +216,39 @@ def bfs_candidates(plane: GrayImage, grid, make_params):
 
 
 class TestTuningMatchesTheOracleSweep:
-    GRID = THRESHOLD_GRID[::3]
+    # every third default value, and a grid with equal neighbours, whose
+    # equal lows label alike and whose equal highs tie
+    HYSTERESIS_GRIDS = (THRESHOLD_GRID[::3], (0.02, 0.05, 0.05, 0.2))
+    # the single-threshold sweep takes its grid in the order given
+    SINGLE_GRIDS = (THRESHOLD_GRID, THRESHOLD_GRID[::-1], (0.2, 0.05, 0.05, 0.02))
 
     @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
     def test_tune_canny(self, seed, tolerance):
         scene = noisy_step_suite([seed])[0]
-        candidates = bfs_candidates(thinned_magnitude(scene.image, 1.0), self.GRID,
-                                    lambda lo, hi: CannyParams(sigma=1.0, low=lo, high=hi))
-        expected = oracle_tune(candidates, scene.truth, tolerance)
-        assert repr(tune_canny(scene, 1.0, tolerance, grid=self.GRID)) == repr(expected)
+        plane = thinned_magnitude(scene.image, 1.0)
+        for grid in self.HYSTERESIS_GRIDS:
+            candidates = bfs_candidates(plane, grid, lambda lo, hi: CannyParams(sigma=1.0, low=lo, high=hi))
+            expected = oracle_tune(candidates, scene.truth, tolerance)
+            assert repr(tune_canny(scene, 1.0, tolerance, grid=grid)) == repr(expected), grid
 
     @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
     def test_tune_mh_with_hysteresis(self, seed, tolerance):
         scene = noisy_step_suite([seed])[0]
         slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0))
-        candidates = bfs_candidates(slopes, self.GRID,
-                                    lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
-        expected = oracle_tune(candidates, scene.truth, tolerance)
-        assert repr(tune_mh(scene, 1.0, tolerance, use_hysteresis=True, grid=self.GRID)) == repr(expected)
+        for grid in self.HYSTERESIS_GRIDS:
+            candidates = bfs_candidates(slopes, grid,
+                                        lambda lo, hi: MHParams(sigma=1.0, use_hysteresis=True, low=lo, high=hi))
+            expected = oracle_tune(candidates, scene.truth, tolerance)
+            assert repr(tune_mh(scene, 1.0, tolerance, use_hysteresis=True, grid=grid)) == repr(expected), grid
 
     @pytest.mark.parametrize("seed, tolerance", [(0, 1.5), (5, 1.5), (2, 0.0), (3, math.inf)])
     def test_tune_mh_single_threshold(self, seed, tolerance):
         scene = noisy_step_suite([seed])[0]
         slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0)).pixels
-        candidates = ((MHParams(sigma=1.0, slope_threshold=t), EdgeMap(slopes > t)) for t in THRESHOLD_GRID)
-        expected = oracle_tune(candidates, scene.truth, tolerance)
-        assert repr(tune_mh(scene, 1.0, tolerance)) == repr(expected)
+        for grid in self.SINGLE_GRIDS:
+            candidates = ((MHParams(sigma=1.0, slope_threshold=t), EdgeMap(slopes > t)) for t in grid)
+            expected = oracle_tune(candidates, scene.truth, tolerance)
+            assert repr(tune_mh(scene, 1.0, tolerance, grid=grid)) == repr(expected), grid
 
 
 SWEEP_TOLERANCES = (0.0, 1.0, 1.5, 2.0, 3.3, math.inf)
@@ -259,24 +267,49 @@ SWEEP_SCENES = {
 }
 
 
+def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float):
+    # _best_operating_point with (low, high) standing in for the parameters;
+    # also returns the f-scores it ranked, one array per level plane, and
+    # the pairs it built params for
+    fs, built = [], []
+    real = evaluation._harmonic_mean
+
+    def ranked(p, r):
+        fs.append(real(p, r))
+        return fs[-1]
+
+    def make_params(low, high):
+        built.append((low, high))
+        return low, high
+
+    with mock.patch.object(evaluation, "_harmonic_mean", ranked):
+        winner = _best_operating_point(levels, grid, make_params, truth, tolerance)
+    assert built == [winner[0]]
+    return winner, [f.tolist() for f in fs]
+
+
 def assert_sweep_f_scores_match_score(plane: GrayImage, truth: EdgeMap, tolerance: float, grid=THRESHOLD_GRID):
-    # the candidates the tuning sweeps rank, with (low, high) or the
-    # threshold standing in for the parameters; every f-score read from
-    # counts must have the bits of f_score(score(...)) of the candidate
-    rows = _hysteresis_pairs(grid, lambda low, high: (low, high))
-    match = _ToleranceMatch(truth, tolerance)
-    linked = [(level, pair, f) for level, pairs, fs in _sweep_f_scores(_linked_levels(plane, rows), match)
-              for pair, f in zip(pairs, fs)]
-    assert len(linked) == len(grid) * (len(grid) + 1) // 2
-    for level, ((low, high), h), f in linked:
+    # the candidates the tuning sweeps rank: every f-score read from counts
+    # must have the bits of f_score(score(...)) of the candidate, and the
+    # winner is the first highest f, reported as score() of its map
+    levels = list(_linked_levels(plane, grid))
+    (params, report), fs = traced_sweep(levels, grid, truth, tolerance)
+    assert [len(f) for f in fs] == [len(grid) - i for i in range(len(grid))]
+    candidates = [((low, high), level, f) for i, (low, level, plane_fs) in enumerate(zip(grid, levels, fs))
+                  for high, f in zip(grid[i:], plane_fs)]
+    for (low, high), level, f in candidates:
         edges = hysteresis(plane, low, high)
-        assert np.array_equal(level > h, edges.mask), (low, high)
+        assert np.array_equal(level > high, edges.mask), (low, high)
         assert float(f).hex() == f_score(score(edges, truth, tolerance)).hex(), (low, high)
-    single = [(t, f) for _, pairs, fs in _sweep_f_scores([(plane.pixels, [(t, t) for t in grid])], match)
-              for (t, _), f in zip(pairs, fs)]
+    best = max(candidates, key=lambda candidate: candidate[2])
+    assert params == best[0]
+    assert report == score(hysteresis(plane, *params), truth, tolerance)
+    (params, report), (single,) = traced_sweep([plane.pixels], grid, truth, tolerance)
     assert len(single) == len(grid)
-    for t, f in single:
+    for t, f in zip(grid, single):
         assert float(f).hex() == f_score(score(EdgeMap(plane.pixels > t), truth, tolerance)).hex(), t
+    assert params == (grid[0], grid[int(np.argmax(single))])
+    assert report == score(EdgeMap(plane.pixels > params[1]), truth, tolerance)
 
 
 class TestSweepReportsMatchScore:
@@ -309,7 +342,7 @@ class TestSweepReportsMatchScore:
         level = -rng.random((20, 30))
         truth = EdgeMap(rng.random((20, 30)) < 0.1)
         hs = (-0.9, -0.5, -0.1)
-        (_, _, fs), = _sweep_f_scores([(level, [(h, h) for h in hs])], _ToleranceMatch(truth, tolerance))
+        _, (fs,) = traced_sweep([level], hs, truth, tolerance)
         for h, f in zip(hs, fs):
             assert float(f).hex() == f_score(score(EdgeMap(level > h), truth, tolerance)).hex(), h
 
@@ -334,17 +367,18 @@ class TestSweepReportsMatchScore:
 class TestSweepSelection:
     @pytest.mark.parametrize("tolerance", (0.0, 1.5, 3.3))
     def test_a_tie_across_level_planes_goes_to_the_earlier_plane(self, tolerance):
-        # each plane's best candidate is its second one and detects exactly
-        # the truth column, so the planes tie at f = 1 on different candidates
+        # level plane i is read at grid[i:], so the winner's low names its
+        # plane. The noisy plane's best high is 0.2 and the clean plane's
+        # best is its first; both detect exactly the truth column at f = 1
         truth = EdgeMap(np.arange(12) == np.full((12, 1), 2))
         noisy = np.where(truth.mask, 0.5, np.where(np.arange(12) == 9, 0.15, 0.0))
         clean = np.where(truth.mask, 0.9, 0.0)
-        first = (noisy, [("noisy-0.1", 0.1), ("noisy-0.2", 0.2)])
-        second = (clean, [("clean-0.95", 0.95), ("clean-0.3", 0.3)])
-        fs = [f.tolist() for _, _, f in _sweep_f_scores([first, second], _ToleranceMatch(truth, tolerance))]
-        assert fs[0][1] == fs[1][1] == 1.0 and fs[0][0] < 1.0 and fs[1][0] < 1.0
-        for sweeps, winner in (([first, second], "noisy-0.2"), ([second, first], "clean-0.3")):
-            params, report = _best_operating_point(sweeps, truth, tolerance)
+        grid = (0.1, 0.2, 0.3)
+        _, fs = traced_sweep([noisy, clean], grid, truth, tolerance)
+        assert fs[0][0] < 1.0 and fs[0][1] == fs[1][0] == 1.0
+        for levels, winner in (([noisy, clean], (0.1, 0.2)), ([clean, noisy], (0.1, 0.1))):
+            (params, report), fs = traced_sweep(levels, grid, truth, tolerance)
+            assert fs[1][0] == 1.0
             assert params == winner
             assert report == score(truth, truth, tolerance)
 
