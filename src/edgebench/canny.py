@@ -71,16 +71,59 @@ class CannyParams:
             raise ValueError(f"radius must be at least 1, got {self.radius}")
 
 
+def _central_differences(pixels: np.ndarray) -> tuple:
+    p = np.pad(pixels, 1, mode="edge")
+    return (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0, (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+
+
 def gradient(img: GrayImage) -> GradientField:
     """Central-difference gradient with replicated borders.
 
     gx[y, x] = (I[y, x+1] - I[y, x-1]) / 2 and likewise for gy, where
     out-of-range samples repeat the nearest border pixel.
     """
-    p = np.pad(img.pixels, 1, mode="edge")
-    gx = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
-    gy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    return GradientField(gx, gy)
+    return GradientField(*_central_differences(img.pixels))
+
+
+# At or above _TINY_SQUARE, squares are exact to a few ulps: a bound _SLACK
+# below floor*floor passes every hypot(gx, gy) > floor, and inf squares too.
+_TINY_SQUARE = 2.0 ** -960
+_SLACK = 1.0 - 2.0 ** -40
+
+
+def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None) -> GrayImage:
+    # NMS above floor; with no magnitude plane, hypot is taken only where read
+    w = gx.shape[1]
+    if magnitude is not None:
+        candidates = magnitude > floor
+    elif floor * floor < _TINY_SQUARE:
+        candidates = (gx != 0) | (gy != 0)
+    else:
+        candidates = gx * gx + gy * gy > min(floor * floor, np.finfo(np.float64).max) * _SLACK
+    candidates[[0, -1]] = False
+    candidates[:, [0, -1]] = False
+    idx = np.flatnonzero(candidates)
+    gx, gy = gx.ravel(), gy.ravel()
+
+    def sample(i):
+        return magnitude.ravel()[i] if magnitude is not None else np.hypot(gx[i], gy[i])
+
+    sx, sy = gx[idx], gy[idx]
+    ax, ay = np.abs(sx), np.abs(sy)
+    t = np.minimum(ax, ay) / np.maximum(ax, ay)
+    # flat offsets: the near sample steps along the dominant axis, the far
+    # one along the diagonal of the gradient's quadrant
+    step_x = np.where(sx >= 0.0, 1, -1)
+    step_y = np.where(sy >= 0.0, w, -w)
+    near = np.where(ax >= ay, step_x, step_y)
+    far = step_x + step_y
+    v = sample(idx)
+    fwd = (1.0 - t) * sample(idx + near) + t * sample(idx + far)
+    bwd = (1.0 - t) * sample(idx - near) + t * sample(idx - far)
+    keep = (v > floor) & (v >= fwd) & (v > bwd)
+    out = np.zeros(gx.size)
+    out[idx[keep]] = v[keep]
+    return GrayImage(out.reshape(-1, w))
 
 
 def nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
@@ -95,33 +138,14 @@ def nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
     Only pixels with magnitude strictly above floor are tested; the rest
     come out 0. The samples read every magnitude, so hysteresis with any
     low >= floor links the same pixels as at floor 0.
+
+    This form and thinned_magnitude read the full magnitude plane; the
+    detector takes hypot only where gx*gx + gy*gy nears low*low (any nonzero
+    component if low*low underflows, as at 0) and at their four samples.
     """
     if not floor >= 0:
         raise ValueError(f"floor must be non-negative, got {floor}")
-    mag = field.magnitude
-    w = mag.shape[1]
-    inner = np.zeros(mag.shape, dtype=bool)
-    inner[1:-1, 1:-1] = mag[1:-1, 1:-1] > floor
-    idx = np.flatnonzero(inner)
-    gx = field.gx.ravel()[idx]
-    gy = field.gy.ravel()[idx]
-    ax = np.abs(gx)
-    ay = np.abs(gy)
-    t = np.minimum(ax, ay) / np.maximum(ax, ay)
-    # flat offsets: the near sample steps along the dominant axis, the far
-    # one along the diagonal of the gradient's quadrant
-    step_x = np.where(gx >= 0.0, 1, -1)
-    step_y = np.where(gy >= 0.0, w, -w)
-    near = np.where(ax >= ay, step_x, step_y)
-    far = step_x + step_y
-    m = mag.ravel()
-    v = m[idx]
-    fwd = (1.0 - t) * m[idx + near] + t * m[idx + far]
-    bwd = (1.0 - t) * m[idx - near] + t * m[idx - far]
-    keep = idx[(v >= fwd) & (v > bwd)]
-    out = np.zeros(mag.size)
-    out[keep] = m[keep]
-    return GrayImage(out.reshape(mag.shape))
+    return _thin(field.gx, field.gy, floor, field.magnitude)
 
 
 def component_maxima(thinned: GrayImage, low: float) -> tuple:
@@ -170,7 +194,7 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None)
 
 def _canny_from_smoothed(smoothed: GrayImage, params: CannyParams) -> EdgeMap:
     # the detector after its blur: differentiate, thin above low, link
-    thinned = nonmax_suppress(gradient(smoothed), params.low)
+    thinned = _thin(*_central_differences(smoothed.pixels), params.low)
     return hysteresis(thinned, params.low, params.high)
 
 

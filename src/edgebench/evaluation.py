@@ -181,6 +181,11 @@ def _check_tolerance(match_tolerance: float) -> None:
         raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
 
 
+def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    # for each h in hs, the number of values above h
+    return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
+
+
 class _ToleranceMatch:
     """score()'s match rule for one truth mask and one checked tolerance.
 
@@ -206,7 +211,7 @@ class _ToleranceMatch:
         half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
         self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
 
-    def rates(self, level: np.ndarray, hs):
+    def rates(self, level: np.ndarray, hs, counts_above=_counts_above):
         """(detected, matched, fp, fn) of the detection level > h, per h in hs.
 
         A truth pixel is covered at h exactly when the maximum of level over
@@ -214,14 +219,14 @@ class _ToleranceMatch:
         maximum as it is, since each disc holds its own centre pixel.
         """
         n_tru = self.ty.size
-        n_det = _counts_above(level, hs)
+        n_det = counts_above(level, hs)
         matched = uncovered = 0
         if n_tru:
             cval = level.min()
             reach = np.max([ndimage.maximum_filter(level, box, mode="constant", cval=cval)[self.ty, self.tx]
                             for box in self.boxes], axis=0)
-            matched = _counts_above(level[self.near], hs)
-            uncovered = n_tru - _counts_above(reach, hs)
+            matched = counts_above(level[self.near], hs)
+            uncovered = n_tru - counts_above(reach, hs)
         fp = (n_det - matched) / np.maximum(n_det, 1)
         fn = uncovered / max(n_tru, 1)
         return n_det, matched, fp, fn
@@ -229,14 +234,9 @@ class _ToleranceMatch:
     def report(self, detected: EdgeMap) -> EvalReport:
         """score(detected, truth, tolerance)."""
         det = detected.mask
-        n_det, matched, fp, fn = self.rates(det, False)  # det > False is det
+        n_det, matched, fp, fn = self.rates(det, None, lambda values, _: np.count_nonzero(values))
         msd = float(np.mean(self.distance[det & self.near] ** 2)) if matched else 0.0
         return EvalReport(float(fp), float(fn), msd, int(n_det), int(self.ty.size), int(matched), self.tolerance)
-
-
-def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    # for each h in hs, the number of values above h
-    return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
 
 
 def _harmonic_mean(p, r):

@@ -9,13 +9,15 @@ maxima. They state each contract directly, one pixel or one crossing at a
 time, so the fast versions can be checked against them.
 
 The whole_plane_* functions are the convolutions and the crossing-slope map
-as they ran before large planes were split into row strips; the strip-wise
-versions must equal them bit for bit. split_ascii_samples is the P2/P3
-raster parse as it ran before it moved to whole-array byte passes, one
-bytes token at a time. two_pass_comparison is run_comparison as it ran
-before a scene's blur and a truth mask's distance transform were shared:
-each detector blurs every scene itself and score() transforms the truth
-for every row.
+as they ran before large planes were split into row strips, and
+non-maximum suppression as it ran when the detector still read a full
+magnitude plane; the strip-wise versions and the detector, which takes the
+magnitude only where thinning reads it, must equal them bit for bit.
+split_ascii_samples is the P2/P3 raster parse as it ran before it moved to
+whole-array byte passes, one bytes token at a time. two_pass_comparison is
+run_comparison as it ran before a scene's blur and a truth mask's distance
+transform were shared: each detector blurs every scene itself and score()
+transforms the truth for every row.
 """
 
 import re
@@ -176,6 +178,47 @@ def loop_nonmax_suppress(field: GradientField) -> GrayImage:
             if v >= fwd and v > bwd:
                 out[y, x] = v
     return GrayImage(out)
+
+
+def whole_plane_nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
+    """Keep a pixel's magnitude only where it tops both directional samples.
+
+    The two samples sit one pixel away along the gradient direction, each
+    linearly interpolated between the two nearest grid neighbours in that
+    quadrant. The keep rule is magnitude >= forward sample and strictly >
+    backward sample, so a flat run of equal values keeps exactly one pixel.
+    Border pixels are always suppressed.
+
+    Only pixels with magnitude strictly above floor are tested; the rest
+    come out 0. The samples read every magnitude, so hysteresis with any
+    low >= floor links the same pixels as at floor 0.
+    """
+    if not floor >= 0:
+        raise ValueError(f"floor must be non-negative, got {floor}")
+    mag = field.magnitude
+    w = mag.shape[1]
+    inner = np.zeros(mag.shape, dtype=bool)
+    inner[1:-1, 1:-1] = mag[1:-1, 1:-1] > floor
+    idx = np.flatnonzero(inner)
+    gx = field.gx.ravel()[idx]
+    gy = field.gy.ravel()[idx]
+    ax = np.abs(gx)
+    ay = np.abs(gy)
+    t = np.minimum(ax, ay) / np.maximum(ax, ay)
+    # flat offsets: the near sample steps along the dominant axis, the far
+    # one along the diagonal of the gradient's quadrant
+    step_x = np.where(gx >= 0.0, 1, -1)
+    step_y = np.where(gy >= 0.0, w, -w)
+    near = np.where(ax >= ay, step_x, step_y)
+    far = step_x + step_y
+    m = mag.ravel()
+    v = m[idx]
+    fwd = (1.0 - t) * m[idx + near] + t * m[idx + far]
+    bwd = (1.0 - t) * m[idx - near] + t * m[idx - far]
+    keep = idx[(v >= fwd) & (v > bwd)]
+    out = np.zeros(mag.size)
+    out[keep] = m[keep]
+    return GrayImage(out.reshape(mag.shape))
 
 
 def scatter_crossing_slope_map(resp: GrayImage) -> GrayImage:

@@ -7,7 +7,10 @@ to 128x128, including values that sit exactly on a threshold or exactly on
 zero. The f-score the tuning sweeps read from counts must equal f_score of
 score() for each candidate, and a tie must keep the earliest candidate. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
-forms, and thinning above low must leave every Canny map as it was. An
+forms, and thinning above low must leave every Canny map as it was. The
+detector, which takes the gradient magnitude only where thinning reads it,
+must give the whole-plane form's map, or its error, at every scale of low
+and of the pixels, from zero and subnormals to overflow. An
 ASCII raster must read to the same bytes, or fail with the same error, as
 the token-by-token parse. run_comparison, which shares a scene's blur and
 a truth mask's transform, must give the rows and report bytes of one
@@ -16,6 +19,7 @@ detector run and one score() per row.
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from edgebench import evaluation, filtering, image_core
-from edgebench.canny import (CannyParams, GradientField, canny_detect, component_maxima, gradient, hysteresis,
+from edgebench.canny import (CannyParams, GradientField, _thin, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _linked_levels, add_gaussian_noise,
                                   circle_scene, comparison_record, count_components, f_score, noisy_step_suite,
@@ -38,7 +42,9 @@ from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationErro
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
                      scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
-                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map)
+                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
+                     whole_plane_nonmax_suppress)
+from test_canny import SMALL_IDS, SMALL_SHAPES
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -403,6 +409,8 @@ class TestSweepSelection:
 COMPONENT_LEVELS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
                     0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0)
 components = st.one_of(st.sampled_from(COMPONENT_LEVELS), st.floats(-1e3, 1e3, allow_nan=False))
+# the same levels, and any float but NaN: squares that underflow or overflow
+extreme_components = st.one_of(st.sampled_from(COMPONENT_LEVELS), st.floats(allow_nan=False))
 
 
 def assert_nonmax_matches(field: GradientField) -> None:
@@ -596,6 +604,134 @@ class TestCannyUnchangedByTheFloor:
         assert_canny_unchanged_by_floor(img, CannyParams(sigma=sigma, low=min(a, b), high=max(a, b)))
         for params in canny_cases(img, sigma):
             assert_canny_unchanged_by_floor(img, params)
+
+
+# lows whose squares are 0, subnormal, just below and at the underflow
+# guard, normal, just either side of overflowing, and infinite
+SQRT_MAX = math.sqrt(sys.float_info.max)
+EXTREME_LOWS = (0.0, 5e-324, 1e-160, 1e-150, math.nextafter(2.0 ** -480, 0.0), 2.0 ** -480, 1e154, SQRT_MAX,
+                math.nextafter(SQRT_MAX, math.inf), 1e200, math.inf)
+EXTREME_IDS = [repr(low) for low in EXTREME_LOWS]
+
+
+def outcome(fn, *args) -> bytes:
+    # the output's bytes, or the message of the ValueError it raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            return str(exc).encode()
+    return (result.mask if isinstance(result, EdgeMap) else result.pixels).tobytes()
+
+
+def whole_plane_canny(img: GrayImage, params: CannyParams) -> EdgeMap:
+    k = gaussian_kernel_1d(params.sigma, gaussian_radius(params.sigma))
+    thinned = whole_plane_nonmax_suppress(gradient(convolve_separable(img, k, k)), params.low)
+    return hysteresis(thinned, params.low, params.high)
+
+
+def assert_canny_matches_whole_plane(img: GrayImage, params: CannyParams) -> None:
+    assert outcome(canny_detect, img, params) == outcome(whole_plane_canny, img, params), params
+
+
+def highs_above(low: float) -> list:
+    return [low, 2.0 * low, math.inf]
+
+
+def scale_for(low: float) -> float:
+    # pixels at this scale have gradient magnitudes on both sides of low
+    return low * 10.0 if 0.0 < low * 10.0 < math.inf else (1e300 if low else 1e-320)
+
+
+def scaled_field(rng, shape, scale: float) -> GradientField:
+    with np.errstate(over="ignore"):
+        return GradientField(rng.normal(size=shape) * scale, rng.normal(size=shape) * scale)
+
+
+def assert_thin_matches(gx: np.ndarray, gy: np.ndarray, floor: float) -> None:
+    with np.errstate(over="ignore"):
+        field = GradientField(gx, gy)
+    expected = outcome(whole_plane_nonmax_suppress, field, floor)
+    assert outcome(nonmax_suppress, field, floor) == expected, floor
+    assert outcome(_thin, gx, gy, floor) == expected, floor
+
+
+class TestCannyMatchesWholePlaneThinning:
+    """The detector takes hypot only where thinning reads it; its maps must
+    be those of the whole-plane magnitude, at every scale of low and of the
+    pixels, and it must refuse what the whole-plane form refuses."""
+
+    @pytest.mark.parametrize("low", EXTREME_LOWS, ids=EXTREME_IDS)
+    @pytest.mark.parametrize("shape", [(3, 3), (17, 64), (64, 17)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_extreme_lows_on_scaled_images(self, low, shape):
+        rng = np.random.default_rng(int(shape[0] * shape[1]))
+        for scale in (scale_for(low), 1.0, 1e-300, 1e300):
+            img = GrayImage(random_plane(rng, shape) * scale)
+            for high in highs_above(low):
+                assert_canny_matches_whole_plane(img, CannyParams(sigma=1.0, low=low, high=high))
+
+    @pytest.mark.parametrize("low", EXTREME_LOWS, ids=EXTREME_IDS)
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=SMALL_IDS)
+    def test_extreme_lows_on_small_images(self, low, shape):
+        img = GrayImage(np.random.default_rng(7).random(shape) * scale_for(low))
+        assert_canny_matches_whole_plane(img, CannyParams(sigma=0.5, low=low, high=low))
+
+    @pytest.mark.parametrize("low", EXTREME_LOWS, ids=EXTREME_IDS)
+    def test_extreme_floors_on_scaled_fields(self, low):
+        rng = np.random.default_rng(11)
+        for scale in (scale_for(low), 1.0, 1e-300, 1e300, 1e308):
+            field = scaled_field(rng, (16, 16), scale)
+            assert_thin_matches(field.gx, field.gy, low)
+
+    @pytest.mark.parametrize("exponent", [-470, 0, 500])
+    def test_magnitudes_one_ulp_above_the_floor(self, exponent):
+        # a lone pixel whose hypot is one ulp above the floor while
+        # gx*gx + gy*gy rounds to at most floor*floor; scaling by a power
+        # of two keeps both roundings while the squares stay normal
+        rng = np.random.default_rng(5)
+        gx, gy = rng.normal(size=(2, 4000))
+        floors = np.nextafter(np.hypot(gx, gy), 0.0)
+        hard = np.flatnonzero(gx * gx + gy * gy <= floors * floors)[:40]
+        assert hard.size == 40
+        for i in hard:
+            cx, cy = np.zeros((3, 3)), np.zeros((3, 3))
+            cx[1, 1], cy[1, 1], floor = np.ldexp([gx[i], gy[i], floors[i]], exponent)
+            assert_thin_matches(cx, cy, floor)
+            assert np.count_nonzero(_thin(cx, cy, floor).pixels) == 1
+
+    @pytest.mark.parametrize("low", [0.0, 0.05, 1e200])
+    def test_an_overflowing_gradient_is_still_refused(self, low):
+        # columns 2 and 4 hold opposite halves of the range, so gx at
+        # column 3 overflows to -inf and the thinned plane keeps it
+        px = np.zeros((6, 7))
+        px[:, 2] = 1.5e308
+        px[:, 4] = -1.5e308
+        img = GrayImage(px)
+        params = CannyParams(sigma=0.3, low=low, high=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for detect in (canny_detect, whole_plane_canny):
+                with pytest.raises(ValueError, match="finite"):
+                    detect(img, params)
+
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)), seeds, st.integers(-300, 300),
+           st.one_of(st.tuples(st.sampled_from(EXTREME_LOWS), st.just(False)),
+                     st.tuples(st.floats(0.0, 0.3), st.just(True))),
+           st.sampled_from((1.0, 1.5, 4.0, math.inf)), st.floats(0.3, 2.0))
+    def test_random_scales(self, shape, seed, exponent, low_and_relative, factor, sigma):
+        scale = 10.0 ** exponent
+        low, relative = low_and_relative
+        if relative:
+            low *= scale  # a low in [0, 0.3] of the pixels' scale
+        img = GrayImage(random_plane(np.random.default_rng(seed), shape) * scale)
+        high = math.inf if factor == math.inf else low * factor
+        assert_canny_matches_whole_plane(img, CannyParams(sigma=sigma, low=low, high=high))
+
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=extreme_components),
+                                hnp.arrays(np.float64, shape, elements=extreme_components))),
+        st.sampled_from(EXTREME_LOWS + (0.25, 1.0)))
+    def test_random_extreme_fields(self, planes, floor):
+        assert_thin_matches(*planes, floor)
 
 
 STRIP_SHAPES = [(8, 8), (9, 8), (8, 13), (31, 17), (37, 100), (100, 37)]
