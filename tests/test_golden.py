@@ -6,7 +6,9 @@ the right half keeps exactly flat runs whose gradient is exactly zero.
 The detector invocations are the three README `detect` examples and Canny
 at low 0, 0.05 and 1e-170 (whose square underflows to zero), each with
 high 0.15 and with high equal to low. The reports are the CSVs `compare`
-writes for each suite with its default flags.
+writes for each suite with its default flags, `compare` runs whose rows
+carry other thresholds or another format, and the `evaluate` records of
+each detector mode on the circle scene, one of them noisy and seeded.
 
 Any change to an edge map or a report changes a digest here. A change
 that means to keep every output must pass this file unchanged.
@@ -49,6 +51,24 @@ COMPARE = {
     "rectangle-corners": "9ffe155146b4f8abea0b4901afafeedd023ef60a7522e96503fa848412958a61",
 }
 
+COMPARE_FLAGS = {
+    "noisy-step-mh-hysteresis": (["--suite", "noisy-step", "--mh-hysteresis", "--low", "0.01", "--high", "0.05"],
+                                 "4119d67169b57b2d79629bf2cef9f0d82093350487d0fbe025d9fc93f8985841"),
+    "circle-json": (["--suite", "circle", "--format", "json"],
+                    "97749d813547cc57dae1ed54789e5b9ce511110854f35007ae9a86f0588ce411"),
+}
+
+EVALUATE = {
+    "canny": (["--detector", "canny"],
+              "43af902ebfd6f9504fd6feaf55cbd4527e34d6a56119a06648c2fa058f84c7c4"),
+    "mh": (["--detector", "marr-hildreth", "--slope-threshold", "0.02"],
+           "8f3ab76daf11bdb0fe1afa8783b53afce3b1137d1f432c2edab721ec5c358d84"),
+    "mh-hysteresis": (["--detector", "marr-hildreth", "--mh-hysteresis", "--low", "0.01", "--high", "0.05"],
+                      "114cab81ea7cedb328d4dd742765e43a89016286886b3f0cdc7614d28baeca14"),
+    "canny-noisy-seed-3": (["--detector", "canny", "--noise-stddev", "0.1", "--seed", "3"],
+                           "a1d91f2666589d3d153be86a0b870a0483318b4012555b05d5933174aaa19b5d"),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -84,3 +104,18 @@ def test_compare_reports(tmp_path, suite):
     out = tmp_path / "report.csv"
     assert cli.run(["compare", "--suite", suite, "--format", "csv", "--out", str(out)]) == 0
     assert sha256(out) == COMPARE[suite]
+
+
+@pytest.mark.parametrize("name", COMPARE_FLAGS)
+def test_compare_reports_with_flags(tmp_path, name):
+    flags, digest = COMPARE_FLAGS[name]
+    out = tmp_path / "report"
+    assert cli.run(["compare", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", EVALUATE)
+def test_evaluate_records(capsys, name):
+    flags, digest = EVALUATE[name]
+    assert cli.run(["evaluate", "--scene", "circle", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
