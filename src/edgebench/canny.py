@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .filtering import _smooth, check_sigma
+from .filtering import _smooth, check_blur
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -40,14 +40,6 @@ class GradientField:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def width(self) -> int:
-        return self.gx.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.gx.shape[0]
-
 
 @dataclass(frozen=True)
 class CannyParams:
@@ -62,13 +54,11 @@ class CannyParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        check_sigma(self.sigma)
+        check_blur(self.sigma, self.radius)
         if not 0 <= self.low <= self.high:
             raise ValueError(
                 f"canny thresholds require 0 <= low <= high, got low={self.low}, high={self.high}"
             )
-        if self.radius is not None and self.radius < 1:
-            raise ValueError(f"radius must be at least 1, got {self.radius}")
 
 
 def _central_differences(pixels: np.ndarray) -> tuple:

@@ -9,6 +9,7 @@ import sys
 
 from .canny import CannyParams, canny_detect
 from .evaluation import (
+    EvalReport,
     Scene,
     add_gaussian_noise,
     circle_scene,
@@ -23,13 +24,12 @@ from .evaluation import (
     synth_rectangle,
     synth_step,
 )
-from .image_core import (EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, atomic_write_bytes, read_image,
-                         rgb_to_gray, write_image)
+from .image_core import FormatError, RgbImage, TruncationError, atomic_write_bytes, read_image, rgb_to_gray, write_image
 from .marr_hildreth import MHParams, mh_detect
 
 __all__ = ["main", "run"]
 
-_DETECTORS = ("canny", "marr-hildreth")
+_DETECTORS = {"canny": canny_detect, "marr-hildreth": mh_detect}
 _SUITES = ("noisy-step", "circle", "rectangle-corners")
 
 
@@ -130,19 +130,12 @@ def _parse_seeds(text: str) -> list:
     return seeds
 
 
-def _detector_params(args):
-    canny = CannyParams(sigma=args.sigma, low=args.low, high=args.high, radius=args.radius)
-    mh = MHParams(sigma=args.sigma, slope_threshold=args.slope_threshold,
-                  use_hysteresis=args.mh_hysteresis, low=args.low, high=args.high,
-                  radius=args.radius)
-    return canny, mh
-
-
-def _run_detector(image: GrayImage, args) -> EdgeMap:
-    canny, mh = _detector_params(args)
-    if args.detector == "canny":
-        return canny_detect(image, canny)
-    return mh_detect(image, mh)
+def _params(args, detector: str) -> "CannyParams | MHParams":
+    # built from the flags, and so checked, for the named detector only
+    if detector == "canny":
+        return CannyParams(sigma=args.sigma, low=args.low, high=args.high, radius=args.radius)
+    return MHParams(sigma=args.sigma, slope_threshold=args.slope_threshold,
+                    use_hysteresis=args.mh_hysteresis, low=args.low, high=args.high, radius=args.radius)
 
 
 def _build_scene(args) -> Scene:
@@ -158,13 +151,13 @@ def _build_scene(args) -> Scene:
     return scene
 
 
-def _record_params(args, detector: str) -> dict:
+def _record(scene: str, detector: str, report: EvalReport, params: "CannyParams | MHParams", seed) -> dict:
     # only the thresholds the detector actually consulted go into the row
-    if detector == "canny":
-        return {"low": args.low, "high": args.high, "slope_threshold": None}
-    if args.mh_hysteresis:
-        return {"low": args.low, "high": args.high, "slope_threshold": None}
-    return {"low": None, "high": None, "slope_threshold": args.slope_threshold}
+    if isinstance(params, MHParams) and not params.use_hysteresis:
+        thresholds = {"slope_threshold": params.slope_threshold}
+    else:
+        thresholds = {"low": params.low, "high": params.high}
+    return comparison_record(scene, detector, report, sigma=params.sigma, seed=seed, **thresholds)
 
 
 def _emit(records, fmt: str, out_path) -> None:
@@ -176,11 +169,11 @@ def _emit(records, fmt: str, out_path) -> None:
 
 
 def _cmd_detect(args) -> int:
-    _detector_params(args)  # validate before touching any file
+    params = _params(args, args.detector)  # checked before any file is opened
     image = read_image(args.in_path)
     if isinstance(image, RgbImage):
         image = rgb_to_gray(image)
-    write_image(_run_detector(image, args), args.out_path)
+    write_image(_DETECTORS[args.detector](image, params), args.out_path)
     return 0
 
 
@@ -193,17 +186,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     scene = _build_scene(args)
-    edges = _run_detector(scene.image, args)
-    report = score(edges, scene.truth, args.tolerance)
+    params = _params(args, args.detector)
+    report = score(_DETECTORS[args.detector](scene.image, params), scene.truth, args.tolerance)
     seed = args.seed if args.noise_stddev else None
-    record = comparison_record(scene.name, args.detector, report, sigma=args.sigma,
-                               seed=seed, **_record_params(args, args.detector))
-    _emit([record], args.format, None)
+    _emit([_record(scene.name, args.detector, report, params, seed)], args.format, None)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    canny, mh = _detector_params(args)
+    params = {detector: _params(args, detector) for detector in _DETECTORS}
     if args.suite == "noisy-step":
         seeds = _parse_seeds(args.seeds)
         scenes = noisy_step_suite(seeds, noise_stddev=args.noise_stddev)
@@ -215,9 +206,8 @@ def _cmd_compare(args) -> int:
         scenes = [rectangle_scene()]
         seed_of = {}
 
-    records = [comparison_record(name, detector, report, sigma=args.sigma, seed=seed_of.get(name),
-                                 **_record_params(args, detector))
-               for name, detector, report in run_comparison(scenes, mh, canny, args.tolerance)]
+    rows = run_comparison(scenes, params["marr-hildreth"], params["canny"], args.tolerance)
+    records = [_record(name, detector, report, params[detector], seed_of.get(name)) for name, detector, report in rows]
     _emit(records, args.format, args.out_path)
     return 0
 

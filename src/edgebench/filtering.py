@@ -76,12 +76,18 @@ def gaussian_radius(sigma: float) -> int:
     return math.ceil(reach)
 
 
-def check_sigma(sigma: float) -> None:
-    """Refuse a Gaussian width that no kernel can be sampled for."""
+def check_blur(sigma: float, radius: "int | None" = None) -> None:
+    """Refuse a Gaussian width that no kernel can be sampled for, and a
+    truncation radius below 1. None stands for gaussian_radius's default,
+    which must exist: 3*sigma finite."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"sigma must be large enough that 2*sigma**2 is not 0, got {sigma}")
+    if radius is None:
+        gaussian_radius(sigma)
+    elif radius < 1:
+        raise ValueError(f"radius must be at least 1, got {radius}")
 
 
 def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
@@ -90,9 +96,7 @@ def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
     The truncated taps are re-normalised to sum to one, so smoothing
     preserves the mean intensity.
     """
-    check_sigma(sigma)
-    if radius < 1:
-        raise ValueError(f"radius must be at least 1, got {radius}")
+    check_blur(sigma, radius)
     spread = 2.0 * sigma * sigma
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     # a tiny sigma sends the outer exponents to -inf, whose taps are exactly 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import hysteresis
-from .filtering import _by_strips, _smooth, check_sigma, convolve_2d, laplacian_kernel_2d
+from .filtering import _by_strips, _smooth, check_blur, convolve_2d, laplacian_kernel_2d
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -31,15 +31,13 @@ class MHParams:
     radius: "int | None" = None
 
     def __post_init__(self) -> None:
-        check_sigma(self.sigma)
+        check_blur(self.sigma, self.radius)
         if not self.slope_threshold >= 0:
             raise ValueError(f"slope_threshold must be non-negative, got {self.slope_threshold}")
         if not (self.low >= 0 and self.high >= 0):
             raise ValueError(f"hysteresis thresholds must be non-negative, got low={self.low}, high={self.high}")
         if self.use_hysteresis and self.low > self.high:
             raise ValueError(f"hysteresis requires low <= high, got low={self.low}, high={self.high}")
-        if self.radius is not None and self.radius < 1:
-            raise ValueError(f"radius must be at least 1, got {self.radius}")
 
 
 def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:

@@ -14,8 +14,10 @@ from hypothesis import given
 
 from edgebench import cli
 from edgebench.cli import run
-from edgebench.evaluation import CSV_COLUMNS, add_gaussian_noise, synth_circle, synth_step
-from edgebench.image_core import EdgeMap, GrayImage, read_image, write_image
+from edgebench.canny import CannyParams
+from edgebench.evaluation import CSV_COLUMNS, EvalReport, add_gaussian_noise, synth_circle, synth_step
+from edgebench.image_core import read_image, write_image
+from edgebench.marr_hildreth import MHParams
 from test_image_core import damaged_netpbm_files
 
 
@@ -308,9 +310,11 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
     @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
-    def test_detect_tiny_sigma_is_refused_before_the_input_is_opened(self, tmp_path, capsys, detector):
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e308"])
+    def test_detect_sigma_is_refused_before_the_input_is_opened(self, tmp_path, capsys, detector, sigma):
+        # 1e308 is finite, but 3*sigma, its default radius, is not
         code = run(["detect", "--detector", detector, "--in", str(tmp_path / "absent.pgm"),
-                    "--out", str(tmp_path / "e.pgm"), "--sigma", "1e-300"])
+                    "--out", str(tmp_path / "e.pgm"), "--sigma", sigma])
         assert code == 1
         err = capsys.readouterr().err
         assert "invalid parameters" in err and "sigma" in err and "i/o error" not in err
@@ -336,6 +340,11 @@ class TestNonFiniteParameters:
         (COMPARE + ["--tolerance", "-1"], "-1.0"),
         (COMPARE + ["--sigma", "1e308"], "1e+308"),
         (COMPARE + ["--low", "nan"], "nan"),
+        (COMPARE + ["--low", "0.2", "--high", "0.1"], "0.2"),
+        (COMPARE + ["--slope-threshold", "-1"], "-1.0"),
+        (EVALUATE + ["--detector", "marr-hildreth", "--mh-hysteresis", "--low", "0.2", "--high", "0.1"], "0.2"),
+        (EVALUATE + ["--detector", "marr-hildreth", "--low", "nan"], "nan"),
+        (EVALUATE + ["--detector", "marr-hildreth", "--low", "-1"], "-1.0"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_report_commands(self, capsys, argv, value):
         assert run(argv) == 1
@@ -354,10 +363,38 @@ class TestNonFiniteParameters:
         assert not image.exists() and not truth.exists()
 
 
+# (detector flags, flags that detector never reads)
+UNREAD_FLAGS = [
+    pytest.param(["--detector", "marr-hildreth", "--slope-threshold", "0.02"], ["--low", "0.2", "--high", "0.1"],
+                 id="mh-low-above-high"),
+    pytest.param(["--detector", "canny"], ["--slope-threshold", "-1"], id="canny-negative-slope"),
+]
+
+
+class TestUnreadDetectorFlags:
+    @pytest.mark.parametrize("flags, unread", UNREAD_FLAGS)
+    def test_detect_ignores_them(self, step_pgm, tmp_path, flags, unread):
+        maps = []
+        for extra in ([], unread):
+            out = tmp_path / f"e{len(maps)}.pgm"
+            assert run(["detect", "--in", str(step_pgm), "--out", str(out), *flags, *extra]) == 0
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
+
+    @pytest.mark.parametrize("flags, unread", UNREAD_FLAGS)
+    def test_evaluate_ignores_them(self, capsys, flags, unread):
+        records = []
+        for extra in ([], unread):
+            assert run(["evaluate", "--scene", "circle", *flags, *extra]) == 0
+            records.append(capsys.readouterr().out)
+        assert records[0] == records[1]
+
+
 class TestTopLevel:
     def test_annotations_resolve(self):
-        hints = typing.get_type_hints(cli._run_detector)
-        assert hints == {"image": GrayImage, "return": EdgeMap}
+        assert typing.get_type_hints(cli._params) == {"detector": str, "return": CannyParams | MHParams}
+        assert typing.get_type_hints(cli._record) == {
+            "scene": str, "detector": str, "report": EvalReport, "params": CannyParams | MHParams, "return": dict}
 
     def test_no_subcommand_exits_1(self, capsys):
         assert run([]) == 1
