@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .filtering import _smooth, check_blur
+from .filtering import _edge_padded, _smooth, check_blur
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -62,7 +62,7 @@ class CannyParams:
 
 
 def _central_differences(pixels: np.ndarray) -> tuple:
-    p = np.pad(pixels, 1, mode="edge")
+    p = _edge_padded(pixels, 1, 1)
     return (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0, (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
 
 

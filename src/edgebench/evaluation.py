@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from .canny import CannyParams, _canny_from_smoothed, component_maxima, thinned_magnitude
 from .canny import hysteresis  # noqa: F401  re-exported as edgebench.evaluation.hysteresis
-from .filtering import _smooth, gaussian_radius
+from .filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
 
@@ -284,17 +284,21 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
 
     Returns one (scene name, detector name, EvalReport) row per pair, scenes
     in the given order and detectors alphabetical within a scene; each
-    report equals score(canny_detect(...)) or score(mh_detect(...)). A scene
-    is blurred once when both detectors smooth alike (equal sigma, and radii
-    equal once None stands for gaussian_radius(sigma)), and each distinct
-    truth mask object is distance-transformed once. An empty scene list or
-    a negative or NaN tolerance raises ValueError before any detector work.
+    report equals score(canny_detect(...)) or score(mh_detect(...)). Each
+    distinct Gaussian kernel is built once per call, not once per scene. A
+    scene is blurred once when both detectors smooth alike (equal sigma, and
+    radii equal once None stands for gaussian_radius(sigma)): one kernel and
+    one blur serve both. Each distinct truth mask object is
+    distance-transformed once. An empty scene list or a negative or NaN
+    tolerance raises ValueError before any detector work.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("run_comparison needs at least one scene")
     _check_tolerance(tolerance)
     canny_blur, mh_blur = ((p.sigma, gaussian_radius(p.sigma) if p.radius is None else p.radius) for p in (canny, mh))
+    canny_k = gaussian_kernel_1d(*canny_blur)
+    mh_k = canny_k if mh_blur == canny_blur else gaussian_kernel_1d(*mh_blur)
     # EdgeMap compares by identity, so scenes sharing one truth object share its match rule
     matches = {}
     rows = []
@@ -302,11 +306,11 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
         if scene.truth not in matches:
             matches[scene.truth] = _ToleranceMatch(scene.truth, tolerance)
         match = matches[scene.truth]
-        smoothed = _smooth(scene.image, *canny_blur)
+        smoothed = convolve_separable(scene.image, canny_k, canny_k)
         edges = _canny_from_smoothed(smoothed, canny)
         rows.append((scene.name, "canny", match.report(edges)))
-        if mh_blur != canny_blur:
-            smoothed = _smooth(scene.image, *mh_blur)
+        if mh_k is not canny_k:
+            smoothed = convolve_separable(scene.image, mh_k, mh_k)
         edges = _mh_from_smoothed(smoothed, mh)
         rows.append((scene.name, "marr-hildreth", match.report(edges)))
     return rows

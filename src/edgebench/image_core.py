@@ -285,7 +285,7 @@ def write_image(img, path) -> None:
     atomically.
     """
     if isinstance(img, EdgeMap):
-        body = np.where(img.mask, 255, 0).astype(np.uint8)
+        body = img.mask.astype(np.uint8) * np.uint8(255)
     elif isinstance(img, GrayImage):
         clamped = np.clip(img.pixels, 0.0, 1.0)
         body = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)

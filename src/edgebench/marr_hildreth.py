@@ -17,6 +17,8 @@ __all__ = [
     "zero_crossings",
 ]
 
+_LAPLACIAN = laplacian_kernel_2d()
+
 
 @dataclass(frozen=True)
 class MHParams:
@@ -42,7 +44,7 @@ class MHParams:
 
 def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
     """Gaussian smoothing followed by the four-neighbour Laplacian stencil."""
-    return convolve_2d(_smooth(img, sigma, radius), laplacian_kernel_2d())
+    return convolve_2d(_smooth(img, sigma, radius), _LAPLACIAN)
 
 
 def crossing_slope_map(resp: GrayImage) -> GrayImage:
@@ -87,7 +89,7 @@ def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
 
 def _mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeMap:
     # the detector after its blur: Laplacian, then threshold or link the crossings
-    resp = convolve_2d(smoothed, laplacian_kernel_2d())
+    resp = convolve_2d(smoothed, _LAPLACIAN)
     if params.use_hysteresis:
         return hysteresis(crossing_slope_map(resp), params.low, params.high)
     return zero_crossings(resp, params.slope_threshold)

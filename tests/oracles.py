@@ -13,8 +13,10 @@ as they ran before large planes were split into row strips, and
 non-maximum suppression as it ran when the detector still read a full
 magnitude plane; the strip-wise versions and the detector, which takes the
 magnitude only where thinning reads it, must equal them bit for bit.
-split_ascii_samples is the P2/P3 raster parse as it ran before it moved to
-whole-array byte passes, one bytes token at a time. two_pass_comparison is
+pad_central_differences is the gradient's central differences as they
+ran when borders were replicated with np.pad; the slice-copy padding must
+equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
+ran before it moved to whole-array byte passes, one bytes token at a time. two_pass_comparison is
 run_comparison as it ran before a scene's blur and a truth mask's distance
 transform were shared: each detector blurs every scene itself and score()
 transforms the truth for every row.
@@ -310,6 +312,12 @@ def whole_plane_convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
                 continue
             out += tap * padded[i:i + h, j:j + w]
     return GrayImage(out)
+
+
+def pad_central_differences(pixels: np.ndarray) -> tuple:
+    """(gx, gy) of gradient(): halved central differences over an edge-mode pad."""
+    p = np.pad(pixels, 1, mode="edge")
+    return (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0, (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
 
 
 def whole_plane_crossing_slope_map(resp: GrayImage) -> GrayImage:

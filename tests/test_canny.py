@@ -343,6 +343,17 @@ class TestCannyDetect:
         with pytest.raises(ValueError, match=f"{field}={value}" if field != "sigma" else f"got {value}"):
             CannyParams(**{field: value})
 
+    @pytest.mark.parametrize("radius", [2.5, math.nan, math.inf])
+    def test_params_refuse_a_radius_that_is_not_a_whole_number_by_value(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be a whole number of at least 1, got {radius}"):
+            CannyParams(radius=radius)
+
+    @pytest.mark.parametrize("radius", [3, np.int64(3), 3.0])
+    def test_params_take_an_integral_radius_of_any_type(self, radius):
+        scene = synth_step(16, 16, 8, 0.5)
+        expected = canny_detect(scene.image, CannyParams(radius=3)).mask
+        assert np.array_equal(canny_detect(scene.image, CannyParams(radius=radius)).mask, expected)
+
     def test_thinned_magnitude_is_the_detector_front_end(self):
         scene = synth_step(32, 32, 16, 0.5)
         thin = thinned_magnitude(scene.image, 1.0)

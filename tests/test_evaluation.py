@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from edgebench import evaluation, filtering
+from edgebench import canny, evaluation, filtering, marr_hildreth
 from edgebench.canny import CannyParams, canny_detect
 from edgebench.evaluation import (
     CSV_COLUMNS,
@@ -50,6 +50,16 @@ def count_calls(monkeypatch, calls: dict, module, name: str) -> None:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def count_calls_everywhere(monkeypatch, calls: dict, module, name: str) -> None:
+    """count_calls, rebinding module.<name> in every edgebench module that
+    imported it, so calls count whichever module makes them."""
+    original = getattr(module, name)
+    count_calls(monkeypatch, calls, module, name)
+    for other in (canny, evaluation, filtering, marr_hildreth):
+        if getattr(other, name, None) is original:
+            monkeypatch.setattr(other, name, getattr(module, name))
 
 
 bool_masks = hnp.arrays(np.bool_, st.tuples(st.integers(1, 10), st.integers(1, 10)))
@@ -380,26 +390,30 @@ class TestSuitesAndTuning:
         def blur(*args):
             raise AssertionError("a detector ran before the tolerance was checked")
 
-        monkeypatch.setattr(filtering, "convolve_separable", blur)
+        for module in (filtering, evaluation):
+            monkeypatch.setattr(module, "convolve_separable", blur)
         with pytest.raises(ValueError, match="match_tolerance"):
             run_comparison([scene], MHParams(), CannyParams(), tolerance)
 
-    @pytest.mark.parametrize("mh, canny, blurs", [
+    @pytest.mark.parametrize("mh, canny_params, blurs", [
         (MHParams(), CannyParams(), 10),
         (MHParams(radius=3), CannyParams(), 10),
         (MHParams(sigma=1.4), CannyParams(), 20),
         (MHParams(radius=2), CannyParams(), 20),
     ], ids=["defaults", "default-radius-resolved", "sigmas-differ", "radii-differ"])
-    def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny, blurs):
+    def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny_params, blurs):
         # ten scenes share one truth object, so one truth transform; the
-        # detections are matched through it and never transformed
+        # detections are matched through it and never transformed. Each
+        # Gaussian kernel is built once per run, and the Laplacian never
         scenes = noisy_step_suite(range(10))
         calls = {}
-        count_calls(monkeypatch, calls, filtering, "convolve_separable")
+        for name in ("convolve_separable", "gaussian_kernel_1d", "laplacian_kernel_2d"):
+            count_calls_everywhere(monkeypatch, calls, filtering, name)
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
-        rows = run_comparison(scenes, mh, canny)
+        rows = run_comparison(scenes, mh, canny_params)
         assert all(report.detected_count for _, _, report in rows)
-        assert calls == {"convolve_separable": blurs, "distance_transform_edt": 1}
+        assert calls == {"convolve_separable": blurs, "gaussian_kernel_1d": blurs // 10,
+                         "laplacian_kernel_2d": 0, "distance_transform_edt": 1}
 
     def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):
         scenes = [circle_scene(), *noisy_step_suite([0, 1]), rectangle_scene(), circle_scene()]

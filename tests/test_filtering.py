@@ -70,6 +70,15 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel_1d(1.0, 0)
 
+    @pytest.mark.parametrize("radius", [2.5, 0.5, math.nan, math.inf, -math.inf])
+    def test_kernel_refuses_a_radius_that_is_not_a_whole_number_by_value(self, radius):
+        with pytest.raises(ValueError, match=re.escape(f"radius must be a whole number of at least 1, got {radius}")):
+            gaussian_kernel_1d(1.0, radius)
+
+    @pytest.mark.parametrize("radius", [3, np.int64(3), 3.0])
+    def test_kernel_takes_an_integral_radius_of_any_type(self, radius):
+        assert gaussian_kernel_1d(1.0, radius).taps.tobytes() == gaussian_kernel_1d(1.0, 3).taps.tobytes()
+
     def test_default_radius(self):
         assert gaussian_radius(1.0) == 3
         assert gaussian_radius(0.5) == 2

@@ -264,3 +264,14 @@ class TestMhDetect:
     def test_params_refuse_nan_and_infinite_values_by_name(self, field, value, use_hysteresis):
         with pytest.raises(ValueError, match=f"{field}={value}" if field in ("low", "high") else f"got {value}"):
             MHParams(use_hysteresis=use_hysteresis, **{field: value})
+
+    @pytest.mark.parametrize("radius", [2.5, math.nan, math.inf])
+    def test_params_refuse_a_radius_that_is_not_a_whole_number_by_value(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be a whole number of at least 1, got {radius}"):
+            MHParams(radius=radius)
+
+    @pytest.mark.parametrize("radius", [3, np.int64(3), 3.0])
+    def test_params_take_an_integral_radius_of_any_type(self, radius):
+        scene = synth_step(16, 16, 8, 0.5)
+        expected = mh_detect(scene.image, MHParams(radius=3)).mask
+        assert np.array_equal(mh_detect(scene.image, MHParams(radius=radius)).mask, expected)

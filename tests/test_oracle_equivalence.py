@@ -7,8 +7,8 @@ to 128x128, including values that sit exactly on a threshold or exactly on
 zero. The f-score the tuning sweeps read from counts must equal f_score of
 score() for each candidate, and a tie must keep the earliest candidate. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
-forms, and thinning above low must leave every Canny map as it was. The
-detector, which takes the gradient magnitude only where thinning reads it,
+forms, the slice-copy border padding must equal np.pad's edge mode, and
+thinning above low must leave every Canny map as it was. The detector, which takes the gradient magnitude only where thinning reads it,
 must give the whole-plane form's map, or its error, at every scale of low
 and of the pixels, from zero and subnormals to overflow. An
 ASCII raster must read to the same bytes, or fail with the same error, as
@@ -41,7 +41,7 @@ from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, ga
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
+                     pad_central_differences, scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
                      whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
                      whole_plane_nonmax_suppress)
 from test_canny import SMALL_IDS, SMALL_SHAPES
@@ -758,6 +758,34 @@ def assert_strips_match(px: np.ndarray, sigma: float, radius=None) -> None:
     for plane in (resp, GrayImage(quantised), GrayImage(px - 0.5)):
         got = crossing_slope_map(plane).pixels
         assert got.tobytes() == whole_plane_crossing_slope_map(plane).pixels.tobytes(), (px.shape, sigma)
+
+
+def assert_gradient_matches_pad(px: np.ndarray) -> None:
+    field = gradient(GrayImage(px))
+    gx, gy = pad_central_differences(px)
+    assert (field.gx.tobytes(), field.gy.tobytes()) == (gx.tobytes(), gy.tobytes()), px.shape
+
+
+class TestEdgePaddingMatchesNumpyPad:
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)), st.integers(0, 15), st.integers(0, 15), seeds)
+    def test_random_planes_and_pads(self, shape, ry, rx, seed):
+        # pads of up to 15 reach past every side of planes of up to 12
+        px = random_plane(np.random.default_rng(seed), shape) - 0.2
+        got = filtering._edge_padded(px, ry, rx)
+        expected = np.pad(px, ((ry, ry), (rx, rx)), mode="edge")
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", (1.0, 3.0))
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=SMALL_IDS)
+    def test_planes_narrower_than_the_reach(self, shape, sigma):
+        px = random_plane(np.random.default_rng(shape[0] * 10 + shape[1]), shape) - 0.2
+        assert_strips_match(px, sigma)
+        assert_gradient_matches_pad(px)
+
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)), seeds)
+    def test_gradient_of_random_planes(self, shape, seed):
+        assert_gradient_matches_pad(random_plane(np.random.default_rng(seed), shape) - 0.2)
 
 
 class TestStripsMatchWholePlane:
