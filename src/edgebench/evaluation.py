@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .canny import CannyParams, _canny_from_smoothed, component_maxima, thinned_magnitude
-from .canny import hysteresis  # noqa: F401  re-exported as edgebench.evaluation.hysteresis
+from .canny import CannyParams, _canny_from_smoothed, hysteresis, thinned_magnitude
 from .filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
@@ -42,6 +41,11 @@ __all__ = [
 # Shared operating-point grid for threshold tuning. Logarithmic so one grid
 # serves both the gradient-magnitude and crossing-slope scales.
 THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
+
+# A hysteresis sweep labels its lows in (lows, h, w) stacks of at most this
+# many pixels (one layer at least), 8-connected within a layer only
+_STACK_PIXELS = 128 * 1024
+_LAYERED = np.pad(ndimage.generate_binary_structure(2, 2)[None], ((1, 1), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,26 +185,22 @@ def _check_tolerance(match_tolerance: float) -> None:
         raise ValueError(f"match_tolerance must be non-negative, got {match_tolerance}")
 
 
-def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    # for each h in hs, the number of values above h
-    return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
-
-
 class _ToleranceMatch:
     """score()'s match rule for one truth mask and one checked tolerance.
 
     It holds the truth's distance transform, near (the pixels within the
     tolerance of truth) and the tolerance disc as boxes: one centred
     (rows, width) box per distinct disc-row width, spanning every disc row
-    at least that wide. run_comparison and the tuning sweeps build one per
-    truth mask and read every detection through it.
+    at least that wide. Every disc lies in the window, the truth's bounding
+    box grown by the disc's reach. run_comparison and the tuning sweeps
+    build one per truth mask and read every detection through it.
     """
 
     def __init__(self, truth: EdgeMap, tolerance: float) -> None:
         tru = truth.mask
         self.tolerance = float(tolerance)
         self.distance = ndimage.distance_transform_edt(~tru)
-        self.near = self.distance <= tolerance
+        self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
         self.ty, self.tx = np.nonzero(tru)
         # the offsets the transform would measure within the tolerance,
         # clipped to the image first so an infinite tolerance works, in one
@@ -210,33 +210,24 @@ class _ToleranceMatch:
         dy, dx = np.ogrid[:ry + 1, :rx + 1]
         half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
         self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
+        (y0, y1), (x0, x1) = ((max(t.min(initial=n) - r, 0), t.max(initial=0) + r + 1)
+                              for t, r, n in zip((self.ty, self.tx), (ry, rx), tru.shape))
+        self.window, self.wy, self.wx = np.s_[:, y0:y1, x0:x1], self.ty - y0, self.tx - x0
 
-    def rates(self, level: np.ndarray, hs, counts_above=_counts_above):
-        """(detected, matched, fp, fn) of the detection level > h, per h in hs.
-
-        A truth pixel is covered at h exactly when the maximum of level over
-        its disc is above h. Padding with level's minimum leaves every disc
-        maximum as it is, since each disc holds its own centre pixel.
-        """
-        n_tru = self.ty.size
-        n_det = counts_above(level, hs)
-        matched = uncovered = 0
-        if n_tru:
-            cval = level.min()
-            reach = np.max([ndimage.maximum_filter(level, box, mode="constant", cval=cval)[self.ty, self.tx]
-                            for box in self.boxes], axis=0)
-            matched = counts_above(level[self.near], hs)
-            uncovered = n_tru - counts_above(reach, hs)
-        fp = (n_det - matched) / np.maximum(n_det, 1)
-        fn = uncovered / max(n_tru, 1)
-        return n_det, matched, fp, fn
+    def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
+        # (layers, truth pixels): each window layer's maximum over each truth
+        # pixel's disc; a box across the window's border holds what "nearest" pads
+        return np.max([ndimage.maximum_filter(levels, (1,) + box, mode="nearest")[:, self.wy, self.wx]
+                       for box in self.boxes], axis=0)
 
     def report(self, detected: EdgeMap) -> EvalReport:
         """score(detected, truth, tolerance)."""
         det = detected.mask
-        n_det, matched, fp, fn = self.rates(det, None, lambda values, _: np.count_nonzero(values))
+        n_det, n_tru, matched = np.count_nonzero(det), self.ty.size, np.count_nonzero(det & self.near)
+        fp = (n_det - matched) / max(n_det, 1)
+        fn = (n_tru - np.count_nonzero(self.disc_maxima(det[None][self.window]))) / max(n_tru, 1)
         msd = float(np.mean(self.distance[det & self.near] ** 2)) if matched else 0.0
-        return EvalReport(float(fp), float(fn), msd, int(n_det), int(self.ty.size), int(matched), self.tolerance)
+        return EvalReport(float(fp), float(fn), msd, int(n_det), int(n_tru), int(matched), self.tolerance)
 
 
 def _harmonic_mean(p, r):
@@ -244,19 +235,45 @@ def _harmonic_mean(p, r):
     return 2.0 * p * r / np.where(p + r == 0.0, 1.0, p + r)
 
 
-def _best_operating_point(levels, grid, make_params, truth: EdgeMap, match_tolerance: float):
-    # level plane i detects level > grid[j] for each j >= i; the first highest
-    # f in that order wins, and only the winner gets params and a report
-    match = _ToleranceMatch(truth, match_tolerance)
-    best = None
-    for i, level in enumerate(levels):
-        _, _, fp, fn = match.rates(level, np.array(grid[i:], dtype=np.float64))
-        f = _harmonic_mean(1.0 - fp, 1.0 - fn)
-        j = int(np.argmax(f))
-        if best is None or f[j] > best[0]:
-            best = f[j], level, i, i + j
-    _, level, i, j = best
-    return make_params(grid[i], grid[j]), match.report(EdgeMap(level > grid[j]))
+def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, truth: EdgeMap, tolerance: float):
+    # Row i detects the levels above grid[j], for each j >= i, of the
+    # components of the plane values linked above grid[i] (linked), or else
+    # of the pixels of layer i of the (rows, h, w) values. Tallies by (row,
+    # bin), a level's bin being the number of grid values below it, count
+    # them all. The first highest f in row-major order wins, and only the
+    # winner gets params and a report
+    match = _ToleranceMatch(truth, tolerance)
+    lows = np.array(grid, dtype=np.float64)
+    ranked, bins = np.sort(lows), lows.size + 1
+    step = max(1, _STACK_PIXELS // values.size) if linked else lows.size
+    tallies = []
+    for k in range(0, lows.size, step):
+        if linked:
+            passable = values > lows[k:k + step, None, None]
+            labels, n = ndimage.label(passable, structure=_LAYERED)
+            where = np.flatnonzero(passable)
+            component, pixel = labels.ravel()[where], where % values.size
+            maxima = np.full(n + 1, -np.inf)
+            np.maximum.at(maxima, component, values.ravel()[pixel])
+            cells = where // values.size * bins + np.searchsorted(ranked, maxima)[component]
+            det = np.bincount(cells, minlength=len(labels) * bins).reshape(-1, bins)
+            near, reach = cells[match.near.ravel()[pixel]], maxima[labels[match.window]]
+        else:  # each pixel is its own component; a sorted layer's bins are runs
+            det = np.diff([np.searchsorted(np.sort(v, axis=None), ranked, "right") for v in values],
+                          prepend=0, append=values[0].size)
+            near = np.searchsorted(ranked, values[:, match.near]) + bins * np.arange(len(values))[:, None]
+            reach = values[match.window]
+        reach = np.searchsorted(ranked, match.disc_maxima(reach)) + bins * np.arange(len(det))[:, None]
+        tallies.append([det] + [np.bincount(c.ravel(), minlength=det.size).reshape(det.shape) for c in (near, reach)])
+    # reverse cumulative sums count the bins above each grid value
+    above = lows.size - np.searchsorted(ranked, lows, side="right")
+    det, matched, covered = (np.cumsum(np.concatenate(t)[:, ::-1], axis=1)[:, above] for t in zip(*tallies))
+    f = _harmonic_mean(1.0 - (det - matched) / np.maximum(det, 1),
+                       1.0 - (match.ty.size - covered) / max(match.ty.size, 1))
+    f[np.arange(lows.size) < np.arange(len(f))[:, None]] = -1.0
+    i, j = np.unravel_index(np.argmax(f), f.shape)
+    edges = hysteresis(GrayImage(values), grid[i], grid[j]) if linked else EdgeMap(values[i] > grid[j])
+    return make_params(grid[i], grid[j]), match.report(edges)
 
 
 def f_score(report: EvalReport) -> float:
@@ -330,50 +347,39 @@ def _threshold_grid(grid, ascending: bool, make_params, tolerance: float) -> tup
     return grid
 
 
-def _linked_levels(plane: GrayImage, grid):
-    # one labelling per low: pixels of the level plane maxima[labels] above
-    # high are exactly hysteresis(plane, low, high)
-    for low in grid:
-        labels, maxima = component_maxima(plane, low)
-        yield maxima[labels]
-
-
 def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
             use_hysteresis: bool = False, grid=THRESHOLD_GRID):
     """Grid-search the slope threshold(s) maximising the scene's f_score.
 
-    Returns (MHParams, EvalReport) for the best operating point; ties keep
-    the earliest grid point, so the result is deterministic. Candidates are
-    ranked by f-scores read from their detected, matched and uncovered
-    counts, and the winner's report equals score() of its map; the ranking
-    and the report share one truth transform. With use_hysteresis every
-    (low, high) pair with high at or after low in the grid is tried, so the
-    grid must be ascending (ties allowed). An empty grid, a grid that is
-    not ascending where that is needed, any grid value the parameters
-    refuse, and a negative or NaN tolerance raise ValueError before any
-    detector work. Each grid value is checked once, and only the winner's
-    MHParams is built.
+    Returns (MHParams, EvalReport); ties keep the earliest grid point. With
+    use_hysteresis every (low, high) pair with high at or after low in the
+    grid is tried, so the grid must ascend (ties allowed), and one stacked
+    labelling of the crossing-slope map at every low gives every pair's
+    counts. One truth transform ranks all candidates; the winner's report
+    equals score() of its map, and only its MHParams is built. An empty
+    grid, one that does not ascend where it must, a grid value the
+    parameters refuse, and a negative or NaN tolerance raise ValueError
+    before any detector work.
     """
     make_params = ((lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
                    if use_hysteresis else (lambda _, t: MHParams(sigma=sigma, slope_threshold=t)))
     grid = _threshold_grid(grid, use_hysteresis, make_params, tolerance)
-    slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma))
-    levels = _linked_levels(slopes, grid) if use_hysteresis else [slopes.pixels]
-    return _best_operating_point(levels, grid, make_params, scene.truth, tolerance)
+    slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma)).pixels
+    levels = slopes if use_hysteresis else slopes[None]
+    return _best_operating_point(levels, grid, use_hysteresis, make_params, scene.truth, tolerance)
 
 
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport). It ranks from counts with one truth
-    transform, breaks ties, refuses grids and tolerances, checks each grid
-    value once and builds params only for the winner, all like tune_mh
-    with use_hysteresis.
+    Returns (CannyParams, EvalReport). It labels the thinned magnitude at
+    every low at once, and ranks, breaks ties, refuses grids and tolerances
+    and builds params like tune_mh with use_hysteresis.
     """
     make_params = lambda low, high: CannyParams(sigma=sigma, low=low, high=high)
     grid = _threshold_grid(grid, True, make_params, tolerance)
-    plane = thinned_magnitude(scene.image, sigma)
-    return _best_operating_point(_linked_levels(plane, grid), grid, make_params, scene.truth, tolerance)
+    plane = thinned_magnitude(scene.image, sigma).pixels
+    return _best_operating_point(plane, grid, True, make_params, scene.truth, tolerance)
 
 
 def noisy_step_suite(seeds, size: int = 64, contrast: float = 0.5, noise_stddev: float = 0.1) -> list:

@@ -19,17 +19,20 @@ equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
 ran before it moved to whole-array byte passes, one bytes token at a time. two_pass_comparison is
 run_comparison as it ran before a scene's blur and a truth mask's distance
 transform were shared: each detector blurs every scene itself and score()
-transforms the truth for every row.
+transforms the truth for every row. per_low_operating_point is the tuning
+sweep as it ran before every low was labelled in one stack: one labelling,
+one set of box maximum filters and three sorts per low.
 """
 
 import re
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from edgebench.canny import CannyParams, GradientField, canny_detect
-from edgebench.evaluation import EvalReport, score
+from edgebench.canny import CannyParams, GradientField, canny_detect, component_maxima
+from edgebench.evaluation import EvalReport, _harmonic_mean, _ToleranceMatch, score
 from edgebench.filtering import Kernel1D, Kernel2D
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError
 from edgebench.marr_hildreth import MHParams, mh_detect
@@ -364,3 +367,64 @@ def split_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         bad = next(tok for tok in kept if not tok.isdigit())
         raise FormatError(f"malformed sample token {bad!r}")
     return np.fromiter(map(float, kept), np.float64, count)
+
+
+def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    # for each h in hs, the number of values above h
+    return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
+
+
+def _rates(match: _ToleranceMatch, level: np.ndarray, hs, counts_above=_counts_above):
+    """(detected, matched, fp, fn) of the detection level > h, per h in hs.
+
+    A truth pixel is covered at h exactly when the maximum of level over
+    its disc is above h. Padding with level's minimum leaves every disc
+    maximum as it is, since each disc holds its own centre pixel.
+    """
+    n_tru = match.ty.size
+    n_det = counts_above(level, hs)
+    matched = uncovered = 0
+    if n_tru:
+        cval = level.min()
+        reach = np.max([ndimage.maximum_filter(level, box, mode="constant", cval=cval)[match.ty, match.tx]
+                        for box in match.boxes], axis=0)
+        matched = counts_above(level[match.near], hs)
+        uncovered = n_tru - counts_above(reach, hs)
+    fp = (n_det - matched) / np.maximum(n_det, 1)
+    fn = uncovered / max(n_tru, 1)
+    return n_det, matched, fp, fn
+
+
+def _report(match: _ToleranceMatch, detected: EdgeMap) -> EvalReport:
+    det = detected.mask
+    n_det, matched, fp, fn = _rates(match, det, None, lambda values, _: np.count_nonzero(values))
+    msd = float(np.mean(match.distance[det & match.near] ** 2)) if matched else 0.0
+    return EvalReport(float(fp), float(fn), msd, int(n_det), int(match.ty.size), int(matched), match.tolerance)
+
+
+def _linked_levels(plane: GrayImage, grid):
+    # one labelling per low: pixels of the level plane maxima[labels] above
+    # high are exactly hysteresis(plane, low, high)
+    for low in grid:
+        labels, maxima = component_maxima(plane, low)
+        yield maxima[labels]
+
+
+def per_low_operating_point(values: np.ndarray, grid, linked: bool, make_params, truth: EdgeMap, tolerance: float):
+    """evaluation._best_operating_point with one labelling and one rates pass per low.
+
+    Level plane i is the plane values linked above grid[i] (linked), or else
+    values[i]; it detects level > grid[j] for each j >= i. The first highest
+    f in that order wins, and only the winner gets params and a report.
+    """
+    levels = _linked_levels(GrayImage(values), grid) if linked else values
+    match = _ToleranceMatch(truth, tolerance)
+    best = None
+    for i, level in enumerate(levels):
+        _, _, fp, fn = _rates(match, level, np.array(grid[i:], dtype=np.float64))
+        f = _harmonic_mean(1.0 - fp, 1.0 - fn)
+        j = int(np.argmax(f))
+        if best is None or f[j] > best[0]:
+            best = f[j], level, i, i + j
+    _, level, i, j = best
+    return make_params(grid[i], grid[j]), _report(match, EdgeMap(level > grid[j]))

@@ -5,7 +5,9 @@ must give exactly what the per-pixel loop, flood fills, k-d tree queries and
 crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
 zero. The f-score the tuning sweeps read from counts must equal f_score of
-score() for each candidate, and a tie must keep the earliest candidate. The
+score() for each candidate, a tie must keep the earliest candidate, and the
+sweep over one stacked labelling of every low must pick what the per-low
+sweep in oracles.py picks, with its report, however the lows are chunked. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
 forms, the slice-copy border padding must equal np.pad's edge mode, and
 thinning above low must leave every Canny map as it was. The detector, which takes the gradient magnitude only where thinning reads it,
@@ -32,19 +34,19 @@ from hypothesis.extra import numpy as hnp
 from edgebench import evaluation, filtering, image_core
 from edgebench.canny import (CannyParams, GradientField, _thin, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
-from edgebench.evaluation import (THRESHOLD_GRID, Scene, _best_operating_point, _linked_levels, add_gaussian_noise,
-                                  circle_scene, comparison_record, count_components, f_score, noisy_step_suite,
-                                  records_to_csv, records_to_json, rectangle_scene, run_comparison, score, synth_step,
-                                  tune_canny, tune_mh)
+from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, circle_scene, comparison_record,
+                                  count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
+                                  rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
 from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     pad_central_differences, scatter_crossing_slope_map, split_ascii_samples, two_pass_comparison,
-                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
-                     whole_plane_nonmax_suppress)
+                     pad_central_differences, per_low_operating_point, scatter_crossing_slope_map, split_ascii_samples,
+                     two_pass_comparison, whole_plane_convolve_2d, whole_plane_convolve_separable,
+                     whole_plane_crossing_slope_map, whole_plane_nonmax_suppress)
 from test_canny import SMALL_IDS, SMALL_SHAPES
+from test_evaluation import TUNERS
 
 # mostly zeros, like a thinned plane; the other levels double as thresholds
 LEVELS = (0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7)
@@ -273,34 +275,58 @@ SWEEP_SCENES = {
 }
 
 
-def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float):
-    # _best_operating_point with (low, high) standing in for the parameters;
-    # also returns the f-scores it ranked, one array per level plane, and
-    # the pairs it built params for
-    fs, built = [], []
-    real = evaluation._harmonic_mean
+def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float, linked: bool = False, stacks=None):
+    # _best_operating_point with (low, high) standing in for the parameters.
+    # levels is a list of level planes, row i of the sweep each, or with
+    # linked one plane that row i links above grid[i]. Also returns the
+    # f-scores it ranked, f[i, i:] for each row i, and appends the (lows, h,
+    # w) label stacks it made to stacks. The winner must be the first
+    # highest f in row-major order among the cells j >= i, and only its
+    # params are built
+    fs, built, stacks = [], [], [] if stacks is None else stacks
+    real_harmonic_mean, real_label = evaluation._harmonic_mean, evaluation.ndimage.label
 
     def ranked(p, r):
-        fs.append(real(p, r))
-        return fs[-1]
+        fs.append(real_harmonic_mean(p, r))
+        return fs[-1].copy()
+
+    def label(passable, **kwargs):
+        result = real_label(passable, **kwargs)
+        if passable.ndim == 3:
+            stacks.append(result[0])
+        return result
 
     def make_params(low, high):
         built.append((low, high))
         return low, high
 
-    with mock.patch.object(evaluation, "_harmonic_mean", ranked):
-        winner = _best_operating_point(levels, grid, make_params, truth, tolerance)
-    assert built == [winner[0]]
-    return winner, [f.tolist() for f in fs]
+    values = levels.pixels if linked else np.array(levels, dtype=np.float64)
+    with mock.patch.object(evaluation, "_harmonic_mean", ranked), mock.patch.object(evaluation.ndimage, "label", label):
+        winner = evaluation._best_operating_point(values, grid, linked, make_params, truth, tolerance)
+    (f,) = fs
+    assert f.shape == (len(grid) if linked else len(levels), len(grid))
+    valid = np.arange(len(grid)) >= np.arange(len(f))[:, None]
+    low, high = np.unravel_index(np.argmax(np.where(valid, f, -np.inf)), f.shape)
+    assert built == [winner[0]] == [(grid[low], grid[high])]
+    return winner, [row[i:] for i, row in enumerate(f.tolist())]
 
 
 def assert_sweep_f_scores_match_score(plane: GrayImage, truth: EdgeMap, tolerance: float, grid=THRESHOLD_GRID):
     # the candidates the tuning sweeps rank: every f-score read from counts
     # must have the bits of f_score(score(...)) of the candidate, and the
     # winner is the first highest f, reported as score() of its map
-    levels = list(_linked_levels(plane, grid))
-    (params, report), fs = traced_sweep(levels, grid, truth, tolerance)
+    stacks = []
+    (params, report), fs = traced_sweep(plane, grid, truth, tolerance, linked=True, stacks=stacks)
     assert [len(f) for f in fs] == [len(grid) - i for i in range(len(grid))]
+    # layer i of the label stacks holds the components of the pixels above
+    # grid[i]; their maxima, read above high, are the hysteresis map
+    layers = np.concatenate(stacks)
+    levels = []
+    for labels in layers:
+        maxima = np.full(labels.max(initial=0) + 1, -np.inf)
+        np.maximum.at(maxima, labels, plane.pixels)
+        maxima[0] = -np.inf
+        levels.append(maxima[labels])
     candidates = [((low, high), level, f) for i, (low, level, plane_fs) in enumerate(zip(grid, levels, fs))
                   for high, f in zip(grid[i:], plane_fs)]
     for (low, high), level, f in candidates:
@@ -401,6 +427,83 @@ class TestSweepSelection:
             params, report = tune(scene)
             assert len(calls) == 1
             assert report == score(detect(scene.image, params), scene.truth)
+
+
+# the sweeps of tune_canny, tune_mh with use_hysteresis, and tune_mh
+SWEEPS = {
+    "canny": (True, lambda low, high: CannyParams(sigma=1.0, low=low, high=high)),
+    "mh-hysteresis": (True, lambda low, high: MHParams(sigma=1.0, use_hysteresis=True, low=low, high=high)),
+    "mh": (False, lambda _, t: MHParams(sigma=1.0, slope_threshold=t)),
+}
+# grid values on the plane levels, 0 and inf, and values between them
+grid_values = st.one_of(st.sampled_from(LEVELS + (math.inf,)), st.floats(0.0, 1.0))
+ORACLE_TOLERANCES = (0.0, math.sqrt(2.0), 1.5, math.inf)
+# one layer per chunk, or a few layers of the small planes here
+SMALL_BUDGETS = (1, 300)
+
+
+def assert_sweep_matches_oracle(values: np.ndarray, grid, sweep: str, truth: EdgeMap, tolerance: float) -> None:
+    # values is the plane the sweep links, or the one layer it thresholds
+    linked, make_params = SWEEPS[sweep]
+    values = values if linked else values[None]
+    got = evaluation._best_operating_point(values, grid, linked, make_params, truth, tolerance)
+    expected = per_low_operating_point(values, grid, linked, make_params, truth, tolerance)
+    assert repr(got) == repr(expected), (sweep, grid, tolerance)
+
+
+class TestSweepMatchesThePerLowOracle:
+    # one stacked labelling and one tally per chunk of lows must pick the
+    # params, and give the report, of one labelling and one rates pass per low
+
+    @pytest.mark.parametrize("budget", (None,) + SMALL_BUDGETS)
+    @pytest.mark.parametrize("tolerance", ORACLE_TOLERANCES)
+    @pytest.mark.parametrize("tuner", SWEEPS)
+    def test_tuners_on_the_builtin_scenes(self, tuner, tolerance, budget):
+        linked, make_params = SWEEPS[tuner]
+        grids = (THRESHOLD_GRID, (0.0, 0.02, 0.05, 0.05, 0.2, math.inf))
+        if not linked:
+            grids += (THRESHOLD_GRID[::-1], tuple(np.random.default_rng(9).permutation(THRESHOLD_GRID).tolist()))
+        with mock.patch.object(evaluation, "_STACK_PIXELS", budget or evaluation._STACK_PIXELS):
+            for scene in (noisy_step_suite([4])[0], circle_scene(), non_square_scene()):
+                if tuner == "canny":
+                    plane = thinned_magnitude(scene.image, 1.0).pixels
+                else:
+                    plane = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0)).pixels
+                for grid in grids:
+                    values = plane if linked else plane[None]
+                    expected = per_low_operating_point(values, grid, linked, make_params, scene.truth, tolerance)
+                    assert repr(TUNERS[tuner](scene, 1.0, tolerance, grid=grid)) == repr(expected), (scene.name, grid)
+
+    @pytest.mark.parametrize("budget", (None,) + SMALL_BUDGETS)
+    @pytest.mark.parametrize("tolerance", ORACLE_TOLERANCES)
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_edge_cases(self, sweep, tolerance, budget):
+        rng = np.random.default_rng(11)
+        plane = random_plane(rng, (20, 30))
+        truth = EdgeMap(random_mask(rng, (20, 30), 0.1))
+        empty = EdgeMap(np.zeros((20, 30), dtype=bool))
+        with mock.patch.object(evaluation, "_STACK_PIXELS", budget or evaluation._STACK_PIXELS):
+            for grid in (THRESHOLDS, (0.0, 0.0, 0.2, 0.2, math.inf), (math.inf,), (0.7, 0.9)):
+                assert_sweep_matches_oracle(plane, grid, sweep, truth, tolerance)
+                assert_sweep_matches_oracle(plane, grid, sweep, empty, tolerance)
+                # negative levels, so nothing is above any low
+                assert_sweep_matches_oracle(plane - 1.0, grid, sweep, truth, tolerance)
+                assert_sweep_matches_oracle(np.zeros((20, 30)), grid, sweep, truth, tolerance)
+
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)), seeds, st.floats(0.0, 0.5),
+           st.sampled_from(tuple(SWEEPS)), st.lists(grid_values, min_size=1, max_size=8),
+           st.one_of(st.sampled_from(ORACLE_TOLERANCES), st.floats(0.0, 6.0)),
+           st.sampled_from((None,) + SMALL_BUDGETS), st.sampled_from((0.0, -0.5)))
+    def test_random_planes_and_masks(self, shape, seed, density, sweep, grid, tolerance, budget, shift):
+        # a shift below zero leaves some levels negative; the hysteresis
+        # sweeps need an ascending grid, and the single-threshold one takes
+        # its grid in any order
+        rng = np.random.default_rng(seed)
+        plane = random_plane(rng, shape) + shift
+        truth = EdgeMap(random_mask(rng, shape, density))
+        grid = tuple(sorted(grid)) if SWEEPS[sweep][0] else tuple(grid[k] for k in rng.permutation(len(grid)))
+        with mock.patch.object(evaluation, "_STACK_PIXELS", budget or evaluation._STACK_PIXELS):
+            assert_sweep_matches_oracle(plane, grid, sweep, truth, tolerance)
 
 
 # gradient components where the sample arithmetic is delicate: signed zeros,
