@@ -156,20 +156,28 @@ def component_maxima(thinned: GrayImage, low: float) -> tuple:
     return labels, maxima
 
 
+def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    # the 8-connected components of passable that hold a seed; every seed
+    # is passable, so a component with one has a pixel above high
+    labels, n = ndimage.label(passable, structure=_EIGHT_CONNECTED)
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[labels[seeds]] = True
+    return keep.take(labels)
+
+
 def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
     """Two-threshold edge linking over the thinned magnitude plane.
 
     Pixels strictly above high seed the edge set; pixels strictly above low
     join it when they are 8-connected to a seed through pixels above low.
     The result is the flood-fill closure, computed as a connected-component
-    labelling of the pixels above low (component_maxima) that keeps every
-    component whose maximum is above high, so it does not depend on any
-    visitation order.
+    labelling of the pixels above low that keeps every component holding a
+    seed, so it does not depend on any visitation order.
     """
     if not 0 <= low <= high:
         raise ValueError(f"hysteresis thresholds require 0 <= low <= high, got low={low}, high={high}")
-    labels, maxima = component_maxima(thinned, low)
-    return EdgeMap((maxima > high)[labels])
+    values = thinned.pixels
+    return EdgeMap(_link(values > low, values > high))
 
 
 def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:

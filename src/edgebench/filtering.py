@@ -24,6 +24,8 @@ __all__ = [
 
 # bytes of float64 plane per row strip; 32 rows at width 1024
 _STRIP_BYTES = 256 * 1024
+# the largest Gaussian truncation radius check_blur accepts
+_MAX_RADIUS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +80,26 @@ def gaussian_radius(sigma: float) -> int:
 
 def check_blur(sigma: float, radius: "int | None" = None) -> None:
     """Refuse a Gaussian width that no kernel can be sampled for, and a
-    truncation radius that is not a whole number of at least 1, NaN and
-    infinity included; 3.0 counts as 3. None stands for gaussian_radius's
-    default, which must exist: 3*sigma finite."""
+    truncation radius that is not a whole number from 1 to _MAX_RADIUS
+    (4096), NaN and infinity included; 3.0 counts as 3. None stands for
+    gaussian_radius's default, which must exist, 3*sigma finite, and stay
+    within the same cap. The cap keeps every kernel at 8193 taps or fewer,
+    where a radius of 10**9 would ask for a 16 GB tap vector, and each
+    blur's border padding at 8192 rows or columns; it is a round number, not
+    a time budget, since the blur's time still grows with radius times
+    pixels."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"sigma must be large enough that 2*sigma**2 is not 0, got {sigma}")
     if radius is None:
-        gaussian_radius(sigma)
+        radius = gaussian_radius(sigma)
+        if radius > _MAX_RADIUS:
+            raise ValueError(f"radius must be at most {_MAX_RADIUS}, got ceil(3*sigma) = {radius} for sigma {sigma}")
     elif not 1 <= radius < math.inf or radius != math.floor(radius):
         raise ValueError(f"radius must be a whole number of at least 1, got {radius}")
+    elif radius > _MAX_RADIUS:
+        raise ValueError(f"radius must be at most {_MAX_RADIUS}, got {radius}")
 
 
 def gaussian_kernel_1d(sigma: float, radius: int) -> Kernel1D:
@@ -142,18 +153,23 @@ def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
     stage's output row y must read only input rows y - halo .. y + halo, and
     its border handling must start at the plane's first and last rows. Each
     strip runs with the halo rows the image has and keeps its own rows, so
-    the result is bit-identical. A plane that fits in one strip, or a halo
-    taller than half a strip, takes one whole-plane call.
+    the result is bit-identical. The output takes its dtype and any leading
+    axes from stage's, whose rows run along the second-to-last axis. A plane
+    that fits in one strip, or a halo taller than half a strip, takes one
+    whole-plane call.
     """
     h, w = plane.shape
     rows = max(1, _STRIP_BYTES // (plane.itemsize * w))
     if h <= rows or 2 * halo > rows:
         return stage(plane)
-    out = np.empty_like(plane)
+    out = None
     for top in range(0, h, rows):
         bottom = min(top + rows, h)
         lo = max(top - halo, 0)
-        out[top:bottom] = stage(plane[lo:min(bottom + halo, h)])[top - lo:bottom - lo]
+        strip = stage(plane[lo:min(bottom + halo, h)])[..., top - lo:bottom - lo, :]
+        if out is None:
+            out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
+        out[..., top:bottom, :] = strip
     return out
 
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canny import hysteresis
-from .filtering import _by_strips, _smooth, check_blur, convolve_2d, laplacian_kernel_2d
+from .canny import _link
+from .filtering import _by_strips, _edge_padded, _smooth, check_blur
 from .image_core import EdgeMap, GrayImage
 
 __all__ = [
@@ -17,7 +17,8 @@ __all__ = [
     "zero_crossings",
 ]
 
-_LAPLACIAN = laplacian_kernel_2d()
+# no crossing slope |a| + |b| overflows while every |value| is at most this
+_SAFE = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,31 @@ class MHParams:
             raise ValueError(f"hysteresis requires low <= high, got low={self.low}, high={self.high}")
 
 
+def _laplacian(px: np.ndarray) -> np.ndarray:
+    # the four-neighbour stencil as five adds in convolve_2d's tap order,
+    # from +0 as it starts, so the bits are its own and a -0 sum is +0; the
+    # taps are flat slices of the row-padded plane, and a left or right tap
+    # that wraps to the next row is put right in the border column
+    h, w = px.shape
+    n = h * w
+    p = _edge_padded(px, 1, 0)
+    flat, mid = p.ravel(), p[1:-1]
+    out = flat[:n] + 0.0
+    rows = out.reshape(h, w)
+    first = rows[:, 0] + mid[:, 0]
+    out += flat[w - 1:w - 1 + n]
+    rows[:, 0] = first
+    out += flat[w:w + n] * -4.0
+    last = rows[:, -1] + mid[:, -1]
+    out += flat[w + 1:w + 1 + n]
+    rows[:, -1] = last
+    out += flat[2 * w:]
+    return rows
+
+
 def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
     """Gaussian smoothing followed by the four-neighbour Laplacian stencil."""
-    return convolve_2d(_smooth(img, sigma, radius), _LAPLACIAN)
+    return GrayImage(_by_strips(_laplacian, _smooth(img, sigma, radius).pixels, 1))
 
 
 def crossing_slope_map(resp: GrayImage) -> GrayImage:
@@ -56,47 +79,93 @@ def crossing_slope_map(resp: GrayImage) -> GrayImage:
     value is exactly 0 between opposite-signed axis neighbours carries the
     slope of that straddling pair. A pixel hit by several crossings keeps
     the largest slope. Large planes run in row strips with a one-row halo,
-    bit for bit.
+    bit for bit. A slope that overflows is refused with ValueError.
     """
     return GrayImage(_by_strips(_crossing_slopes, resp.pixels, 1))
 
 
-def _crossing_slopes(v: np.ndarray) -> np.ndarray:
-    slopes = np.zeros_like(v)
-    # row pairs, then column pairs as rows of the transpose, whose writes land in slopes
-    for val, out in ((v, slopes), (v.T, slopes.T)):
-        pos, neg = val > 0, val < 0
-        a, b = val[:, :-1], val[:, 1:]
-        # |a - b| is finite unless a and b have opposite signs, so the mask products
-        # leave exact +0s; an overflowing slope turns inf or NaN, which GrayImage refuses
-        slope = np.abs(a - b) * ((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
-        # a is the scan-order earlier member, so <= sends ties its way
-        to_a = slope * (np.abs(a) <= np.abs(b))
-        np.maximum(out[:, :-1], to_a, out=out[:, :-1])
-        np.maximum(out[:, 1:], slope - to_a, out=out[:, 1:])
+def _landings(v: np.ndarray, mag: np.ndarray):
+    # every crossing of v as (target, lands, slope): a crossing marked in
+    # lands lands on that slice of the flattened plane with that slope. Row
+    # pairs are flat neighbours 1 apart, column pairs w apart; a row pair or
+    # straddle that wraps to the next row is cleared. mag is |v| flattened
+    w = v.shape[1]
+    flat = v.ravel()
+    sign = (flat > 0).view(np.int8) - (flat < 0).view(np.int8)
+    zero = flat == 0
+    for d, wraps in ((1, True), (w, False)):
+        opposite = sign[:-d] * sign[d:] < 0
+        if wraps:
+            opposite[w - 1::w] = False
+        # a pair lands on its smaller |value|, a tie on a, the scan-order
+        # earlier; with opposite signs |a - b| is |a| + |b|, bit for bit
+        to_a = mag[:-d] <= mag[d:]
+        slope = mag[:-d] + mag[d:]
+        yield np.s_[:-d], opposite & to_a, slope
+        yield np.s_[d:], opposite > to_a, slope
         # exact zeros straddled by opposite signs
-        straddle = (val[:, 1:-1] == 0) & ((pos[:, :-2] & neg[:, 2:]) | (neg[:, :-2] & pos[:, 2:]))
-        np.maximum(out[:, 1:-1], np.where(straddle, np.abs(val[:, :-2] - val[:, 2:]), 0.0), out=out[:, 1:-1])
-    return slopes
+        if zero[d:-d].any():
+            straddle = zero[d:-d] & (sign[:-2 * d] * sign[2 * d:] < 0)
+            if wraps:
+                straddle[w - 2::w] = straddle[w - 1::w] = False
+            yield np.s_[d:-d], straddle, mag[:-2 * d] + mag[2 * d:]
+
+
+def _crossing_slopes(v: np.ndarray) -> np.ndarray:
+    # an overflowing slope lands as inf, which crossing_slope_map's GrayImage
+    # refuses; a same-signed pair's sum may overflow too, but never lands
+    slopes = np.zeros(v.size)
+    with np.errstate(over="ignore"):
+        for target, lands, slope in _landings(v, np.abs(v).ravel()):
+            np.maximum(slopes[target], np.where(lands, slope, 0.0), out=slopes[target])
+    return slopes.reshape(v.shape)
+
+
+def _crossing_marks(v: np.ndarray, thresholds: tuple) -> np.ndarray:
+    # layer i is crossing_slope_map(v) > thresholds[i]: the pixels some
+    # crossing of slope above thresholds[i] lands on
+    mag = np.abs(v).ravel()
+    if not mag.max() <= _SAFE:
+        # a slope |a| + |b| may overflow: compare the float slopes, refused
+        # as crossing_slope_map refuses them
+        slopes = GrayImage(_crossing_slopes(v)).pixels
+        return np.stack([slopes > t for t in thresholds])
+    marks = np.zeros((len(thresholds), v.size), dtype=bool)
+    for target, lands, slope in _landings(v, mag):
+        for mark, t in zip(marks, thresholds):
+            mark[target] |= lands & (slope > t)
+    return marks.reshape((len(thresholds),) + v.shape)
 
 
 def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
-    """Mark sign changes whose slope magnitude strictly exceeds the threshold."""
+    """Mark sign changes whose slope magnitude strictly exceeds the threshold.
+
+    This is crossing_slope_map(resp) > slope_threshold, with the same
+    refusal of an overflowing slope, computed as boolean masks over row
+    strips with a one-row halo: the float slope plane is never built.
+    """
     if not slope_threshold >= 0:
         raise ValueError(f"slope_threshold must be non-negative, got {slope_threshold}")
-    return EdgeMap(crossing_slope_map(resp).pixels > slope_threshold)
+    return EdgeMap(_by_strips(lambda v: _crossing_marks(v, (slope_threshold,))[0], resp.pixels, 1))
 
 
 def _mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeMap:
-    # the detector after its blur: Laplacian, then threshold or link the crossings
-    resp = convolve_2d(smoothed, _LAPLACIAN)
-    if params.use_hysteresis:
-        return hysteresis(crossing_slope_map(resp), params.low, params.high)
-    return zero_crossings(resp, params.slope_threshold)
+    # the detector after its blur: the Laplacian, refused unless finite, then
+    # one strip pass marks the crossings above each threshold as bool planes;
+    # hysteresis links them by seed labels
+    thresholds = (params.low, params.high) if params.use_hysteresis else (params.slope_threshold,)
+    resp = GrayImage(_by_strips(_laplacian, smoothed.pixels, 1))
+    marks = _by_strips(lambda v: _crossing_marks(v, thresholds), resp.pixels, 1)
+    return EdgeMap(_link(*marks) if params.use_hysteresis else marks[0])
 
 
 def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
-    """Full detector. With use_hysteresis the crossing-slope plane goes
-    through the same two-threshold linking the Canny detector uses;
-    otherwise a single slope threshold decides."""
+    """Full detector: smooth, then keep the Laplacian's zero crossings whose
+    slope is above slope_threshold (zero_crossings), or with use_hysteresis
+    link those above low to those above high (hysteresis of
+    crossing_slope_map). After the blur the Laplacian is taken in row
+    strips, and one row-strip pass marks its crossings above each threshold
+    as boolean planes; linking keeps every 8-connected component of the low
+    plane that holds a pixel of the high plane. No float slope plane is
+    built."""
     return _mh_from_smoothed(_smooth(img, params.sigma, params.radius), params)

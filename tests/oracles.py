@@ -21,7 +21,12 @@ run_comparison as it ran before a scene's blur and a truth mask's distance
 transform were shared: each detector blurs every scene itself and score()
 transforms the truth for every row. per_low_operating_point is the tuning
 sweep as it ran before every low was labelled in one stack: one labelling,
-one set of box maximum filters and three sorts per low.
+one set of box maximum filters and three sorts per low. maxima_hysteresis
+is hysteresis as it ran before it kept the components holding a seed: each
+component's maximum from component_maxima, compared with high.
+slope_plane_mh_from_smoothed is the Marr-Hildreth detector after its blur
+as it ran before its crossings were marked as boolean strips: whole
+Laplacian and crossing-slope planes, then a threshold or maxima_hysteresis.
 """
 
 import re
@@ -33,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from edgebench.canny import CannyParams, GradientField, canny_detect, component_maxima
 from edgebench.evaluation import EvalReport, _harmonic_mean, _ToleranceMatch, score
-from edgebench.filtering import Kernel1D, Kernel2D
+from edgebench.filtering import Kernel1D, Kernel2D, laplacian_kernel_2d
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError
 from edgebench.marr_hildreth import MHParams, mh_detect
 
@@ -57,6 +62,25 @@ def bfs_hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
                     reached[ny, nx] = True
                     queue.append((ny, nx))
     return EdgeMap(reached)
+
+
+def maxima_hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
+    """Keep every component of the pixels above low whose maximum is above high."""
+    if not 0 <= low <= high:
+        raise ValueError(f"hysteresis thresholds require 0 <= low <= high, got low={low}, high={high}")
+    labels, maxima = component_maxima(thinned, low)
+    return EdgeMap((maxima > high)[labels])
+
+
+def slope_plane_mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeMap:
+    """Marr-Hildreth after the blur from whole planes: the Laplacian, the
+    crossing-slope map, then slope > slope_threshold, or maxima_hysteresis
+    of the slope map with (low, high). A non-finite Laplacian or slope is
+    refused by its GrayImage wrap."""
+    slopes = whole_plane_crossing_slope_map(whole_plane_convolve_2d(smoothed, laplacian_kernel_2d()))
+    if params.use_hysteresis:
+        return maxima_hysteresis(slopes, params.low, params.high)
+    return EdgeMap(slopes.pixels > params.slope_threshold)
 
 
 def bfs_count_components(edges, connectivity: int = 8) -> int:

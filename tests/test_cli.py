@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from edgebench import cli
+from edgebench import cli, filtering
 from edgebench.cli import run
 from edgebench.canny import CannyParams
 from edgebench.evaluation import CSV_COLUMNS, EvalReport, add_gaussian_noise, synth_circle, synth_step
@@ -369,6 +369,26 @@ UNREAD_FLAGS = [
                  id="mh-low-above-high"),
     pytest.param(["--detector", "canny"], ["--slope-threshold", "-1"], id="canny-negative-slope"),
 ]
+
+
+class TestRadiusCap:
+    @pytest.mark.parametrize("detector", ["canny", "marr-hildreth"])
+    @pytest.mark.parametrize("extra, shown", [(["--radius", "5"], "got 5"),
+                                              (["--sigma", "1.4"], "got ceil(3*sigma) = 5 for sigma 1.4")])
+    def test_detect_past_a_patched_cap_exits_1_before_the_input_is_opened(self, monkeypatch, tmp_path, capsys,
+                                                                          detector, extra, shown):
+        monkeypatch.setattr(filtering, "_MAX_RADIUS", 4)
+        out = tmp_path / "e.pgm"
+        code = run(["detect", "--detector", detector, "--in", str(tmp_path / "absent.pgm"),
+                    "--out", str(out), *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and f"radius must be at most 4, {shown}" in err
+        assert not out.exists()
+
+    def test_compare_past_the_cap_exits_1(self, capsys):
+        assert run(["compare", "--suite", "circle", "--radius", "4097"]) == 1
+        assert "radius must be at most 4096, got 4097" in capsys.readouterr().err
 
 
 class TestUnreadDetectorFlags:

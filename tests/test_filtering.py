@@ -10,17 +10,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from edgebench import filtering
+from edgebench.canny import CannyParams, canny_detect
+from edgebench.evaluation import synth_step
 from edgebench.filtering import (
     Kernel1D,
     Kernel2D,
     convolve_2d,
     convolve_separable,
     gaussian_kernel_1d,
+    check_blur,
     gaussian_radius,
     laplacian_kernel_2d,
     outer_kernel,
 )
 from edgebench.image_core import GrayImage
+from edgebench.marr_hildreth import MHParams, mh_detect
 
 # frozen from direct evaluation of exp(-k^2/2), k = -3..3, normalised
 CENTER_TAP_SIGMA1_R3 = 0.3990502796524549
@@ -255,3 +260,45 @@ class TestConvolution:
             return np.abs(np.diff(p, axis=0)).sum() + np.abs(np.diff(p, axis=1)).sum()
 
         assert tv(out) <= tv(px) + 1e-12
+
+
+class TestRadiusCap:
+    """check_blur refuses a radius above filtering._MAX_RADIUS, given or
+    the default ceil(3*sigma), before any kernel is built; the tests that
+    reach the cap patch it small, so no large kernel is ever sampled."""
+
+    def test_the_cap_is_4096(self):
+        assert filtering._MAX_RADIUS == 4096
+        check_blur(1.0, 4096)
+        check_blur(4096 / 3)
+
+    @pytest.mark.parametrize("radius", [4097, 10**9, 1e300, np.int64(2**40)])
+    def test_a_radius_past_the_cap_is_refused_by_value_before_any_kernel(self, radius):
+        message = re.escape(f"radius must be at most 4096, got {radius}")
+        for build in (lambda: check_blur(1.0, radius), lambda: gaussian_kernel_1d(1.0, radius),
+                      lambda: CannyParams(radius=radius), lambda: MHParams(radius=radius)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    @pytest.mark.parametrize("sigma", [1366.0, 1e10, 1e300])
+    def test_a_default_radius_past_the_cap_is_refused_by_value(self, sigma):
+        message = re.escape(f"radius must be at most 4096, got ceil(3*sigma) = {math.ceil(3 * sigma)} for sigma {sigma}")
+        for build in (lambda: check_blur(sigma), lambda: CannyParams(sigma=sigma), lambda: MHParams(sigma=sigma)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_a_patched_cap_refuses_just_past_it_and_keeps_the_bytes_up_to_it(self, monkeypatch):
+        scene = synth_step(24, 24, 12, 0.5)
+        before = [canny_detect(scene.image, CannyParams(radius=r)).mask.tobytes() for r in (3, 4)]
+        before += [mh_detect(scene.image, MHParams(sigma=1.0)).mask.tobytes()]
+        monkeypatch.setattr(filtering, "_MAX_RADIUS", 4)
+        after = [canny_detect(scene.image, CannyParams(radius=r)).mask.tobytes() for r in (3, 4)]
+        after += [mh_detect(scene.image, MHParams(sigma=1.0)).mask.tobytes()]
+        assert after == before
+        with pytest.raises(ValueError, match=re.escape("radius must be at most 4, got 5")):
+            CannyParams(radius=5)
+        with pytest.raises(ValueError, match=re.escape("radius must be at most 4, got 5")):
+            gaussian_kernel_1d(1.0, 5)
+        # sigma 1.4 defaults to radius 5
+        with pytest.raises(ValueError, match=re.escape("got ceil(3*sigma) = 5 for sigma 1.4")):
+            MHParams(sigma=1.4)

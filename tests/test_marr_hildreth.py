@@ -1,6 +1,7 @@
 """Laplacian-of-smoothed response and zero-crossing detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from edgebench import canny, filtering, marr_hildreth
 from edgebench.evaluation import synth_step
 from edgebench.image_core import GrayImage
 from edgebench.marr_hildreth import (
@@ -145,6 +147,14 @@ class TestZeroCrossings:
         # centre participates in crossings of slopes 1.0, 0.9, 0.15 and 0.3
         assert slopes[1, 1] == pytest.approx(1.0, abs=1e-15)
 
+    def test_huge_same_signed_neighbours_are_no_crossing_and_warn_nothing(self):
+        # |a| + |b| of a same-signed pair overflows here, but it never lands
+        for px in (np.full((3, 4), 1e308), np.full((4, 3), -1e308), np.array([[1e308, 0.0, 1e308]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not crossing_slope_map(GrayImage(px)).pixels.any()
+                assert zero_crossings(GrayImage(px), 0.0).count == 0
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             zero_crossings(GrayImage(np.zeros((3, 3))), -0.1)
@@ -200,6 +210,20 @@ class TestMhDetect:
         px[5, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             mh_detect(GrayImage(px), params)
+
+    @pytest.mark.parametrize("params", [MHParams(slope_threshold=0.02), MHParams(use_hysteresis=True, low=0.01, high=0.05)])
+    def test_builds_no_slope_plane_and_links_by_seed_labels(self, monkeypatch, params):
+        scene = synth_step(40, 40, 20, 0.5)
+        expected = mh_detect(scene.image, params).mask
+        assert expected.any()
+
+        def absent(*args):
+            raise AssertionError("the detector must not build this plane")
+
+        for module, name in ((filtering, "convolve_2d"), (marr_hildreth, "crossing_slope_map"),
+                             (marr_hildreth, "_crossing_slopes"), (canny, "component_maxima")):
+            monkeypatch.setattr(module, name, absent)
+        assert np.array_equal(mh_detect(scene.image, params).mask, expected)
 
     def test_constant_image_any_params(self):
         img = GrayImage(np.full((12, 12), 0.5))

@@ -16,7 +16,10 @@ and of the pixels, from zero and subnormals to overflow. An
 ASCII raster must read to the same bytes, or fail with the same error, as
 the token-by-token parse. run_comparison, which shares a scene's blur and
 a truth mask's transform, must give the rows and report bytes of one
-detector run and one score() per row.
+detector run and one score() per row. The Marr-Hildreth detector after its
+blur, zero_crossings and hysteresis, which mark boolean strips and link by
+seed labels, must give the maps of the whole float planes compared with
+each threshold and linked by component maxima, or their refusals.
 """
 
 import importlib.util
@@ -31,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgebench import evaluation, filtering, image_core
+from edgebench import evaluation, filtering, image_core, marr_hildreth
 from edgebench.canny import (CannyParams, GradientField, _thin, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, circle_scene, comparison_record,
@@ -40,11 +43,12 @@ from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, cir
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
-from edgebench.marr_hildreth import MHParams, crossing_slope_map, laplacian_of_smoothed, mh_detect
-from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress,
-                     pad_central_differences, per_low_operating_point, scatter_crossing_slope_map, split_ascii_samples,
-                     two_pass_comparison, whole_plane_convolve_2d, whole_plane_convolve_separable,
-                     whole_plane_crossing_slope_map, whole_plane_nonmax_suppress)
+from edgebench.marr_hildreth import (MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed, mh_detect,
+                                     zero_crossings)
+from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress, maxima_hysteresis,
+                     pad_central_differences, per_low_operating_point, scatter_crossing_slope_map,
+                     slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison, whole_plane_convolve_2d,
+                     whole_plane_convolve_separable, whole_plane_crossing_slope_map, whole_plane_nonmax_suppress)
 from test_canny import SMALL_IDS, SMALL_SHAPES
 from test_evaluation import TUNERS
 
@@ -620,6 +624,138 @@ class TestCrossingSlopeMatchesScatter:
         assert_crossings_match(px)
 
 
+# 1024 wide, so strips are 32 rows at the real budget: 100 rows cross three strip boundaries
+WIDE = (100, 1024)
+# rows whose crossing slopes overflow, or (the first) do not, with whether they do
+HUGE_NEIGHBOURS = [
+    ([1e308, -1e-300, -1e308], False),  # the outer pair straddles no zero
+    ([-1e308, 0.0, 1e308], True),       # a straddle whose slope overflows
+    ([1.5e308, -1e308], True),          # a pair whose slope overflows, on the later member
+    ([-1e308, 1e308], True),            # the same on a tie, on the earlier member
+]
+
+
+def slopes_on(px: np.ndarray) -> list:
+    """0 and five thresholds that sit exactly on crossing slopes of px."""
+    slopes = np.unique(whole_plane_crossing_slope_map(GrayImage(px)).pixels)
+    return [0.0] + slopes[np.linspace(0, slopes.size - 1, 5).astype(int)].tolist()
+
+
+def mh_cases(thresholds: list) -> list:
+    """Single thresholds, low == high, and pairs from thresholds."""
+    pairs = [(lo, hi) for i, lo in enumerate(thresholds) for hi in thresholds[i:i + 2]]
+    return ([MHParams(slope_threshold=t) for t in thresholds]
+            + [MHParams(use_hysteresis=True, low=lo, high=hi) for lo, hi in pairs])
+
+
+def assert_mh_matches(smoothed: np.ndarray, params: MHParams) -> None:
+    got = outcome(_mh_from_smoothed, GrayImage(smoothed), params)
+    assert got == outcome(slope_plane_mh_from_smoothed, GrayImage(smoothed), params), (smoothed.shape, params)
+
+
+class TestMarrHildrethMatchesSlopePlanes:
+    """zero_crossings, hysteresis and the detector after its blur mark
+    boolean strips and link by seed labels; they must give the maps of the
+    float slope plane compared with each threshold and linked by component
+    maxima, or its refusal."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_crossings_on_wide_quantised_planes(self, seed):
+        # exact and signed zeros, denormals and |a| == |b| ties
+        px = np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=WIDE)
+        slopes = whole_plane_crossing_slope_map(GrayImage(px)).pixels
+        for t in slopes_on(px):
+            assert zero_crossings(GrayImage(px), t).mask.tobytes() == (slopes > t).tobytes(), t
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hysteresis_on_wide_slope_planes(self, seed):
+        px = np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=WIDE)
+        slopes = whole_plane_crossing_slope_map(GrayImage(px))
+        ts = slopes_on(px)
+        for low, high in [(lo, hi) for i, lo in enumerate(ts) for hi in ts[i:]]:
+            got = hysteresis(slopes, low, high).mask
+            assert got.tobytes() == maxima_hysteresis(slopes, low, high).mask.tobytes(), (low, high)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_detector_on_wide_quantised_smoothed_planes(self, seed):
+        # quantised smoothed levels give Laplacians with exact and signed zeros and ties
+        px = np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=WIDE)
+        lap = whole_plane_convolve_2d(GrayImage(px), laplacian_kernel_2d()).pixels
+        for params in mh_cases(slopes_on(lap)):
+            assert_mh_matches(px, params)
+
+    @pytest.mark.parametrize("shape", [(1, 1024), (2, 1024), (3, 1024), (1024, 1), (1024, 2), (1, 1)])
+    def test_detector_on_planes_one_to_three_pixels_thin(self, shape):
+        px = np.random.default_rng(shape[0]).choice(RESPONSE_LEVELS, size=shape)
+        for params in mh_cases([0.0, 0.5, 1.0]):
+            assert_mh_matches(px, params)
+
+    def test_mh_detect_on_the_detect_composite(self):
+        gray, _ = load_detect_composite()(0)
+        img = GrayImage(gray)
+        k = gaussian_kernel_1d(1.0, gaussian_radius(1.0))
+        smoothed = whole_plane_convolve_separable(img, k, k)
+        # the detect workload's two Marr-Hildreth invocations and the CLI's default
+        for params in (MHParams(slope_threshold=0.02), MHParams(use_hysteresis=True, low=0.01, high=0.05), MHParams()):
+            expected = slope_plane_mh_from_smoothed(smoothed, params).mask
+            assert mh_detect(img, params).mask.tobytes() == expected.tobytes(), params
+
+    @pytest.mark.parametrize("row, overflows", HUGE_NEIGHBOURS)
+    def test_huge_opposite_neighbours(self, monkeypatch, row, overflows):
+        # the Laplacian made the identity, so the rows reach the detector's
+        # crossings as they are
+        monkeypatch.setattr(marr_hildreth, "_laplacian", np.copy)
+        for px in (np.array([row]), np.array([row]).T):
+            expected = outcome(lambda p, t: EdgeMap(whole_plane_crossing_slope_map(p).pixels > t), GrayImage(px), 0.0)
+            assert (expected == b"gray pixels must be finite, got NaN or infinity") == overflows
+            assert outcome(zero_crossings, GrayImage(px), 0.0) == expected
+            for params in (MHParams(), MHParams(use_hysteresis=True)):
+                assert outcome(_mh_from_smoothed, GrayImage(px), params) == expected
+
+    @pytest.mark.parametrize("levels", [(-1.0, -0.5, 0.0, 0.5, 1.0), (0.75, 1.0, 1.25)])
+    @pytest.mark.parametrize("scale", [1e306, 1e307, 2e307, 1e308])
+    def test_huge_smoothed_planes_in_strips(self, monkeypatch, scale, levels):
+        # a Laplacian or slope that overflows must be refused, and one that
+        # does not must give the map (levels near one scale do not)
+        set_strip_rows(monkeypatch, 4, 9)
+        rng = np.random.default_rng(int(scale // 1e305) + len(levels))
+        for _ in range(4):
+            px = np.zeros((24, 9))
+            rows = slice(*sorted(rng.integers(0, 25, 2)))
+            px[rows] = rng.choice(levels, size=px[rows].shape) * scale
+            for params in mh_cases([0.0, scale]):
+                assert_mh_matches(px, params)
+            assert outcome(zero_crossings, GrayImage(px), 0.0) == outcome(
+                lambda p, t: EdgeMap(whole_plane_crossing_slope_map(p).pixels > t), GrayImage(px), 0.0)
+
+    def test_strip_halos_refuse_nothing_the_whole_planes_map(self, monkeypatch):
+        # in strips of 4 rows, an edge-replicated halo row of this column
+        # would have a Laplacian whose slopes overflow, while the whole
+        # column's do not: crossings must be marked on the image's own
+        # Laplacian rows, never on a strip's recomputed halo
+        column = np.array([-1.0, -1.0, 0.0, -0.5, 0.5, 0.5, 1.0, 0.5, -1.0, 0.5, 1.0, 0.5])
+        px = column[:, None] * (np.finfo(np.float64).max / 4)
+        set_strip_rows(monkeypatch, 4, 1)
+        assert outcome(slope_plane_mh_from_smoothed, GrayImage(px), MHParams()).count(1) == 7
+        for params in mh_cases([0.0]):
+            assert_mh_matches(px, params)
+            assert_mh_matches(np.ascontiguousarray(px.T), params)
+
+    @given(st.tuples(st.integers(1, 30), st.integers(1, 30)), st.integers(1, 32), seeds, st.sampled_from(PAIRS))
+    def test_random_images_in_strips(self, shape, strip, seed, pair):
+        # the Laplacian's and the crossing marks' halos across every strip height
+        px = np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=shape)
+        img = GrayImage(random_plane(np.random.default_rng(seed), shape))
+        k = gaussian_kernel_1d(1.0, gaussian_radius(1.0))
+        with pytest.MonkeyPatch.context() as mp:
+            set_strip_rows(mp, strip, shape[1])
+            for params in (MHParams(slope_threshold=pair[0]), MHParams(use_hysteresis=True, low=pair[0], high=pair[1])):
+                assert_mh_matches(px, params)
+                assert_mh_matches(px + 0.2, params)
+                expected = slope_plane_mh_from_smoothed(whole_plane_convolve_separable(img, k, k), params)
+                assert mh_detect(img, params).mask.tobytes() == expected.mask.tobytes()
+
+
 def floored(plane: GrayImage, floor: float) -> np.ndarray:
     return np.where(plane.pixels > floor, plane.pixels, 0.0)
 
@@ -857,6 +993,7 @@ def assert_strips_match(px: np.ndarray, sigma: float, radius=None) -> None:
         got = convolve_2d(img, kernel).pixels
         assert got.tobytes() == whole_plane_convolve_2d(img, kernel).pixels.tobytes(), (px.shape, sigma)
     resp = whole_plane_convolve_2d(whole_plane_convolve_separable(img, k, k), laplacian_kernel_2d())
+    assert laplacian_of_smoothed(img, sigma, radius).pixels.tobytes() == resp.pixels.tobytes(), (px.shape, sigma)
     quantised = np.random.default_rng(px.size).choice(RESPONSE_LEVELS, size=px.shape)
     for plane in (resp, GrayImage(quantised), GrayImage(px - 0.5)):
         got = crossing_slope_map(plane).pixels
@@ -950,6 +1087,32 @@ class TestStripsMatchWholePlane:
         else:
             tops = range(0, h, strip)
             assert seen == [(max(t - halo, 0), min(t + strip + halo, h) - max(t - halo, 0)) for t in tops]
+
+    @pytest.mark.parametrize("h, strip", [(1, 1), (10, 1), (10, 3), (10, 10), (33, 10)])
+    def test_layered_output_of_another_dtype(self, monkeypatch, h, strip):
+        plane = np.arange(h * 4, dtype=np.float64).reshape(h, 4)
+        set_strip_rows(monkeypatch, strip, 4)
+
+        def stage(px):
+            # row y of each layer reads rows y - 1 .. y + 1
+            near = np.pad(px, ((1, 1), (0, 0)), mode="edge")
+            return np.stack([near[:-2] < px, near[2:] > px + 4.0])
+
+        got = _by_strips(stage, plane, 1)
+        assert (got.dtype, got.shape) == (np.dtype(bool), (2, h, 4))
+        assert np.array_equal(got, stage(plane))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_laplacian_of_quantised_planes_with_signed_zeros(self, monkeypatch, shape):
+        px = np.random.default_rng(shape[0] + 3 * shape[1]).choice(RESPONSE_LEVELS, size=shape)
+        set_strip_rows(monkeypatch, 3, shape[1])
+        # a +0 whose four neighbours are -0 sums to -0 unless the sum starts
+        # from +0, as convolve_2d's does
+        checkers = np.where(np.indices(shape).sum(axis=0) % 2 == 1, -0.0, 0.0)
+        for plane in (px, checkers):
+            expected = whole_plane_convolve_2d(GrayImage(plane), laplacian_kernel_2d()).pixels
+            assert _by_strips(marr_hildreth._laplacian, plane, 1).tobytes() == expected.tobytes()
+        assert not np.signbit(marr_hildreth._laplacian(checkers)).any()
 
     @given(st.tuples(st.integers(1, 40), st.integers(1, 40)), st.integers(1, 45), seeds,
            st.one_of(st.floats(0.3, 3.0).map(lambda s: (s, None)),
