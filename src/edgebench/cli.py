@@ -1,6 +1,6 @@
 """Command-line interface: detect, synth, evaluate, compare.
 
-Exit codes: 0 success, 1 bad flags or parameter values, 2 I/O failure.
+Exit codes: 0 success, 1 bad flags or parameter values or out of memory, 2 I/O failure.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from .evaluation import (
     synth_rectangle,
     synth_step,
 )
-from .image_core import FormatError, RgbImage, TruncationError, atomic_write_bytes, read_image, rgb_to_gray, write_image
+from .image_core import FormatError, TruncationError, _read_gray, atomic_write_bytes, write_image
 from .marr_hildreth import MHParams, mh_detect
 
 __all__ = ["main", "run"]
@@ -170,10 +170,7 @@ def _emit(records, fmt: str, out_path) -> None:
 
 def _cmd_detect(args) -> int:
     params = _params(args, args.detector)  # checked before any file is opened
-    image = read_image(args.in_path)
-    if isinstance(image, RgbImage):
-        image = rgb_to_gray(image)
-    write_image(_DETECTORS[args.detector](image, params), args.out_path)
+    write_image(_DETECTORS[args.detector](_read_gray(args.in_path), params), args.out_path)
     return 0
 
 
@@ -225,6 +222,9 @@ def run(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"edgebench: invalid parameters: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"edgebench: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 1
 
 

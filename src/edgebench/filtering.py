@@ -147,8 +147,23 @@ def _edge_padded(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
     return out
 
 
+def _row_strips(plane: np.ndarray) -> list:
+    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row."""
+    rows = max(1, _STRIP_BYTES // (plane.itemsize * plane.shape[1]))
+    return [(top, min(top + rows, len(plane))) for top in range(0, len(plane), rows)]
+
+
+def _accumulate(out: np.ndarray, terms) -> np.ndarray:
+    """out = +0 + tap * window for each (tap, window) of terms, in order."""
+    buf = np.empty_like(out)
+    out.fill(0.0)
+    for tap, window in terms:
+        out += np.multiply(window, tap, out=buf)
+    return out
+
+
 def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
-    """stage(plane), computed over row strips of about _STRIP_BYTES.
+    """stage(plane), computed over the row strips of _row_strips.
 
     stage's output row y must read only input rows y - halo .. y + halo, and
     its border handling must start at the plane's first and last rows. Each
@@ -158,15 +173,13 @@ def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
     that fits in one strip, or a halo taller than half a strip, takes one
     whole-plane call.
     """
-    h, w = plane.shape
-    rows = max(1, _STRIP_BYTES // (plane.itemsize * w))
-    if h <= rows or 2 * halo > rows:
+    strips = _row_strips(plane)
+    if len(strips) == 1 or 2 * halo > strips[0][1]:
         return stage(plane)
     out = None
-    for top in range(0, h, rows):
-        bottom = min(top + rows, h)
+    for top, bottom in strips:
         lo = max(top - halo, 0)
-        strip = stage(plane[lo:min(bottom + halo, h)])[..., top - lo:bottom - lo, :]
+        strip = stage(plane[lo:bottom + halo])[..., top - lo:bottom - lo, :]
         if out is None:
             out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
         out[..., top:bottom, :] = strip
@@ -178,23 +191,23 @@ def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
 
     Out-of-range samples replicate the nearest border pixel, which keeps
     the two 1-D passes exactly equivalent to the 2-D outer-product pass.
-    Large planes run in row strips with a halo of ky's radius, bit for bit.
+    Both run in row strips: the kx pass filters each row once, into a plane
+    padded with ky's radius of repeated first and last rows, whose strips
+    the ky pass reads with their halo. The bits are the whole-plane passes'.
     """
-    def stage(px):
-        h, w = px.shape
-        buf = np.empty_like(px)
-        padded = _edge_padded(px, 0, kx.radius)
-        tmp = np.zeros_like(px)
-        for i, tap in enumerate(kx.taps):
-            tmp += np.multiply(padded[:, i:i + w], tap, out=buf)
-
-        padded = _edge_padded(tmp, ky.radius, 0)
-        out = np.zeros_like(px)
-        for i, tap in enumerate(ky.taps):
-            out += np.multiply(padded[i:i + h, :], tap, out=buf)
-        return out
-
-    return GrayImage(_by_strips(stage, img.pixels, ky.radius))
+    px = img.pixels
+    h, w = px.shape
+    ry = ky.radius
+    tmp = np.empty((h + 2 * ry, w))
+    for top, bottom in _row_strips(px):
+        padded = _edge_padded(px[top:bottom], 0, kx.radius)
+        _accumulate(tmp[ry + top:ry + bottom], ((tap, padded[:, i:i + w]) for i, tap in enumerate(kx.taps)))
+    tmp[:ry], tmp[ry + h:] = tmp[ry], tmp[ry + h - 1]
+    out = np.empty_like(px)
+    for top, bottom in _row_strips(px):
+        _accumulate(out[top:bottom], ((tap, tmp[top + i:bottom + i]) for i, tap in enumerate(ky.taps)))
+    del tmp  # before the wrap copies out
+    return GrayImage(out)
 
 
 def _smooth(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
@@ -210,19 +223,12 @@ def convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:
     reference path the separable route is checked against.
     """
     r = kernel.radius
+    # zero taps are skipped: they add nothing to a finite sum
+    nonzero = [(tap, i, j) for i, row in enumerate(kernel.taps.tolist()) for j, tap in enumerate(row) if tap]
 
     def stage(px):
         h, w = px.shape
         padded = _edge_padded(px, r, r)
-        out = np.zeros_like(px)
-        buf = np.empty_like(px)
-        side = 2 * r + 1
-        for i in range(side):
-            for j in range(side):
-                tap = kernel.taps[i, j]
-                if tap == 0.0:
-                    continue
-                out += np.multiply(padded[i:i + h, j:j + w], tap, out=buf)
-        return out
+        return _accumulate(np.empty_like(px), ((tap, padded[i:i + h, j:j + w]) for tap, i, j in nonzero))
 
     return GrayImage(_by_strips(stage, img.pixels, r))

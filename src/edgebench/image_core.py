@@ -1,5 +1,6 @@
 """Pixel buffers, grayscale conversion, and PGM/PPM file I/O."""
 
+import math
 import os
 import re
 import tempfile
@@ -133,15 +134,22 @@ class EdgeMap:
         return f"EdgeMap({self.width}x{self.height}, {self.count} marked)"
 
 
+def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rgb_to_gray's rule on three channel planes."""
+    gray = r * LUMA_RED + g * LUMA_GREEN + b * LUMA_BLUE
+    np.copyto(gray, r, where=(r == g) & (g == b))
+    return gray
+
+
 def rgb_to_gray(img: RgbImage) -> GrayImage:
     """Collapse RGB to luminance with the BT.601 weights.
 
     The weighted sum is a convex combination, so output intensities stay
     in [0, 1]. A pixel whose three channels equal v gives v exactly, so a
-    gray picture stored as RGB reads as the same gray plane.
+    gray picture stored as RGB reads as the same gray plane. The CLI's PPM
+    reader applies the same rule to one plane per channel.
     """
-    r, g, b = np.moveaxis(img.pixels, 2, 0)
-    return GrayImage(np.where((r == g) & (g == b), r, r * LUMA_RED + g * LUMA_GREEN + b * LUMA_BLUE))
+    return GrayImage(_luma(*np.moveaxis(img.pixels, 2, 0)))
 
 
 def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -210,16 +218,9 @@ def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     return samples
 
 
-def read_image(path) -> "GrayImage | RgbImage":
-    """Read a PGM (P2/P5) or PPM (P3/P6) file.
-
-    Returns a GrayImage for PGM input and an RgbImage for PPM input.
-    Sample values are normalised by 255 (one byte per sample) or 65535
-    (two bytes, big-endian).
-
-    Raises FormatError for a malformed header, TruncationError for missing
-    pixel data, and OSError for filesystem failures.
-    """
+def _read_samples(path) -> tuple:
+    """read_image's checked samples before scaling, shaped (h, w) or (h, w, 3):
+    views of a binary raster or the ASCII parse's own float64 array; and the scale."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -230,8 +231,8 @@ def read_image(path) -> "GrayImage | RgbImage":
     height, pos = _header_int(data, pos, "height", 1, 2**31 - 1)
     maxval, pos = _header_int(data, pos, "maxval", 1, 65535)
 
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    count = width * height * channels
+    shape = (height, width, 3) if magic in (b"P3", b"P6") else (height, width)
+    count = math.prod(shape)
 
     if magic in (b"P5", b"P6"):
         if pos >= len(data) or data[pos] not in _HEADER_WHITESPACE:
@@ -242,18 +243,37 @@ def read_image(path) -> "GrayImage | RgbImage":
         if len(raster) < needed:
             raise TruncationError(f"pixel data truncated: expected {needed} bytes, got {len(raster)}")
         dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
-        samples = np.frombuffer(raster[:needed], dtype=dtype).astype(np.float64)
+        samples = np.frombuffer(raster[:needed], dtype=dtype)
     else:
         samples = _ascii_samples(data, pos, count)
 
-    if samples.max(initial=0.0) > maxval:
+    if samples.max(initial=0) > maxval:
         raise FormatError(f"sample value {samples.max():.0f} exceeds maxval {maxval}")
+    return samples.reshape(shape), 255.0 if maxval <= 255 else 65535.0
 
-    scale = 255.0 if maxval <= 255 else 65535.0
-    samples /= scale
-    if channels == 1:
-        return GrayImage(samples.reshape(height, width))
-    return RgbImage(samples.reshape(height, width, 3))
+
+def read_image(path) -> "GrayImage | RgbImage":
+    """Read a PGM (P2/P5) or PPM (P3/P6) file.
+
+    Returns a GrayImage for PGM input and an RgbImage for PPM input.
+    Sample values are normalised by 255 (one byte per sample) or 65535
+    (two bytes, big-endian).
+
+    Raises FormatError for a malformed header or a sample above maxval,
+    TruncationError for missing pixel data, and OSError for filesystem failures.
+    """
+    samples, scale = _read_samples(path)
+    # the ASCII parse's own float samples are divided in place
+    pixels = np.divide(samples, scale, out=samples if samples.dtype == np.float64 else None)
+    return GrayImage(pixels) if pixels.ndim == 2 else RgbImage(pixels)
+
+
+def _read_gray(path) -> GrayImage:
+    """read_image(path), a PPM collapsed as rgb_to_gray does, from one plane per channel."""
+    samples, scale = _read_samples(path)
+    if samples.ndim == 2:
+        return GrayImage(samples / scale)
+    return GrayImage(_luma(*(samples[..., c] / scale for c in range(3))))
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from edgebench import cli, filtering
+from edgebench import cli, filtering, image_core
 from edgebench.cli import run
-from edgebench.canny import CannyParams
+from edgebench.canny import CannyParams, canny_detect
 from edgebench.evaluation import CSV_COLUMNS, EvalReport, add_gaussian_noise, synth_circle, synth_step
-from edgebench.image_core import read_image, write_image
-from edgebench.marr_hildreth import MHParams
-from test_image_core import damaged_netpbm_files
+from edgebench.image_core import read_image, rgb_to_gray, write_image
+from edgebench.marr_hildreth import MHParams, mh_detect
+from test_image_core import MALFORMED_NETPBM, damaged_netpbm_files, netpbm_bytes
 
 
 @pytest.fixture
@@ -117,6 +117,44 @@ class TestDetect:
         code = run(detect_args(tmp / "in.pnm", tmp / "e.pgm"))
         assert code in (0, 2)
         assert (tmp / "e.pgm").exists() == (code == 0)
+
+    @pytest.mark.parametrize("body", MALFORMED_NETPBM)
+    def test_malformed_netpbm_input_exits_2_with_the_readers_message(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.pnm"
+        bad.write_bytes(body)
+        with pytest.raises(ValueError) as info:
+            read_image(bad)
+        assert run(detect_args(bad, tmp_path / "e.pgm")) == 2
+        assert capsys.readouterr().err == f"edgebench: i/o error: {info.value}\n"
+        assert not (tmp_path / "e.pgm").exists()
+
+    @pytest.mark.parametrize("magic, maxval", [(b"P6", 255), (b"P6", 65535), (b"P3", 255)])
+    def test_ppm_reaches_gray_without_an_rgb_image(self, monkeypatch, tmp_path, magic, maxval):
+        rng = np.random.default_rng(maxval)
+        levels = rng.integers(0, maxval + 1, (40, 40))
+        # unequal channels around a step, equal ones in a corner
+        rgb = np.stack([levels, levels // 2, maxval - levels], axis=-1)
+        rgb[:, 20:] //= 3
+        rgb[:8, :8] = rgb[:8, :8, :1]
+        path = tmp_path / "in.ppm"
+        path.write_bytes(netpbm_bytes(magic, rgb, maxval))
+        gray = rgb_to_gray(read_image(path))
+        cases = [(["--detector", "canny", "--low", "0.01", "--high", "0.05"], canny_detect, CannyParams(low=0.01, high=0.05)),
+                 (["--detector", "marr-hildreth", "--slope-threshold", "0.01"], mh_detect, MHParams(slope_threshold=0.01))]
+        expected = []
+        for i, (_, detect, params) in enumerate(cases):
+            write_image(detect(gray, params), tmp_path / f"expected{i}.pgm")
+            expected.append((tmp_path / f"expected{i}.pgm").read_bytes())
+
+        def absent(*args):
+            raise AssertionError("detect must not build an RgbImage or collapse one")
+
+        monkeypatch.setattr(image_core, "RgbImage", absent)
+        monkeypatch.setattr(image_core, "rgb_to_gray", absent)
+        for i, (flags, _, _) in enumerate(cases):
+            out = tmp_path / f"e{i}.pgm"
+            assert run(["detect", "--in", str(path), "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == expected[i]
 
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         code = run(["detect", "--no-such-flag"])
@@ -408,6 +446,29 @@ class TestUnreadDetectorFlags:
             assert run(["evaluate", "--scene", "circle", *flags, *extra]) == 0
             records.append(capsys.readouterr().out)
         assert records[0] == records[1]
+
+
+class TestOutOfMemory:
+    """A refused allocation exits 1 with a message, not a traceback. The
+    allocation is a patched function that raises: no test asks for a large
+    array."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--scene", "circle", "--size", "100000000", "--out-image", "{tmp}/s.pgm", "--out-truth", "{tmp}/t.pgm"],
+        ["evaluate", "--detector", "canny", "--scene", "circle", "--size", "100000000"],
+    ], ids=["synth", "evaluate"])
+    @pytest.mark.parametrize("error, shown", [
+        (MemoryError("Unable to allocate 74.5 PiB"), "Unable to allocate 74.5 PiB"),
+        (MemoryError(), "an allocation was refused"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_exits_1(self, monkeypatch, tmp_path, capsys, argv, error, shown):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "synth_circle", refuse)
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"edgebench: out of memory: {shown}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestTopLevel:

@@ -20,6 +20,7 @@ from edgebench.image_core import (
     RgbImage,
     TruncationError,
     _ascii_samples,
+    _read_gray,
     read_image,
     rgb_to_gray,
     write_image,
@@ -422,6 +423,128 @@ class TestRead:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_image(tmp_path / "absent.pgm")
+
+
+def netpbm_bytes(magic: bytes, samples: np.ndarray, maxval: int) -> bytes:
+    """A P2/P3/P5/P6 file of integer samples shaped (h, w) or (h, w, 3)."""
+    h, w = samples.shape[:2]
+    header = b"%s\n%d %d\n%d\n" % (magic, w, h, maxval)
+    if magic in (b"P5", b"P6"):
+        return header + samples.astype(np.uint8 if maxval <= 255 else ">u2").tobytes()
+    return header + b"\n".join(b" ".join(b"%d" % v for v in row) for row in samples.reshape(h, -1)) + b"\n"
+
+
+def assert_reads_to_the_same_gray(path) -> None:
+    img = read_image(path)
+    expected = rgb_to_gray(img) if isinstance(img, RgbImage) else img
+    got = _read_gray(path)
+    assert isinstance(got, GrayImage)
+    assert got.pixels.tobytes() == expected.pixels.tobytes()
+
+
+# one entry per way a P5/P6/P2/P3 file can fail to read: header, raster
+# and sample-value faults of each format
+MALFORMED_NETPBM = [
+    pytest.param(b"P7\n1 1\n255\n\x00", id="unknown-magic"),
+    pytest.param(b"P6\n0 1\n255\n", id="p6-zero-width"),
+    pytest.param(b"P3\n1 -1\n255\n1 2 3", id="p3-signed-height"),
+    pytest.param(b"P6\n1 1\n70000\n\x00\x00", id="p6-maxval-out-of-range"),
+    pytest.param(b"P6\n3 3", id="p6-header-cut-short"),
+    pytest.param(b"P3 # note", id="p3-header-cut-short"),
+    pytest.param(b"P6\n1 1\n255", id="p6-no-raster-whitespace"),
+    pytest.param(b"P5\n1 1\n255", id="p5-no-raster-whitespace"),
+    pytest.param(b"P6\n2 2\n255\n" + bytes(11), id="p6-truncated"),
+    pytest.param(b"P6\n1 1\n65535\n" + bytes(5), id="p6-16-bit-truncated"),
+    pytest.param(b"P5\n4 4\n255\n" + bytes(10), id="p5-truncated"),
+    pytest.param(b"P3\n2 1\n255\n1 2 3 4 5\n", id="p3-truncated"),
+    pytest.param(b"P2\n3 1\n255\n1 2\n", id="p2-truncated"),
+    pytest.param(b"P6\n1 1\n100\n" + bytes([0, 101, 0]), id="p6-over-maxval"),
+    pytest.param(b"P6\n1 1\n300\n" + np.array([0, 0, 301], ">u2").tobytes(), id="p6-16-bit-over-maxval"),
+    pytest.param(b"P5\n1 1\n7\n\x08", id="p5-over-maxval"),
+    pytest.param(b"P3\n1 1\n1\n0 1 2\n", id="p3-over-maxval"),
+    pytest.param(b"P2\n1 1\n100\n101\n", id="p2-over-maxval"),
+    pytest.param(b"P3\n1 1\n255\n1 2 x\n", id="p3-malformed-sample"),
+    pytest.param(b"P3\n1 1\n255\n1 +2 3\n", id="p3-signed-sample"),
+    pytest.param(b"P2\n1 1\n255\n1.5\n", id="p2-decimal-point"),
+]
+
+
+def netpbm_error(read, path) -> tuple:
+    with pytest.raises((FormatError, TruncationError)) as info:
+        read(path)
+    return type(info.value), str(info.value)
+
+
+class TestReadGray:
+    """_read_gray, the CLI's reader, must give rgb_to_gray(read_image(p)) for
+    a PPM and read_image(p) for a PGM, byte for byte, or the same error."""
+
+    @pytest.mark.parametrize("maxval", [1, 7, 255, 256, 65535])
+    @pytest.mark.parametrize("magic", [b"P6", b"P3", b"P5", b"P2"])
+    def test_random_pixels_at_every_maxval(self, tmp_path, magic, maxval):
+        rng = np.random.default_rng(maxval)
+        channels = (3,) if magic in (b"P3", b"P6") else ()
+        samples = rng.integers(0, maxval + 1, (9, 13) + channels)
+        if channels:
+            samples[::2, ::3] = samples[::2, ::3, :1]  # equal channels here and there
+        p = tmp_path / "t.pnm"
+        p.write_bytes(netpbm_bytes(magic, samples, maxval))
+        assert_reads_to_the_same_gray(p)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("magic", [b"P6", b"P3"])
+    def test_all_256_levels_in_each_channel(self, tmp_path, magic, maxval):
+        levels = np.arange(256) * (maxval // 255)
+        grid = np.stack(np.meshgrid(levels, levels[::-1]), axis=-1)
+        for other in (levels[None, :], levels[:, None], np.full((1, 1), levels[77])):
+            rgb = np.concatenate([grid, np.broadcast_to(other, (256, 256))[..., None]], axis=-1)
+            for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+                p = tmp_path / "t.pnm"
+                p.write_bytes(netpbm_bytes(magic, rgb[..., order], maxval))
+                assert_reads_to_the_same_gray(p)
+
+    def test_equal_channels_keep_their_level_exactly(self, tmp_path):
+        levels = np.arange(256)
+        p = tmp_path / "t.ppm"
+        p.write_bytes(netpbm_bytes(b"P6", np.repeat(levels, 3).reshape(1, 256, 3), 255))
+        assert _read_gray(p).pixels.tobytes() == (levels[None, :] / 255.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (1, 300), (300, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("magic, maxval", [(b"P6", 255), (b"P6", 65535), (b"P3", 255), (b"P3", 1000)])
+    def test_one_pixel_and_one_wide_images(self, tmp_path, shape, magic, maxval):
+        samples = np.random.default_rng(shape[0] + maxval).integers(0, maxval + 1, shape + (3,))
+        p = tmp_path / "t.ppm"
+        p.write_bytes(netpbm_bytes(magic, samples, maxval))
+        assert_reads_to_the_same_gray(p)
+
+    @given(netpbm_files())
+    def test_valid_files(self, tmp_path_factory, case):
+        p = tmp_path_factory.mktemp("netpbm") / "t.pnm"
+        p.write_bytes(case[0])
+        assert_reads_to_the_same_gray(p)
+
+    @pytest.mark.parametrize("body", MALFORMED_NETPBM)
+    def test_malformed_files_fail_alike(self, tmp_path, body):
+        p = tmp_path / "t.pnm"
+        p.write_bytes(body)
+        assert netpbm_error(_read_gray, p) == netpbm_error(read_image, p)
+
+    @settings(max_examples=300)
+    @given(damaged_netpbm_files())
+    def test_damaged_files_read_or_fail_alike(self, tmp_path_factory, body):
+        p = tmp_path_factory.mktemp("netpbm") / "t.pnm"
+        p.write_bytes(body)
+        try:
+            img = read_image(p)
+        except (FormatError, TruncationError) as exc:
+            assert netpbm_error(_read_gray, p) == (type(exc), str(exc))
+        else:
+            expected = rgb_to_gray(img) if isinstance(img, RgbImage) else img
+            assert _read_gray(p).pixels.tobytes() == expected.pixels.tobytes()
+
+    def test_missing_file_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            _read_gray(tmp_path / "absent.ppm")
 
 
 class TestWrite:

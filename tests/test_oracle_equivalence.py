@@ -982,13 +982,18 @@ def set_strip_rows(monkeypatch, rows: int, width: int) -> None:
     monkeypatch.setattr(filtering, "_STRIP_BYTES", rows * 8 * width)
 
 
+def assert_blur_matches(img: GrayImage, kx, ky) -> None:
+    got = convolve_separable(img, kx, ky).pixels
+    expected = whole_plane_convolve_separable(img, kx, ky).pixels
+    assert got.tobytes() == expected.tobytes(), (img.pixels.shape, kx.radius, ky.radius)
+
+
 def assert_strips_match(px: np.ndarray, sigma: float, radius=None) -> None:
     img = GrayImage(px)
     k = gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
     narrow = gaussian_kernel_1d(0.7, 2)
     for kx, ky in ((k, k), (narrow, k), (k, narrow)):
-        got = convolve_separable(img, kx, ky).pixels
-        assert got.tobytes() == whole_plane_convolve_separable(img, kx, ky).pixels.tobytes(), (px.shape, sigma)
+        assert_blur_matches(img, kx, ky)
     for kernel in (laplacian_kernel_2d(), outer_kernel(k, k)):
         got = convolve_2d(img, kernel).pixels
         assert got.tobytes() == whole_plane_convolve_2d(img, kernel).pixels.tobytes(), (px.shape, sigma)
@@ -1122,6 +1127,70 @@ class TestStripsMatchWholePlane:
         with pytest.MonkeyPatch.context() as mp:
             set_strip_rows(mp, strip, shape[1])
             assert_strips_match(px, *kernel)
+
+
+class TestBlurPassesMatchWholePlane:
+    """convolve_separable filters each row along x once, into a plane padded
+    by ky's radius of replicated rows, and runs its y strips straight off
+    that plane; it must give the whole-plane passes' bytes wherever the
+    padding or the strips reach."""
+
+    @pytest.mark.parametrize("radius", [17, 40, 100])
+    def test_radius_above_half_a_strip_at_width_1024(self, radius):
+        # 32-row strips at width 1024; every y strip reads a halo taller than itself
+        px = np.random.default_rng(radius).random((70, 1024))
+        assert filtering._STRIP_BYTES // (8 * 1024) < 2 * radius
+        k = gaussian_kernel_1d(radius / 3.0, radius)
+        assert_blur_matches(GrayImage(px), k, k)
+        assert_blur_matches(GrayImage(px), gaussian_kernel_1d(0.7, 2), k)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (1, 300), (5, 1), (300, 1), (40, 2), (3, 2)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("radius", [1, 9, 40])
+    def test_radius_larger_than_the_plane(self, monkeypatch, shape, radius):
+        px = np.random.default_rng(shape[0] * 7 + shape[1]).random(shape) - 0.3
+        k = gaussian_kernel_1d(max(radius / 3.0, 0.5), radius)
+        assert_blur_matches(GrayImage(px), k, k)
+        set_strip_rows(monkeypatch, 2, shape[1])
+        assert_blur_matches(GrayImage(px), k, k)
+
+    @pytest.mark.parametrize("rx, ry", [(1, 30), (30, 1), (2, 7), (7, 2), (12, 0), (0, 12)])
+    @pytest.mark.parametrize("strip", [1, 5, 32])
+    def test_kernels_of_different_radii(self, monkeypatch, rx, ry, strip):
+        px = np.random.default_rng(rx * 31 + ry).random((45, 23)) - 0.5
+        set_strip_rows(monkeypatch, strip, 23)
+        # a radius-0 kernel is the single tap 1
+        kx = gaussian_kernel_1d(max(rx, 1) / 2.0, rx) if rx else filtering.Kernel1D([1.0])
+        ky = gaussian_kernel_1d(max(ry, 1) / 2.0, ry) if ry else filtering.Kernel1D([1.0])
+        assert_blur_matches(GrayImage(px), kx, ky)
+
+    @pytest.mark.parametrize("strip", [1, 3, 8, 40])
+    def test_signed_zeros_and_denormals(self, monkeypatch, strip):
+        rng = np.random.default_rng(strip)
+        levels = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-320, 0.5)
+        planes = [rng.choice(levels, size=(37, 11)), np.full((37, 11), -0.0), np.full((37, 11), -5e-324),
+                  np.where(np.indices((37, 11)).sum(axis=0) % 2 == 1, -0.0, -5e-324)]
+        kernels = (gaussian_kernel_1d(1.0, 3), filtering.Kernel1D([0.0, 1.0, 0.0]), filtering.Kernel1D([1.0]))
+        set_strip_rows(monkeypatch, strip, 11)
+        for px in planes:
+            for kx in kernels:
+                for ky in kernels:
+                    assert_blur_matches(GrayImage(px), kx, ky)
+        # each pass's sums start at +0: the y taps of a -5e-324 row round to
+        # -0, and their sum is +0
+        got = convolve_separable(GrayImage(planes[2]), kernels[2], kernels[0]).pixels
+        assert not np.signbit(got).any()
+
+    @given(st.integers(1, 9), st.integers(-1, 1), st.integers(0, 4), st.integers(1, 9), st.integers(0, 12),
+           st.integers(0, 12), seeds)
+    def test_heights_around_strip_multiples(self, strip, offset, strips, width, rx, ry, seed):
+        shape = (max(1, strips * strip + offset), width)
+        px = random_plane(np.random.default_rng(seed), shape) - 0.2
+        kx = gaussian_kernel_1d(max(rx, 1) / 2.5, rx) if rx else filtering.Kernel1D([1.0])
+        ky = gaussian_kernel_1d(max(ry, 1) / 2.5, ry) if ry else filtering.Kernel1D([1.0])
+        with pytest.MonkeyPatch.context() as mp:
+            set_strip_rows(mp, strip, width)
+            assert_blur_matches(GrayImage(px), kx, ky)
 
 
 # the six Netpbm whitespace bytes and a CRLF line end
