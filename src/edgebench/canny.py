@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .filtering import _edge_padded, _smooth, check_blur
-from .image_core import EdgeMap, GrayImage
+from .filtering import _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
+from .image_core import EdgeMap, GrayImage, _finite
 
 __all__ = [
     "CannyParams",
@@ -81,8 +81,10 @@ _TINY_SQUARE = 2.0 ** -960
 _SLACK = 1.0 - 2.0 ** -40
 
 
-def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None) -> GrayImage:
-    # NMS above floor; with no magnitude plane, hypot is taken only where read
+def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None) -> tuple:
+    # NMS above floor, as (flat indices, values) of the kept pixels, all above
+    # floor; a kept value that is not finite is refused as GrayImage refuses
+    # it. With no magnitude plane, hypot is taken only where read
     w = gx.shape[1]
     if magnitude is not None:
         candidates = magnitude > floor
@@ -111,9 +113,7 @@ def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray |
     fwd = (1.0 - t) * sample(idx + near) + t * sample(idx + far)
     bwd = (1.0 - t) * sample(idx - near) + t * sample(idx - far)
     keep = (v > floor) & (v >= fwd) & (v > bwd)
-    out = np.zeros(gx.size)
-    out[idx[keep]] = v[keep]
-    return GrayImage(out.reshape(-1, w))
+    return idx[keep], _finite(v[keep])
 
 
 def nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
@@ -129,13 +129,18 @@ def nonmax_suppress(field: GradientField, floor: float = 0.0) -> GrayImage:
     come out 0. The samples read every magnitude, so hysteresis with any
     low >= floor links the same pixels as at floor 0.
 
-    This form and thinned_magnitude read the full magnitude plane; the
-    detector takes hypot only where gx*gx + gy*gy nears low*low (any nonzero
-    component if low*low underflows, as at 0) and at their four samples.
+    This form and thinned_magnitude read the full magnitude plane and
+    scatter the kept pixels into a dense one; the detector takes hypot only
+    where gx*gx + gy*gy nears low*low (any nonzero component if low*low
+    underflows, as at 0) and at their four samples, and links straight from
+    the kept pixels' indices and values. A kept magnitude that is not finite
+    is refused with ValueError.
     """
     if not floor >= 0:
         raise ValueError(f"floor must be non-negative, got {floor}")
-    return _thin(field.gx, field.gy, floor, field.magnitude)
+    thinned = np.zeros(field.gx.shape)
+    np.put(thinned, *_thin(field.gx, field.gy, floor, field.magnitude))
+    return GrayImage(thinned)
 
 
 def component_maxima(thinned: GrayImage, low: float) -> tuple:
@@ -187,15 +192,21 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None)
     magnitude, so it is threshold-free and sweeping hysteresis thresholds
     can reuse one thinned plane.
     """
-    return nonmax_suppress(gradient(_smooth(img, sigma, radius)))
+    k = _gaussian(sigma, radius)
+    return nonmax_suppress(gradient(convolve_separable(img, k, k)))
 
 
-def _canny_from_smoothed(smoothed: GrayImage, params: CannyParams) -> EdgeMap:
-    # the detector after its blur: differentiate, thin above low, link
-    thinned = _thin(*_central_differences(smoothed.pixels), params.low)
-    return hysteresis(thinned, params.low, params.high)
+def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarray:
+    # the detector after its blur, on a float64 plane: differentiate, thin
+    # above low, then link the kept pixels, every one above low, from those
+    # above high; no thinned plane is built
+    idx, kept = _thin(*_central_differences(smoothed), params.low)
+    passable, seeds = np.zeros((2,) + smoothed.shape, dtype=bool)
+    np.put(passable, idx, True)
+    np.put(seeds, idx[kept > params.high], True)
+    return _link(passable, seeds)
 
 
 def canny_detect(img: GrayImage, params: CannyParams) -> EdgeMap:
     """Full detector: smooth, differentiate, thin above low, then link with hysteresis."""
-    return _canny_from_smoothed(_smooth(img, params.sigma, params.radius), params)
+    return EdgeMap(_canny_from_smoothed(_smooth(img.pixels, params.sigma, params.radius), params))

@@ -7,7 +7,7 @@ import argparse
 import functools
 import sys
 
-from .canny import CannyParams, canny_detect
+from .canny import CannyParams, _canny_from_smoothed, canny_detect
 from .evaluation import (
     EvalReport,
     Scene,
@@ -24,12 +24,15 @@ from .evaluation import (
     synth_rectangle,
     synth_step,
 )
-from .image_core import FormatError, TruncationError, _read_gray, atomic_write_bytes, write_image
-from .marr_hildreth import MHParams, mh_detect
+from .filtering import _smooth
+from .image_core import FormatError, TruncationError, _read_gray, _write_mask, atomic_write_bytes, write_image
+from .marr_hildreth import MHParams, _mh_from_smoothed, mh_detect
 
 __all__ = ["main", "run"]
 
 _DETECTORS = {"canny": canny_detect, "marr-hildreth": mh_detect}
+# the detectors after their blur, on float64 planes with no wraps
+_FROM_SMOOTHED = {"canny": _canny_from_smoothed, "marr-hildreth": _mh_from_smoothed}
 _SUITES = ("noisy-step", "circle", "rectangle-corners")
 
 
@@ -170,7 +173,9 @@ def _emit(records, fmt: str, out_path) -> None:
 
 def _cmd_detect(args) -> int:
     params = _params(args, args.detector)  # checked before any file is opened
-    write_image(_DETECTORS[args.detector](_read_gray(args.in_path), params), args.out_path)
+    # the public route's bytes, from read to write on raw planes
+    smoothed = _smooth(_read_gray(args.in_path), params.sigma, params.radius)
+    _write_mask(_FROM_SMOOTHED[args.detector](smoothed, params), args.out_path)
     return 0
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .canny import CannyParams, _canny_from_smoothed, hysteresis, thinned_magnitude
-from .filtering import convolve_separable, gaussian_kernel_1d, gaussian_radius
+from .filtering import _blur, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
 
@@ -177,7 +177,7 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
-    return _ToleranceMatch(truth, match_tolerance).report(detected)
+    return _ToleranceMatch(truth, match_tolerance).report(detected.mask)
 
 
 def _check_tolerance(match_tolerance: float) -> None:
@@ -220,9 +220,8 @@ class _ToleranceMatch:
         return np.max([ndimage.maximum_filter(levels, (1,) + box, mode="nearest")[:, self.wy, self.wx]
                        for box in self.boxes], axis=0)
 
-    def report(self, detected: EdgeMap) -> EvalReport:
-        """score(detected, truth, tolerance)."""
-        det = detected.mask
+    def report(self, det: np.ndarray) -> EvalReport:
+        """score(EdgeMap(det), truth, tolerance) for a bool plane det."""
         n_det, n_tru, matched = np.count_nonzero(det), self.ty.size, np.count_nonzero(det & self.near)
         fp = (n_det - matched) / max(n_det, 1)
         fn = (n_tru - np.count_nonzero(self.disc_maxima(det[None][self.window]))) / max(n_tru, 1)
@@ -272,7 +271,7 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
                        1.0 - (match.ty.size - covered) / max(match.ty.size, 1))
     f[np.arange(lows.size) < np.arange(len(f))[:, None]] = -1.0
     i, j = np.unravel_index(np.argmax(f), f.shape)
-    edges = hysteresis(GrayImage(values), grid[i], grid[j]) if linked else EdgeMap(values[i] > grid[j])
+    edges = hysteresis(GrayImage(values), grid[i], grid[j]).mask if linked else values[i] > grid[j]
     return make_params(grid[i], grid[j]), match.report(edges)
 
 
@@ -323,13 +322,11 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
         if scene.truth not in matches:
             matches[scene.truth] = _ToleranceMatch(scene.truth, tolerance)
         match = matches[scene.truth]
-        smoothed = convolve_separable(scene.image, canny_k, canny_k)
-        edges = _canny_from_smoothed(smoothed, canny)
-        rows.append((scene.name, "canny", match.report(edges)))
+        smoothed = _blur(scene.image.pixels, canny_k, canny_k)
+        rows.append((scene.name, "canny", match.report(_canny_from_smoothed(smoothed, canny))))
         if mh_k is not canny_k:
-            smoothed = convolve_separable(scene.image, mh_k, mh_k)
-        edges = _mh_from_smoothed(smoothed, mh)
-        rows.append((scene.name, "marr-hildreth", match.report(edges)))
+            smoothed = _blur(scene.image.pixels, mh_k, mh_k)
+        rows.append((scene.name, "marr-hildreth", match.report(_mh_from_smoothed(smoothed, mh))))
     return rows
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import GrayImage
+from .image_core import GrayImage, _finite
 
 __all__ = [
     "Kernel1D",
@@ -162,7 +162,7 @@ def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
+def _by_strips(stage, plane: np.ndarray, halo: int, finite: bool = False) -> np.ndarray:
     """stage(plane), computed over the row strips of _row_strips.
 
     stage's output row y must read only input rows y - halo .. y + halo, and
@@ -171,18 +171,39 @@ def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
     the result is bit-identical. The output takes its dtype and any leading
     axes from stage's, whose rows run along the second-to-last axis. A plane
     that fits in one strip, or a halo taller than half a strip, takes one
-    whole-plane call.
+    whole-plane call. With finite, the rows each strip keeps are refused
+    unless finite, as GrayImage refuses them; a strip's halo rows are not.
     """
     strips = _row_strips(plane)
     if len(strips) == 1 or 2 * halo > strips[0][1]:
-        return stage(plane)
+        out = stage(plane)
+        return _finite(out) if finite else out
     out = None
     for top, bottom in strips:
         lo = max(top - halo, 0)
         strip = stage(plane[lo:bottom + halo])[..., top - lo:bottom - lo, :]
+        if finite:
+            _finite(strip)
         if out is None:
             out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
         out[..., top:bottom, :] = strip
+    return out
+
+
+def _blur(px: np.ndarray, kx: Kernel1D, ky: Kernel1D) -> np.ndarray:
+    """convolve_separable on a float64 plane, with no wrap. Each strip of
+    the ky pass refuses the rows it writes unless finite, as GrayImage
+    would: a finite image may still overflow."""
+    h, w = px.shape
+    ry = ky.radius
+    tmp = np.empty((h + 2 * ry, w))
+    for top, bottom in _row_strips(px):
+        padded = _edge_padded(px[top:bottom], 0, kx.radius)
+        _accumulate(tmp[ry + top:ry + bottom], ((tap, padded[:, i:i + w]) for i, tap in enumerate(kx.taps)))
+    tmp[:ry], tmp[ry + h:] = tmp[ry], tmp[ry + h - 1]
+    out = np.empty_like(px)
+    for top, bottom in _row_strips(px):
+        _finite(_accumulate(out[top:bottom], ((tap, tmp[top + i:bottom + i]) for i, tap in enumerate(ky.taps))))
     return out
 
 
@@ -195,25 +216,18 @@ def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
     padded with ky's radius of repeated first and last rows, whose strips
     the ky pass reads with their halo. The bits are the whole-plane passes'.
     """
-    px = img.pixels
-    h, w = px.shape
-    ry = ky.radius
-    tmp = np.empty((h + 2 * ry, w))
-    for top, bottom in _row_strips(px):
-        padded = _edge_padded(px[top:bottom], 0, kx.radius)
-        _accumulate(tmp[ry + top:ry + bottom], ((tap, padded[:, i:i + w]) for i, tap in enumerate(kx.taps)))
-    tmp[:ry], tmp[ry + h:] = tmp[ry], tmp[ry + h - 1]
-    out = np.empty_like(px)
-    for top, bottom in _row_strips(px):
-        _accumulate(out[top:bottom], ((tap, tmp[top + i:bottom + i]) for i, tap in enumerate(ky.taps)))
-    del tmp  # before the wrap copies out
-    return GrayImage(out)
+    return GrayImage(_blur(img.pixels, kx, ky))
 
 
-def _smooth(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
-    """Separable Gaussian blur of width sigma, truncated at radius (default ceil(3*sigma))."""
-    k = gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
-    return convolve_separable(img, k, k)
+def _gaussian(sigma: float, radius: "int | None" = None) -> Kernel1D:
+    """gaussian_kernel_1d(sigma, radius), radius ceil(3*sigma) when None."""
+    return gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
+
+
+def _smooth(px: np.ndarray, sigma: float, radius: "int | None" = None) -> np.ndarray:
+    """Separable Gaussian blur of a float64 plane, with no wrap."""
+    k = _gaussian(sigma, radius)
+    return _blur(px, k, k)
 
 
 def convolve_2d(img: GrayImage, kernel: Kernel2D) -> GrayImage:

@@ -40,8 +40,18 @@ LUMA_BLUE = 1.0 - (LUMA_RED + LUMA_GREEN)
 _HEADER_WHITESPACE = b" \t\n\r\x0b\x0c"
 # netpbm allows whitespace and '#' comments (to end of line) before each token
 _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
+# one whitespace byte, where an ASCII raster is cut into runs
+_SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c]")
 # an ASCII sample of this many digits, with '0' offsets, still fits an int64
 _EXACT_DIGITS = 18
+
+
+def _finite(px: np.ndarray) -> np.ndarray:
+    """px, refused unless every value is finite: GrayImage's check, which the
+    private stages run on the rows they write wherever overflow can arise."""
+    if not np.isfinite(px).all():
+        raise ValueError("gray pixels must be finite, got NaN or infinity")
+    return px
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +68,7 @@ class GrayImage:
         arr = np.array(self.pixels, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"gray pixels must form a non-empty 2-D grid, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("gray pixels must be finite, got NaN or infinity")
+        _finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -134,9 +143,11 @@ class EdgeMap:
         return f"EdgeMap({self.width}x{self.height}, {self.count} marked)"
 
 
-def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rgb_to_gray's rule on three channel planes."""
-    gray = r * LUMA_RED + g * LUMA_GREEN + b * LUMA_BLUE
+def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """rgb_to_gray's rule on three channel planes, into out if given."""
+    gray = np.multiply(r, LUMA_RED, out=out)
+    gray += g * LUMA_GREEN
+    gray += b * LUMA_BLUE
     np.copyto(gray, r, where=(r == g) & (g == b))
     return gray
 
@@ -147,7 +158,7 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     The weighted sum is a convex combination, so output intensities stay
     in [0, 1]. A pixel whose three channels equal v gives v exactly, so a
     gray picture stored as RGB reads as the same gray plane. The CLI's PPM
-    reader applies the same rule to one plane per channel.
+    reader applies the same rule row strip by row strip, one plane per channel.
     """
     return GrayImage(_luma(*np.moveaxis(img.pixels, 2, 0)))
 
@@ -171,39 +182,61 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    from . import filtering  # for its strip budget; filtering imports this module
+
     if data.find(b"#", pos) >= 0:
         # as in the header, a comment runs from '#' to the end of its line
         data, pos = re.sub(rb"#[^\r\n]*", b"", data[pos:]), 0
-    buf = np.frombuffer(data, np.uint8, offset=pos)
-    # tok marks the bytes outside the six whitespace bytes 9-13 and 32, padded
-    # with a blank at each end so every token has a start and an end change
-    tok = np.zeros(buf.size + 2, dtype=bool)
-    np.greater(buf - 9, 4, out=tok[1:-1])
-    tok[1:-1] &= buf != 32
-    bounds = np.flatnonzero(tok[1:] != tok[:-1])  # start, end, start, end, ...
-    if bounds.size < 2 * count:
-        raise TruncationError(f"pixel data truncated: expected {count} samples, got {bounds.size // 2}")
-    bounds = bounds[:2 * count]
-    # samples are unsigned decimals, and bytes after the last one are never
-    # read; tok > digit marks the token bytes that are not digits
+    samples = np.empty(count)
+    # runs of about _STRIP_BYTES bytes, each cut at a whitespace byte so no
+    # token spans two, until count tokens are found; once one is malformed
+    # the runs after it are only counted, so a short raster stays truncated
+    seen, bad = 0, None
+    while seen < count and pos < len(data):
+        cut = _SEPARATOR.search(data, pos + max(filtering._STRIP_BYTES, 1))
+        end = cut.start() if cut else len(data)
+        buf = np.frombuffer(data, np.uint8, end - pos, pos)
+        pos = end
+        # tok marks the bytes outside the six whitespace bytes 9-13 and 32,
+        # padded with a blank at each end so every token has a start and an end
+        tok = np.zeros(buf.size + 2, dtype=bool)
+        np.greater(buf - 9, 4, out=tok[1:-1])
+        tok[1:-1] &= buf != 32
+        bounds = np.flatnonzero(tok[1:] != tok[:-1])[:2 * (count - seen)]  # start, end, start, end, ...
+        if bad is None and bounds.size:
+            bad = _malformed_token(buf, tok, bounds)
+            if bad is None:
+                _decimals(buf, bounds, samples[seen:seen + bounds.size // 2])
+        seen += bounds.size // 2
+    if seen < count:
+        raise TruncationError(f"pixel data truncated: expected {count} samples, got {seen}")
+    if bad is not None:
+        raise FormatError(f"malformed sample token {bad!r}")
+    return samples
+
+
+def _malformed_token(buf: np.ndarray, tok: np.ndarray, bounds: np.ndarray) -> "bytes | None":
+    # the first token of bounds that is not all digits; samples are unsigned
+    # decimals, and bytes after the last token are never read. tok > digit
+    # marks the token bytes that are not digits
     end = bounds[-1]
     bad = tok[1:end + 1] > ((buf[:end] - 48) < 10)
-    # the parse sets a large read's peak memory, so each mask goes once it is spent
-    del tok
-    if bad.any():
-        first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
-        raise FormatError(f"malformed sample token {buf[bounds[first]:bounds[first + 1]].tobytes()!r}")
-    del bad
-    starts, lengths = bounds[0::2], bounds[1::2]
-    lengths -= starts
-    samples = np.empty(count)
+    if not bad.any():
+        return None
+    first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
+    return buf[bounds[first]:bounds[first + 1]].tobytes()
+
+
+def _decimals(buf: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
+    # out[i] = the value of the i-th all-digit token of bounds
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
         group = lengths == length
         if length > _EXACT_DIGITS:
             # float() rounds each one exactly as int() then float64 would,
             # and an overlong one becomes inf > maxval
             for i in np.flatnonzero(group):
-                samples[i] = float(buf[starts[i]:starts[i] + length].tobytes())
+                out[i] = float(buf[starts[i]:starts[i] + length].tobytes())
             continue
         # Horner's rule over the digit bytes; the ASCII '0' offsets of all
         # length digits come off at the end as 48 times the repunit
@@ -214,8 +247,7 @@ def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
             value *= 10
             value += buf[at]
         value -= 48 * ((10**length - 1) // 9)
-        samples[group] = value
-    return samples
+        out[group] = value
 
 
 def _read_samples(path) -> tuple:
@@ -268,12 +300,21 @@ def read_image(path) -> "GrayImage | RgbImage":
     return GrayImage(pixels) if pixels.ndim == 2 else RgbImage(pixels)
 
 
-def _read_gray(path) -> GrayImage:
-    """read_image(path), a PPM collapsed as rgb_to_gray does, from one plane per channel."""
+def _read_gray(path) -> np.ndarray:
+    """read_image(path)'s pixels as a float64 plane, with no wrap; a PPM is
+    collapsed as rgb_to_gray does, one row strip at a time, from one plane
+    per channel. The samples are checked and in range, so it is finite."""
+    from .filtering import _row_strips  # filtering imports this module
+
     samples, scale = _read_samples(path)
     if samples.ndim == 2:
-        return GrayImage(samples / scale)
-    return GrayImage(_luma(*(samples[..., c] / scale for c in range(3))))
+        # the ASCII parse's own float samples are divided in place
+        return np.divide(samples, scale, out=samples if samples.dtype == np.float64 else None)
+    gray = np.empty(samples.shape[:2])
+    for top, bottom in _row_strips(gray):
+        rows = samples[top:bottom]
+        _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
+    return gray
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -297,6 +338,16 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise
 
 
+def _write_p5(body: np.ndarray, path) -> None:
+    h, w = body.shape
+    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + body.tobytes())
+
+
+def _write_mask(mask: np.ndarray, path) -> None:
+    """write_image(EdgeMap(mask), path) for a 2-D bool plane, with no wrap."""
+    _write_p5(mask.astype(np.uint8) * np.uint8(255), path)
+
+
 def write_image(img, path) -> None:
     """Write a GrayImage or EdgeMap as a binary 8-bit PGM (P5, maxval 255).
 
@@ -305,11 +356,9 @@ def write_image(img, path) -> None:
     atomically.
     """
     if isinstance(img, EdgeMap):
-        body = img.mask.astype(np.uint8) * np.uint8(255)
+        _write_mask(img.mask, path)
     elif isinstance(img, GrayImage):
         clamped = np.clip(img.pixels, 0.0, 1.0)
-        body = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
+        _write_p5(np.floor(clamped * 255.0 + 0.5).astype(np.uint8), path)
     else:
         raise TypeError(f"write_image expects a GrayImage or EdgeMap, got {type(img).__name__}")
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + body.tobytes())

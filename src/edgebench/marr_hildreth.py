@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import _link
-from .filtering import _by_strips, _edge_padded, _smooth, check_blur
-from .image_core import EdgeMap, GrayImage
+from .filtering import _by_strips, _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
+from .image_core import EdgeMap, GrayImage, _finite
 
 __all__ = [
     "MHParams",
@@ -67,7 +67,8 @@ def _laplacian(px: np.ndarray) -> np.ndarray:
 
 def laplacian_of_smoothed(img: GrayImage, sigma: float, radius: "int | None" = None) -> GrayImage:
     """Gaussian smoothing followed by the four-neighbour Laplacian stencil."""
-    return GrayImage(_by_strips(_laplacian, _smooth(img, sigma, radius).pixels, 1))
+    k = _gaussian(sigma, radius)
+    return GrayImage(_by_strips(_laplacian, convolve_separable(img, k, k).pixels, 1))
 
 
 def crossing_slope_map(resp: GrayImage) -> GrayImage:
@@ -113,7 +114,8 @@ def _landings(v: np.ndarray, mag: np.ndarray):
 
 def _crossing_slopes(v: np.ndarray) -> np.ndarray:
     # an overflowing slope lands as inf, which crossing_slope_map's GrayImage
-    # refuses; a same-signed pair's sum may overflow too, but never lands
+    # and _crossing_marks refuse; a same-signed pair's sum may overflow too,
+    # but never lands
     slopes = np.zeros(v.size)
     with np.errstate(over="ignore"):
         for target, lands, slope in _landings(v, np.abs(v).ravel()):
@@ -128,7 +130,7 @@ def _crossing_marks(v: np.ndarray, thresholds: tuple) -> np.ndarray:
     if not mag.max() <= _SAFE:
         # a slope |a| + |b| may overflow: compare the float slopes, refused
         # as crossing_slope_map refuses them
-        slopes = GrayImage(_crossing_slopes(v)).pixels
+        slopes = _finite(_crossing_slopes(v))
         return np.stack([slopes > t for t in thresholds])
     marks = np.zeros((len(thresholds), v.size), dtype=bool)
     for target, lands, slope in _landings(v, mag):
@@ -149,14 +151,15 @@ def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
     return EdgeMap(_by_strips(lambda v: _crossing_marks(v, (slope_threshold,))[0], resp.pixels, 1))
 
 
-def _mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeMap:
-    # the detector after its blur: the Laplacian, refused unless finite, then
-    # one strip pass marks the crossings above each threshold as bool planes;
-    # hysteresis links them by seed labels
+def _mh_from_smoothed(smoothed: np.ndarray, params: MHParams) -> np.ndarray:
+    # the detector after its blur, on a float64 plane: the Laplacian, each
+    # strip's own rows refused unless finite, then one strip pass marks the
+    # crossings above each threshold as bool planes; hysteresis links them by
+    # seed labels
     thresholds = (params.low, params.high) if params.use_hysteresis else (params.slope_threshold,)
-    resp = GrayImage(_by_strips(_laplacian, smoothed.pixels, 1))
-    marks = _by_strips(lambda v: _crossing_marks(v, thresholds), resp.pixels, 1)
-    return EdgeMap(_link(*marks) if params.use_hysteresis else marks[0])
+    resp = _by_strips(_laplacian, smoothed, 1, finite=True)
+    marks = _by_strips(lambda v: _crossing_marks(v, thresholds), resp, 1)
+    return _link(*marks) if params.use_hysteresis else marks[0]
 
 
 def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
@@ -168,4 +171,4 @@ def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
     as boolean planes; linking keeps every 8-connected component of the low
     plane that holds a pixel of the high plane. No float slope plane is
     built."""
-    return _mh_from_smoothed(_smooth(img, params.sigma, params.radius), params)
+    return EdgeMap(_mh_from_smoothed(_smooth(img.pixels, params.sigma, params.radius), params))

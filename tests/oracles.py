@@ -16,7 +16,9 @@ magnitude only where thinning reads it, must equal them bit for bit.
 pad_central_differences is the gradient's central differences as they
 ran when borders were replicated with np.pad; the slice-copy padding must
 equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
-ran before it moved to whole-array byte passes, one bytes token at a time. two_pass_comparison is
+ran before it moved to whole-array byte passes, one bytes token at a time,
+and whole_buffer_ascii_samples as it ran before those passes moved into
+byte runs of about filtering._STRIP_BYTES. two_pass_comparison is
 run_comparison as it ran before a scene's blur and a truth mask's distance
 transform were shared: each detector blurs every scene itself and score()
 transforms the truth for every row. per_low_operating_point is the tuning
@@ -391,6 +393,59 @@ def split_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         bad = next(tok for tok in kept if not tok.isdigit())
         raise FormatError(f"malformed sample token {bad!r}")
     return np.fromiter(map(float, kept), np.float64, count)
+
+
+# an ASCII sample of this many digits, with '0' offsets, still fits an int64
+EXACT_DIGITS = 18
+
+
+def whole_buffer_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first count samples of data[pos:], from byte passes over the whole raster."""
+    if data.find(b"#", pos) >= 0:
+        # as in the header, a comment runs from '#' to the end of its line
+        data, pos = re.sub(rb"#[^\r\n]*", b"", data[pos:]), 0
+    buf = np.frombuffer(data, np.uint8, offset=pos)
+    # tok marks the bytes outside the six whitespace bytes 9-13 and 32, padded
+    # with a blank at each end so every token has a start and an end change
+    tok = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf - 9, 4, out=tok[1:-1])
+    tok[1:-1] &= buf != 32
+    bounds = np.flatnonzero(tok[1:] != tok[:-1])  # start, end, start, end, ...
+    if bounds.size < 2 * count:
+        raise TruncationError(f"pixel data truncated: expected {count} samples, got {bounds.size // 2}")
+    bounds = bounds[:2 * count]
+    # samples are unsigned decimals, and bytes after the last one are never
+    # read; tok > digit marks the token bytes that are not digits
+    end = bounds[-1]
+    bad = tok[1:end + 1] > ((buf[:end] - 48) < 10)
+    # the parse sets a large read's peak memory, so each mask goes once it is spent
+    del tok
+    if bad.any():
+        first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
+        raise FormatError(f"malformed sample token {buf[bounds[first]:bounds[first + 1]].tobytes()!r}")
+    del bad
+    starts, lengths = bounds[0::2], bounds[1::2]
+    lengths -= starts
+    samples = np.empty(count)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        group = lengths == length
+        if length > EXACT_DIGITS:
+            # float() rounds each one exactly as int() then float64 would,
+            # and an overlong one becomes inf > maxval
+            for i in np.flatnonzero(group):
+                samples[i] = float(buf[starts[i]:starts[i] + length].tobytes())
+            continue
+        # Horner's rule over the digit bytes; the ASCII '0' offsets of all
+        # length digits come off at the end as 48 times the repunit
+        at = starts[group]
+        value = buf[at].astype(np.int64)
+        for _ in range(length - 1):
+            at += 1
+            value *= 10
+            value += buf[at]
+        value -= 48 * ((10**length - 1) // 9)
+        samples[group] = value
+    return samples
 
 
 def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:

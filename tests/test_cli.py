@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from edgebench import cli, filtering, image_core
+from edgebench import canny, cli, evaluation, filtering, image_core, marr_hildreth
 from edgebench.cli import run
 from edgebench.canny import CannyParams, canny_detect
 from edgebench.evaluation import CSV_COLUMNS, EvalReport, add_gaussian_noise, synth_circle, synth_step
-from edgebench.image_core import read_image, rgb_to_gray, write_image
+from edgebench.image_core import EdgeMap, GrayImage, RgbImage, read_image, rgb_to_gray, write_image
 from edgebench.marr_hildreth import MHParams, mh_detect
 from test_image_core import MALFORMED_NETPBM, damaged_netpbm_files, netpbm_bytes
+from test_oracle_equivalence import perfbench_workloads
 
 
 @pytest.fixture
@@ -155,6 +156,43 @@ class TestDetect:
             out = tmp_path / f"e{i}.pgm"
             assert run(["detect", "--in", str(path), "--out", str(out), *flags]) == 0
             assert out.read_bytes() == expected[i]
+
+    @pytest.mark.parametrize("fmt", ["p5-8", "p5-16", "p6", "p2"])
+    def test_detect_wraps_nothing_from_read_to_write(self, monkeypatch, tmp_path, fmt):
+        # detect passes bare arrays from its reader to its mask writer: with
+        # every GrayImage, EdgeMap and RgbImage construction made to fail, it
+        # must still write what read_image, rgb_to_gray for a PPM, the public
+        # detector and write_image write, for each of the README's invocations
+        workloads = perfbench_workloads()
+        path = tmp_path / f"in.{fmt}"
+        path.write_bytes(workloads.encode_netpbm(fmt, *workloads.detect_composite(1, size=80)))
+        img = read_image(path)
+        gray = rgb_to_gray(img) if isinstance(img, RgbImage) else img
+        invocations = workloads.DETECT_INVOCATIONS
+        detectors = {"canny": (canny_detect, CannyParams(sigma=1.4, low=0.05, high=0.15)),
+                     "mh": (mh_detect, MHParams(slope_threshold=0.02)),
+                     "mh-hyst": (mh_detect, MHParams(use_hysteresis=True, low=0.01, high=0.05))}
+        # strips of 8 rows, so every stage runs in several
+        monkeypatch.setattr(filtering, "_STRIP_BYTES", 8 * 8 * 80)
+        expected = {}
+        for name, (detect, params) in detectors.items():
+            write_image(detect(gray, params), tmp_path / f"{name}.pgm")
+            expected[name] = (tmp_path / f"{name}.pgm").read_bytes()
+            assert expected[name].count(255) > 100, name
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect built a GrayImage, EdgeMap or RgbImage")
+
+        for cls in (GrayImage, EdgeMap, RgbImage):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        for module in (cli, filtering, image_core, canny, marr_hildreth, evaluation):
+            for name in ("GrayImage", "EdgeMap", "RgbImage"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for name, flags in invocations.items():
+            out = tmp_path / f"out-{name}.pgm"
+            assert run(["detect", "--in", str(path), "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == expected[name], name
 
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         code = run(["detect", "--no-such-flag"])

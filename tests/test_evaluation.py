@@ -391,7 +391,7 @@ class TestSuitesAndTuning:
             raise AssertionError("a detector ran before the tolerance was checked")
 
         for module in (filtering, evaluation):
-            monkeypatch.setattr(module, "convolve_separable", blur)
+            monkeypatch.setattr(module, "_blur", blur)
         with pytest.raises(ValueError, match="match_tolerance"):
             run_comparison([scene], MHParams(), CannyParams(), tolerance)
 
@@ -407,12 +407,12 @@ class TestSuitesAndTuning:
         # Gaussian kernel is built once per run, and the Laplacian never
         scenes = noisy_step_suite(range(10))
         calls = {}
-        for name in ("convolve_separable", "gaussian_kernel_1d", "laplacian_kernel_2d"):
+        for name in ("_blur", "gaussian_kernel_1d", "laplacian_kernel_2d"):
             count_calls_everywhere(monkeypatch, calls, filtering, name)
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
         rows = run_comparison(scenes, mh, canny_params)
         assert all(report.detected_count for _, _, report in rows)
-        assert calls == {"convolve_separable": blurs, "gaussian_kernel_1d": blurs // 10,
+        assert calls == {"_blur": blurs, "gaussian_kernel_1d": blurs // 10,
                          "laplacian_kernel_2d": 0, "distance_transform_edt": 1}
 
     def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgebench import evaluation, filtering, image_core, marr_hildreth
+from edgebench import cli, evaluation, filtering, image_core, marr_hildreth
 from edgebench.canny import (CannyParams, GradientField, _thin, canny_detect, component_maxima, gradient, hysteresis,
                              nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, circle_scene, comparison_record,
@@ -42,13 +42,15 @@ from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, cir
                                   rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
 from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
-from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError, read_image
+from edgebench.image_core import (EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, read_image, rgb_to_gray,
+                                  write_image)
 from edgebench.marr_hildreth import (MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed, mh_detect,
                                      zero_crossings)
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress, maxima_hysteresis,
                      pad_central_differences, per_low_operating_point, scatter_crossing_slope_map,
-                     slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison, whole_plane_convolve_2d,
-                     whole_plane_convolve_separable, whole_plane_crossing_slope_map, whole_plane_nonmax_suppress)
+                     slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison, whole_buffer_ascii_samples,
+                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
+                     whole_plane_nonmax_suppress)
 from test_canny import SMALL_IDS, SMALL_SHAPES
 from test_evaluation import TUNERS
 
@@ -649,7 +651,7 @@ def mh_cases(thresholds: list) -> list:
 
 
 def assert_mh_matches(smoothed: np.ndarray, params: MHParams) -> None:
-    got = outcome(_mh_from_smoothed, GrayImage(smoothed), params)
+    got = outcome(_mh_from_smoothed, smoothed, params)
     assert got == outcome(slope_plane_mh_from_smoothed, GrayImage(smoothed), params), (smoothed.shape, params)
 
 
@@ -710,7 +712,7 @@ class TestMarrHildrethMatchesSlopePlanes:
             assert (expected == b"gray pixels must be finite, got NaN or infinity") == overflows
             assert outcome(zero_crossings, GrayImage(px), 0.0) == expected
             for params in (MHParams(), MHParams(use_hysteresis=True)):
-                assert outcome(_mh_from_smoothed, GrayImage(px), params) == expected
+                assert outcome(_mh_from_smoothed, px, params) == expected
 
     @pytest.mark.parametrize("levels", [(-1.0, -0.5, 0.0, 0.5, 1.0), (0.75, 1.0, 1.25)])
     @pytest.mark.parametrize("scale", [1e306, 1e307, 2e307, 1e308])
@@ -854,13 +856,23 @@ EXTREME_IDS = [repr(low) for low in EXTREME_LOWS]
 
 
 def outcome(fn, *args) -> bytes:
-    # the output's bytes, or the message of the ValueError it raised
+    # the output's bytes, or the message of the ValueError it raised; a
+    # private stage's output is a bare array
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             result = fn(*args)
         except ValueError as exc:
             return str(exc).encode()
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
     return (result.mask if isinstance(result, EdgeMap) else result.pixels).tobytes()
+
+
+def thin_plane(gx: np.ndarray, gy: np.ndarray, floor: float) -> GrayImage:
+    # _thin's kept pixels scattered into the dense plane nonmax_suppress returns
+    thinned = np.zeros(gx.shape)
+    np.put(thinned, *_thin(gx, gy, floor))
+    return GrayImage(thinned)
 
 
 def whole_plane_canny(img: GrayImage, params: CannyParams) -> EdgeMap:
@@ -892,7 +904,7 @@ def assert_thin_matches(gx: np.ndarray, gy: np.ndarray, floor: float) -> None:
         field = GradientField(gx, gy)
     expected = outcome(whole_plane_nonmax_suppress, field, floor)
     assert outcome(nonmax_suppress, field, floor) == expected, floor
-    assert outcome(_thin, gx, gy, floor) == expected, floor
+    assert outcome(thin_plane, gx, gy, floor) == expected, floor
 
 
 class TestCannyMatchesWholePlaneThinning:
@@ -936,7 +948,7 @@ class TestCannyMatchesWholePlaneThinning:
             cx, cy = np.zeros((3, 3)), np.zeros((3, 3))
             cx[1, 1], cy[1, 1], floor = np.ldexp([gx[i], gy[i], floors[i]], exponent)
             assert_thin_matches(cx, cy, floor)
-            assert np.count_nonzero(_thin(cx, cy, floor).pixels) == 1
+            assert np.count_nonzero(thin_plane(cx, cy, floor).pixels) == 1
 
     @pytest.mark.parametrize("low", [0.0, 0.05, 1e200])
     def test_an_overflowing_gradient_is_still_refused(self, low):
@@ -971,6 +983,104 @@ class TestCannyMatchesWholePlaneThinning:
         st.sampled_from(EXTREME_LOWS + (0.25, 1.0)))
     def test_random_extreme_fields(self, planes, floor):
         assert_thin_matches(*planes, floor)
+
+
+MAX = sys.float_info.max
+# the blur's kernel is [0, 1, 0] at this sigma, so it passes a plane through bit for bit
+IDENTITY_SIGMA = 0.01
+# a sigma whose rounded taps sum past one: the blur of a plane at MAX overflows
+OVERFLOWING_SIGMA = 0.20193397799266424
+# in 2-row strips, the Laplacian of this plane's row 1, recomputed as the top
+# halo of the strip of rows 2-3 with row 1 repeated above it, overflows at
+# column 2; the image's own Laplacian and its crossing slopes are finite
+HALO_ONLY_LAPLACIAN = np.array([[176, 99, -256, 108, 256], [256, 101, -230, 102, 256], [151, 256, 132, 256, 57],
+                                [-162, 40, 230, 217, 38], [71, 87, 95, -33, 58]]) / 256 * (MAX / 4)
+
+
+def plane_with(shape, *cells) -> np.ndarray:
+    # zeros, with value at each (at, value) of cells
+    px = np.zeros(shape)
+    for at, value in cells:
+        px[at] = value
+    return px
+
+
+# (plane, sigma, strip rows, whether Canny refuses, whether Marr-Hildreth refuses)
+STRIP_REFUSALS = [
+    pytest.param(plane_with((16, 6), (np.s_[9:11], MAX)), OVERFLOWING_SIGMA, 4, True, True,
+                 id="blur-in-a-middle-strip"),
+    pytest.param(plane_with((16, 6), (np.s_[7:9], MAX)), OVERFLOWING_SIGMA, 4, True, True,
+                 id="blur-across-a-strip-boundary"),
+    pytest.param(plane_with((16, 6), (np.s_[9:11], MAX)), 0.3, 4, False, True, id="finite-blur-laplacian-overflows"),
+    pytest.param(plane_with((16, 7), (np.s_[8:12, 2], 1.5e308), (np.s_[8:12, 4], -1.5e308)), IDENTITY_SIGMA, 4, True, True,
+                 id="gradient-in-a-middle-strip"),
+    pytest.param(plane_with((16, 6), ((9, 2), MAX / 2)), IDENTITY_SIGMA, 4, False, True,
+                 id="laplacian-in-a-middle-strip"),
+    # rows whose Laplacian is +inf in row 8 alone, between rows of exact
+    # zeros: no crossing lands there, so only the Laplacian's own check refuses it
+    pytest.param(plane_with((16, 6), (np.s_[5:12], np.array([[1, 0, -1, -2, -1, 0, 1]]).T * 2.0 ** 1021)),
+                 IDENTITY_SIGMA, 4, False, True, id="laplacian-with-no-crossing-in-a-middle-strip"),
+    pytest.param(HALO_ONLY_LAPLACIAN, IDENTITY_SIGMA, 2, False, False, id="laplacian-only-in-a-halo-row"),
+]
+NOT_FINITE = "gray pixels must be finite, got NaN or infinity"
+
+
+def wrapped_canny(img: GrayImage, params: CannyParams) -> EdgeMap:
+    # the detector as a chain of whole-plane stages, each wrapped and so checked
+    k = gaussian_kernel_1d(params.sigma, gaussian_radius(params.sigma))
+    thinned = whole_plane_nonmax_suppress(gradient(whole_plane_convolve_separable(img, k, k)), params.low)
+    return hysteresis(thinned, params.low, params.high)
+
+
+def wrapped_mh(img: GrayImage, params: MHParams) -> EdgeMap:
+    k = gaussian_kernel_1d(params.sigma, gaussian_radius(params.sigma))
+    return slope_plane_mh_from_smoothed(whole_plane_convolve_separable(img, k, k), params)
+
+
+class TestRefusalsAtStripBoundaries:
+    """The private stages check finiteness only where overflow can arise: the
+    rows each blur strip writes, the kept pixels of thinning, and the rows
+    each Laplacian strip keeps. Planes that overflow inside one strip, or
+    only in a strip's halo, must be refused, or mapped, as by the chain of
+    whole-plane stages wrapped in GrayImage at every hand-off, through the
+    detectors and the CLI alike."""
+
+    @pytest.mark.parametrize("px, sigma, strip, canny_refuses, mh_refuses", STRIP_REFUSALS)
+    def test_detectors_and_cli(self, monkeypatch, tmp_path, capsys, px, sigma, strip, canny_refuses, mh_refuses):
+        img = GrayImage(px)
+        cases = [
+            (canny_detect, wrapped_canny, CannyParams(sigma=sigma, low=0.05, high=0.15), canny_refuses,
+             ["--detector", "canny", "--sigma", repr(sigma), "--low", "0.05", "--high", "0.15"]),
+            (mh_detect, wrapped_mh, MHParams(sigma=sigma), mh_refuses,
+             ["--detector", "marr-hildreth", "--sigma", repr(sigma)]),
+            (mh_detect, wrapped_mh, MHParams(sigma=sigma, use_hysteresis=True, low=0.0, high=1e300), mh_refuses,
+             ["--detector", "marr-hildreth", "--sigma", repr(sigma), "--mh-hysteresis", "--low", "0", "--high", "1e300"]),
+        ]
+        # no file holds these samples, so the CLI's reader hands over the plane
+        monkeypatch.setattr(cli, "_read_gray", lambda path: px.copy())
+        set_strip_rows(monkeypatch, strip, px.shape[1])
+        out = tmp_path / "e.pgm"
+        for detect, wrapped, params, refuses, flags in cases:
+            expected = outcome(wrapped, img, params)
+            assert (expected == NOT_FINITE.encode()) == refuses, params
+            assert outcome(detect, img, params) == expected, params
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = cli.run(["detect", "--in", "unread.pgm", "--out", str(out), *flags])
+            err = capsys.readouterr().err
+            if refuses:
+                assert (code, err) == (1, f"edgebench: invalid parameters: {NOT_FINITE}\n"), flags
+            else:
+                write_image(EdgeMap(np.frombuffer(expected, dtype=bool).reshape(px.shape)), tmp_path / "w.pgm")
+                assert (code, err) == (0, ""), flags
+                assert out.read_bytes() == (tmp_path / "w.pgm").read_bytes(), flags
+
+    def test_a_halo_row_that_overflows_is_not_refused(self, monkeypatch):
+        set_strip_rows(monkeypatch, 2, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(marr_hildreth._laplacian(HALO_ONLY_LAPLACIAN[1:3])[0]).all()
+            got = filtering._by_strips(marr_hildreth._laplacian, HALO_ONLY_LAPLACIAN, 1, finite=True)
+        expected = whole_plane_convolve_2d(GrayImage(HALO_ONLY_LAPLACIAN), laplacian_kernel_2d()).pixels
+        assert got.tobytes() == expected.tobytes()
 
 
 STRIP_SHAPES = [(8, 8), (9, 8), (8, 13), (31, 17), (37, 100), (100, 37)]
@@ -1238,19 +1348,42 @@ def ascii_netpbm_files(draw):
     return magic + b" %d %d %d" % (width, height, maxval) + raster
 
 
-def read_outcome(path):
+def read_outcome(path, read=read_image):
+    # read's pixels with their type and shape, or its error; _read_gray's
+    # bare plane counts as the GrayImage it stands for
     try:
-        img = read_image(path)
+        img = read(path)
     except (FormatError, TruncationError) as exc:
         return type(exc), str(exc)
-    return type(img), img.pixels.shape, img.pixels.tobytes()
+    px = img if isinstance(img, np.ndarray) else img.pixels
+    return GrayImage if px.ndim == 2 else type(img), px.shape, px.tobytes()
 
 
-def assert_ascii_read_matches(path) -> None:
-    got = read_outcome(path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(image_core, "_ascii_samples", split_ascii_samples)
-        assert got == read_outcome(path), path.read_bytes()[:200]
+def gray_outcome(path):
+    # what the CLI's reader must give: read_image's gray plane, a PPM's collapsed
+    img = read_image(path)
+    return rgb_to_gray(img) if isinstance(img, RgbImage) else img
+
+
+# bytes per ASCII run: a handful, so a raster spans many runs, and the real budget
+RUN_BUDGETS = (1, 2, 3, 5, 8, None)
+
+
+def assert_ascii_read_matches(path, budgets=RUN_BUDGETS) -> None:
+    """read_image and _read_gray, at every run budget, must read what the
+    token split and the whole-buffer parse read, or fail alike."""
+    expected = []
+    for oracle in (split_ascii_samples, whole_buffer_ascii_samples):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(image_core, "_ascii_samples", oracle)
+            expected.append((read_outcome(path), read_outcome(path, gray_outcome)))
+    assert expected[0] == expected[1], path.read_bytes()[:200]
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(filtering, "_STRIP_BYTES", budget)
+            got = read_outcome(path), read_outcome(path, image_core._read_gray)
+        assert got == expected[0], (budget, path.read_bytes()[:200])
 
 
 class TestAsciiRasterMatchesTokenSplit:
@@ -1298,7 +1431,50 @@ class TestAsciiRasterMatchesTokenSplit:
         path = tmp_path / "composite.pgm"
         path.write_bytes(workloads.encode_netpbm("p2", gray, rgb))
         assert read_image(path).pixels.shape == (1024, 1024)
-        assert_ascii_read_matches(path)
+        # runs of about one and two rows, and of the real budget
+        assert_ascii_read_matches(path, (4096, 8192, None))
+
+
+class TestAsciiRunBoundaries:
+    """The ASCII parse tokenises byte runs of about _STRIP_BYTES, each cut at
+    a whitespace byte; with every budget from one byte to the whole file,
+    each run boundary falls on each byte of these rasters once."""
+
+    @pytest.mark.parametrize("body", [
+        b"P2 4 1 255 1 234 5 67",
+        b"P2 3 1 255 1 # a comment 99 that 7 spans runs\r\n2 #\n3",
+        b"P2 3 1 65535 1 " + b"0" * 17 + b"65535 " + b"1" * 25 + b" 4",
+        b"P2 2 1 65535 " + b"0" * 30 + b"7 " + b"9" * 40,
+        b"P2 5 1 255 1 2 3 4 x5",
+        b"P2 5 1 255 1 y 3 4 x",
+        b"P2 6 1 255 1 x 3 4 5",
+        b"P2 6 1 255 1 x 3 4\n#5 6 7\n",
+        b"P2 2 1 255 1 2 \xff-junk.#\x00 " + b"9" * 30,
+        b"P2 2 1 255 1 2" + b" " * 40,
+        b"P3 2 1 255\r\n1 2 3\r\n4 5 6\r\n7",
+    ], ids=["token", "comment", "18-and-25-digits", "31-and-40-digits", "malformed-in-the-last-run",
+            "first-of-two-malformed", "truncated-and-malformed", "truncated-by-a-comment",
+            "garbage-after-count", "blank-tail", "p3-crlf"])
+    def test_every_budget(self, tmp_path, body):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(body)
+        assert_ascii_read_matches(path, range(1, len(body) + 1))
+
+    def test_a_short_raster_with_a_bad_token_in_an_early_run_counts_every_token(self, monkeypatch, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P2 9 1 255 1 x 3 4 5 6 7 8")
+        monkeypatch.setattr(filtering, "_STRIP_BYTES", 2)
+        with pytest.raises(TruncationError, match="expected 9 samples, got 8"):
+            read_image(path)
+
+    def test_runs_past_the_last_sample_are_never_read(self, monkeypatch, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P2 2 1 255 1 2 " + b"x" * 100)
+        monkeypatch.setattr(filtering, "_STRIP_BYTES", 3)
+        with mock.patch.object(image_core, "_malformed_token", wraps=image_core._malformed_token) as scanned:
+            assert read_image(path).pixels.tolist() == [[1 / 255, 2 / 255]]
+        # both samples lie in the first run, and no run after it is tokenised
+        assert scanned.call_count == 1
 
 
 def flat_scene() -> Scene:
