@@ -21,6 +21,8 @@ __all__ = [
 ]
 
 _EIGHT_CONNECTED = ndimage.generate_binary_structure(2, 2)
+# 8-connected within each layer of a (layers, h, w) stack, never across layers
+_LAYERED = np.pad(_EIGHT_CONNECTED[None], ((1, 1), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +153,20 @@ def component_maxima(thinned: GrayImage, low: float) -> tuple:
     maxima[0] = -inf. For any high >= low, (maxima > high)[labels] is the
     hysteresis mask, so a sweep over high labels each low only once.
     """
-    values = thinned.pixels
-    passable = values > low
-    labels, n = ndimage.label(passable, structure=_EIGHT_CONNECTED)
-    # flat indices gather faster than two boolean-mask selections
+    labels, maxima = _stack_maxima(thinned.pixels, (thinned.pixels > low)[None])[:2]
+    return labels[0], maxima
+
+
+def _stack_maxima(values: np.ndarray, passable: np.ndarray) -> tuple:
+    # (labels, maxima, where, component, pixel) of the (layers, h, w) stack passable
+    # over the (h, w) plane values: its ndimage.label stack, each label's largest value
+    # (-inf for 0), and its pixels' flat stack indices, labels and flat indices in values
+    labels, n = ndimage.label(passable, structure=_LAYERED)
     where = np.flatnonzero(passable)
+    component, pixel = labels.ravel()[where], where % values.size
     maxima = np.full(n + 1, -np.inf)
-    np.maximum.at(maxima, labels.ravel()[where], values.ravel()[where])
-    return labels, maxima
+    np.maximum.at(maxima, component, values.ravel()[pixel])
+    return labels, maxima, where, component, pixel
 
 
 def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .canny import CannyParams, _canny_from_smoothed, hysteresis, thinned_magnitude
+from .canny import CannyParams, _canny_from_smoothed, _stack_maxima, hysteresis, thinned_magnitude
 from .filtering import _blur, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
@@ -45,7 +45,6 @@ THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
 # A hysteresis sweep labels its lows in (lows, h, w) stacks of at most this
 # many pixels (one layer at least), 8-connected within a layer only
 _STACK_PIXELS = 128 * 1024
-_LAYERED = np.pad(ndimage.generate_binary_structure(2, 2)[None], ((1, 1), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +247,7 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
     tallies = []
     for k in range(0, lows.size, step):
         if linked:
-            passable = values > lows[k:k + step, None, None]
-            labels, n = ndimage.label(passable, structure=_LAYERED)
-            where = np.flatnonzero(passable)
-            component, pixel = labels.ravel()[where], where % values.size
-            maxima = np.full(n + 1, -np.inf)
-            np.maximum.at(maxima, component, values.ravel()[pixel])
+            labels, maxima, where, component, pixel = _stack_maxima(values, values > lows[k:k + step, None, None])
             cells = where // values.size * bins + np.searchsorted(ranked, maxima)[component]
             det = np.bincount(cells, minlength=len(labels) * bins).reshape(-1, bins)
             near, reach = cells[match.near.ravel()[pixel]], maxima[labels[match.window]]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import GrayImage, _finite
+from .image_core import GrayImage, _finite, _row_strips
 
 __all__ = [
     "Kernel1D",
@@ -22,8 +22,6 @@ __all__ = [
     "outer_kernel",
 ]
 
-# bytes of float64 plane per row strip; 32 rows at width 1024
-_STRIP_BYTES = 256 * 1024
 # the largest Gaussian truncation radius check_blur accepts
 _MAX_RADIUS = 4096
 
@@ -147,12 +145,6 @@ def _edge_padded(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
     return out
 
 
-def _row_strips(plane: np.ndarray) -> list:
-    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row."""
-    rows = max(1, _STRIP_BYTES // (plane.itemsize * plane.shape[1]))
-    return [(top, min(top + rows, len(plane))) for top in range(0, len(plane), rows)]
-
-
 def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     """out = +0 + tap * window for each (tap, window) of terms, in order."""
     buf = np.empty_like(out)
@@ -162,7 +154,7 @@ def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _by_strips(stage, plane: np.ndarray, halo: int, finite: bool = False) -> np.ndarray:
+def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
     """stage(plane), computed over the row strips of _row_strips.
 
     stage's output row y must read only input rows y - halo .. y + halo, and
@@ -171,19 +163,15 @@ def _by_strips(stage, plane: np.ndarray, halo: int, finite: bool = False) -> np.
     the result is bit-identical. The output takes its dtype and any leading
     axes from stage's, whose rows run along the second-to-last axis. A plane
     that fits in one strip, or a halo taller than half a strip, takes one
-    whole-plane call. With finite, the rows each strip keeps are refused
-    unless finite, as GrayImage refuses them; a strip's halo rows are not.
+    whole-plane call.
     """
     strips = _row_strips(plane)
     if len(strips) == 1 or 2 * halo > strips[0][1]:
-        out = stage(plane)
-        return _finite(out) if finite else out
+        return stage(plane)
     out = None
     for top, bottom in strips:
         lo = max(top - halo, 0)
         strip = stage(plane[lo:bottom + halo])[..., top - lo:bottom - lo, :]
-        if finite:
-            _finite(strip)
         if out is None:
             out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
         out[..., top:bottom, :] = strip

@@ -3,7 +3,7 @@
 import math
 import os
 import re
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,8 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c
 _SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c]")
 # an ASCII sample of this many digits, with '0' offsets, still fits an int64
 _EXACT_DIGITS = 18
+# bytes per row strip of a float64 plane (32 rows at width 1024) and per ASCII byte run
+_STRIP_BYTES = 256 * 1024
 
 
 def _finite(px: np.ndarray) -> np.ndarray:
@@ -52,6 +54,12 @@ def _finite(px: np.ndarray) -> np.ndarray:
     if not np.isfinite(px).all():
         raise ValueError("gray pixels must be finite, got NaN or infinity")
     return px
+
+
+def _row_strips(plane: np.ndarray) -> list:
+    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row."""
+    rows = max(1, _STRIP_BYTES // (plane.itemsize * plane.shape[1]))
+    return [(top, min(top + rows, len(plane))) for top in range(0, len(plane), rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,18 +190,17 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    from . import filtering  # for its strip budget; filtering imports this module
-
     if data.find(b"#", pos) >= 0:
         # as in the header, a comment runs from '#' to the end of its line
         data, pos = re.sub(rb"#[^\r\n]*", b"", data[pos:]), 0
-    samples = np.empty(count)
+    # n tokens take at least 2n - 1 bytes, so a huge header allocates nothing huge
+    samples = np.empty(min(count, (len(data) - pos + 1) // 2))
     # runs of about _STRIP_BYTES bytes, each cut at a whitespace byte so no
     # token spans two, until count tokens are found; once one is malformed
     # the runs after it are only counted, so a short raster stays truncated
     seen, bad = 0, None
     while seen < count and pos < len(data):
-        cut = _SEPARATOR.search(data, pos + max(filtering._STRIP_BYTES, 1))
+        cut = _SEPARATOR.search(data, pos + max(_STRIP_BYTES, 1))
         end = cut.start() if cut else len(data)
         buf = np.frombuffer(data, np.uint8, end - pos, pos)
         pos = end
@@ -304,8 +311,6 @@ def _read_gray(path) -> np.ndarray:
     """read_image(path)'s pixels as a float64 plane, with no wrap; a PPM is
     collapsed as rgb_to_gray does, one row strip at a time, from one plane
     per channel. The samples are checked and in range, so it is finite."""
-    from .filtering import _row_strips  # filtering imports this module
-
     samples, scale = _read_samples(path)
     if samples.ndim == 2:
         # the ASCII parse's own float samples are divided in place
@@ -321,11 +326,12 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     """Write payload to path via a temporary file in the same directory.
 
     The target either keeps its old content or receives the complete new
-    content; a partial file is never left behind.
+    content; a partial file is never left behind. The file, new or
+    replaced, gets mode 0o666 less the umask, as a new file from open() does.
     """
     target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".edgebench-")
+    tmp = os.path.join(os.path.dirname(target), f".edgebench-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -152,13 +152,13 @@ def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
 
 
 def _mh_from_smoothed(smoothed: np.ndarray, params: MHParams) -> np.ndarray:
-    # the detector after its blur, on a float64 plane: the Laplacian, each
-    # strip's own rows refused unless finite, then one strip pass marks the
-    # crossings above each threshold as bool planes; hysteresis links them by
-    # seed labels
+    # the detector after its blur, on a float64 plane: the Laplacian, then one
+    # strip pass refuses each strip of it unless finite, halo rows being its
+    # own rows, and marks the crossings above each threshold as bool planes;
+    # hysteresis links them by seed labels
     thresholds = (params.low, params.high) if params.use_hysteresis else (params.slope_threshold,)
-    resp = _by_strips(_laplacian, smoothed, 1, finite=True)
-    marks = _by_strips(lambda v: _crossing_marks(v, thresholds), resp, 1)
+    resp = _by_strips(_laplacian, smoothed, 1)
+    marks = _by_strips(lambda v: _crossing_marks(_finite(v), thresholds), resp, 1)
     return _link(*marks) if params.use_hysteresis else marks[0]
 
 

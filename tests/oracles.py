@@ -18,7 +18,7 @@ ran when borders were replicated with np.pad; the slice-copy padding must
 equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
 ran before it moved to whole-array byte passes, one bytes token at a time,
 and whole_buffer_ascii_samples as it ran before those passes moved into
-byte runs of about filtering._STRIP_BYTES. two_pass_comparison is
+byte runs of about image_core._STRIP_BYTES. two_pass_comparison is
 run_comparison as it ran before a scene's blur and a truth mask's distance
 transform were shared: each detector blurs every scene itself and score()
 transforms the truth for every row. per_low_operating_point is the tuning

@@ -173,7 +173,7 @@ class TestDetect:
                      "mh": (mh_detect, MHParams(slope_threshold=0.02)),
                      "mh-hyst": (mh_detect, MHParams(use_hysteresis=True, low=0.01, high=0.05))}
         # strips of 8 rows, so every stage runs in several
-        monkeypatch.setattr(filtering, "_STRIP_BYTES", 8 * 8 * 80)
+        monkeypatch.setattr(image_core, "_STRIP_BYTES", 8 * 8 * 80)
         expected = {}
         for name, (detect, params) in detectors.items():
             write_image(detect(gray, params), tmp_path / f"{name}.pgm")
@@ -240,6 +240,39 @@ class TestSynth:
                     "--out-truth", str(tmp_path / "t.pgm")])
         assert code == 1
         assert "invalid parameters" in capsys.readouterr().err
+
+
+class TestFailedWrite:
+    """Each output file is written to a temporary file, then renamed over
+    its target. When the rename fails, the run exits 2, the target keeps
+    what it held and no temporary file is left."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--scene", "circle", "--out-image", "{tmp}/t.pgm", "--out-truth", "{tmp}/s.pgm"],
+        ["detect", "--detector", "canny", "--in", "{tmp}/in.pgm", "--out", "{tmp}/t.pgm"],
+        ["compare", "--suite", "circle", "--out", "{tmp}/t.pgm"],
+    ], ids=["synth", "detect", "compare"])
+    @pytest.mark.parametrize("target", ["existing-file", "directory"])
+    def test_exits_2_and_keeps_the_target(self, monkeypatch, tmp_path, capsys, argv, target):
+        write_image(synth_circle(16, (7.5, 7.5), 3.0).image, tmp_path / "in.pgm")
+        if target == "directory":
+            (tmp_path / "t.pgm").mkdir()  # a file cannot be renamed over a directory
+        else:
+            (tmp_path / "t.pgm").write_bytes(b"old bytes")
+
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("edgebench: i/o error: ")
+        # no .edgebench-* file is left, and synth never wrote its second file
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        if target == "directory":
+            assert not list((tmp_path / "t.pgm").iterdir())
+        else:
+            assert (tmp_path / "t.pgm").read_bytes() == b"old bytes"
 
 
 class TestEvaluate:
@@ -323,6 +356,11 @@ class TestCompare:
         code = run(["compare", "--suite", "noisy-step", "--seeds", "a..b"])
         assert code == 1
         assert "seeds" in capsys.readouterr().err
+
+    def test_descending_seed_range_exits_1(self, capsys):
+        assert run(["compare", "--suite", "noisy-step", "--seeds", "5..3"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "edgebench: invalid parameters: at least one seed is required\n")
 
     def test_output_file_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

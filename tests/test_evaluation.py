@@ -94,6 +94,11 @@ class TestSynthStep:
         with pytest.raises(ValueError):
             synth_step(8, 4, 8, 0.5)
 
+    @pytest.mark.parametrize("width, height", [(1, 4), (8, 0)])
+    def test_size_bounds(self, width, height):
+        with pytest.raises(ValueError, match=f"width >= 2 and height >= 1, got {width}x{height}"):
+            synth_step(width, height, 1, 0.5)
+
     def test_contrast_bounds(self):
         with pytest.raises(ValueError):
             synth_step(8, 4, 4, 0.0)
@@ -142,6 +147,15 @@ class TestSynthCircle:
         scene = synth_circle(size, center, radius)
         inside = scene.image.pixels.sum()
         assert abs(inside - np.pi * radius * radius) <= 4 * radius
+
+    def test_empty_size_is_rejected(self):
+        with pytest.raises(ValueError, match="size must be positive, got 0"):
+            synth_circle(0, (0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be positive, got {radius}"):
+            synth_circle(32, (15.5, 15.5), radius)
 
     def test_circle_touching_the_border_is_rejected(self):
         with pytest.raises(ValueError):

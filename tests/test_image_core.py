@@ -1,7 +1,9 @@
 """Pixel types, grayscale conversion, and PGM/PPM round trips."""
 
 import io
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -198,6 +200,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             EdgeMap(np.zeros((2, 2), dtype=np.float64))
 
+    def test_edge_map_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="non-empty 2-D grid"):
+            EdgeMap(np.zeros((0, 3), dtype=bool))
+
     def test_edge_map_count(self):
         em = EdgeMap(np.array([[True, False], [True, True]]))
         assert em.count == 3
@@ -210,6 +216,15 @@ class TestTypes:
 
 
 class TestRead:
+    @pytest.mark.parametrize("magic, count", [(b"P2", 2147483647**2), (b"P3", 3 * 2147483647**2)], ids=["P2", "P3"])
+    def test_a_short_raster_under_a_huge_header_is_truncated(self, tmp_path, magic, count):
+        # no array of count samples can exist; the raster's 6 bytes hold at most 3
+        p = tmp_path / "t.pnm"
+        p.write_bytes(magic + b"\n2147483647 2147483647\n255\n1 2 3\n")
+        for read in (read_image, _read_gray):
+            with pytest.raises(TruncationError, match=f"^pixel data truncated: expected {count} samples, got 3$"):
+                read(p)
+
     def test_binary_pgm_endpoints(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
@@ -459,6 +474,9 @@ MALFORMED_NETPBM = [
     pytest.param(b"P5\n4 4\n255\n" + bytes(10), id="p5-truncated"),
     pytest.param(b"P3\n2 1\n255\n1 2 3 4 5\n", id="p3-truncated"),
     pytest.param(b"P2\n3 1\n255\n1 2\n", id="p2-truncated"),
+    # headers whose sample count no array can hold, over a raster of 3 samples
+    pytest.param(b"P2\n2147483647 2147483647\n255\n1 2 3\n", id="p2-huge-header-truncated"),
+    pytest.param(b"P3\n2147483647 2147483647\n255\n1 2 3\n", id="p3-huge-header-truncated"),
     pytest.param(b"P6\n1 1\n100\n" + bytes([0, 101, 0]), id="p6-over-maxval"),
     pytest.param(b"P6\n1 1\n300\n" + np.array([0, 0, 301], ">u2").tobytes(), id="p6-16-bit-over-maxval"),
     pytest.param(b"P5\n1 1\n7\n\x08", id="p5-over-maxval"),
@@ -582,6 +600,36 @@ class TestWrite:
         with pytest.raises(TypeError):
             write_image(object(), tmp_path / "t.pgm")
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_keeps_the_target_and_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        target = tmp_path / "t.pgm"
+        target.write_bytes(b"old bytes")
+
+        def refuse(src, dst):
+            assert os.path.basename(src).startswith(".edgebench-") and os.path.exists(src)
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_image(GrayImage(np.zeros((2, 2))), target)
+        assert [path.name for path in tmp_path.iterdir()] == ["t.pgm"]
+        assert target.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_file_mode_is_that_of_open_under_the_umask(self, tmp_path, umask):
+        # a new file and a replaced one, whatever mode the old one had
+        replaced = tmp_path / "replaced.pgm"
+        replaced.write_bytes(b"old")
+        replaced.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            write_image(GrayImage(np.zeros((2, 2))), tmp_path / "new.pgm")
+            write_image(GrayImage(np.zeros((2, 2))), replaced)
+            (tmp_path / "plain").open("wb").close()
+        finally:
+            os.umask(old)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(("new.pgm", "replaced.pgm", "plain"), 0o666 & ~umask)
 
     @given(
         px=hnp.arrays(

@@ -1039,8 +1039,8 @@ def wrapped_mh(img: GrayImage, params: MHParams) -> EdgeMap:
 
 class TestRefusalsAtStripBoundaries:
     """The private stages check finiteness only where overflow can arise: the
-    rows each blur strip writes, the kept pixels of thinning, and the rows
-    each Laplacian strip keeps. Planes that overflow inside one strip, or
+    rows each blur strip writes, the kept pixels of thinning, and each strip
+    of the Laplacian that the crossing pass reads. Planes that overflow inside one strip, or
     only in a strip's halo, must be refused, or mapped, as by the chain of
     whole-plane stages wrapped in GrayImage at every hand-off, through the
     detectors and the CLI alike."""
@@ -1075,12 +1075,15 @@ class TestRefusalsAtStripBoundaries:
                 assert out.read_bytes() == (tmp_path / "w.pgm").read_bytes(), flags
 
     def test_a_halo_row_that_overflows_is_not_refused(self, monkeypatch):
+        # the crossing pass checks the strips it reads, cut from the whole
+        # Laplacian, not the Laplacian strips, whose halo rows repeat a border
         set_strip_rows(monkeypatch, 2, 5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(marr_hildreth._laplacian(HALO_ONLY_LAPLACIAN[1:3])[0]).all()
-            got = filtering._by_strips(marr_hildreth._laplacian, HALO_ONLY_LAPLACIAN, 1, finite=True)
-        expected = whole_plane_convolve_2d(GrayImage(HALO_ONLY_LAPLACIAN), laplacian_kernel_2d()).pixels
-        assert got.tobytes() == expected.tobytes()
+        for params in (MHParams(), MHParams(use_hysteresis=True, low=0.0, high=1e300)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(marr_hildreth._laplacian(HALO_ONLY_LAPLACIAN[1:3])[0]).all()
+                got = _mh_from_smoothed(HALO_ONLY_LAPLACIAN, params)
+                expected = slope_plane_mh_from_smoothed(GrayImage(HALO_ONLY_LAPLACIAN), params).mask
+            assert got.tobytes() == expected.tobytes(), params
 
 
 STRIP_SHAPES = [(8, 8), (9, 8), (8, 13), (31, 17), (37, 100), (100, 37)]
@@ -1089,7 +1092,7 @@ STRIP_SIGMAS = (1.0, 1.4, 3.0)
 
 def set_strip_rows(monkeypatch, rows: int, width: int) -> None:
     # a budget that gives strips of exactly `rows` rows at this width
-    monkeypatch.setattr(filtering, "_STRIP_BYTES", rows * 8 * width)
+    monkeypatch.setattr(image_core, "_STRIP_BYTES", rows * 8 * width)
 
 
 def assert_blur_matches(img: GrayImage, kx, ky) -> None:
@@ -1165,17 +1168,17 @@ class TestStripsMatchWholePlane:
     def test_plane_wider_than_a_strip(self, monkeypatch):
         px = np.random.default_rng(4).random((6, 50))
         # a budget below one row gives one-row strips, so every halo takes the whole-plane path
-        monkeypatch.setattr(filtering, "_STRIP_BYTES", 100)
+        monkeypatch.setattr(image_core, "_STRIP_BYTES", 100)
         assert_strips_match(px, 1.0)
         wide = np.random.default_rng(5).random((3, 40_000))
         monkeypatch.undo()
-        assert filtering._STRIP_BYTES < 8 * wide.shape[1]
+        assert image_core._STRIP_BYTES < 8 * wide.shape[1]
         assert_strips_match(wide, 1.0)
 
     def test_detect_composite_at_the_real_budget(self):
         gray, _ = load_detect_composite()(0)
         img = GrayImage(gray)
-        assert filtering._STRIP_BYTES // (8 * img.width) < img.height
+        assert image_core._STRIP_BYTES // (8 * img.width) < img.height
         for sigma in (1.0, 1.4):
             k = gaussian_kernel_1d(sigma, gaussian_radius(sigma))
             smoothed = convolve_separable(img, k, k)
@@ -1249,7 +1252,7 @@ class TestBlurPassesMatchWholePlane:
     def test_radius_above_half_a_strip_at_width_1024(self, radius):
         # 32-row strips at width 1024; every y strip reads a halo taller than itself
         px = np.random.default_rng(radius).random((70, 1024))
-        assert filtering._STRIP_BYTES // (8 * 1024) < 2 * radius
+        assert image_core._STRIP_BYTES // (8 * 1024) < 2 * radius
         k = gaussian_kernel_1d(radius / 3.0, radius)
         assert_blur_matches(GrayImage(px), k, k)
         assert_blur_matches(GrayImage(px), gaussian_kernel_1d(0.7, 2), k)
@@ -1381,7 +1384,7 @@ def assert_ascii_read_matches(path, budgets=RUN_BUDGETS) -> None:
     for budget in budgets:
         with pytest.MonkeyPatch.context() as mp:
             if budget is not None:
-                mp.setattr(filtering, "_STRIP_BYTES", budget)
+                mp.setattr(image_core, "_STRIP_BYTES", budget)
             got = read_outcome(path), read_outcome(path, image_core._read_gray)
         assert got == expected[0], (budget, path.read_bytes()[:200])
 
@@ -1463,14 +1466,14 @@ class TestAsciiRunBoundaries:
     def test_a_short_raster_with_a_bad_token_in_an_early_run_counts_every_token(self, monkeypatch, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P2 9 1 255 1 x 3 4 5 6 7 8")
-        monkeypatch.setattr(filtering, "_STRIP_BYTES", 2)
+        monkeypatch.setattr(image_core, "_STRIP_BYTES", 2)
         with pytest.raises(TruncationError, match="expected 9 samples, got 8"):
             read_image(path)
 
     def test_runs_past_the_last_sample_are_never_read(self, monkeypatch, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P2 2 1 255 1 2 " + b"x" * 100)
-        monkeypatch.setattr(filtering, "_STRIP_BYTES", 3)
+        monkeypatch.setattr(image_core, "_STRIP_BYTES", 3)
         with mock.patch.object(image_core, "_malformed_token", wraps=image_core._malformed_token) as scanned:
             assert read_image(path).pixels.tolist() == [[1 / 255, 2 / 255]]
         # both samples lie in the first run, and no run after it is tokenised
