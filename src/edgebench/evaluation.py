@@ -111,7 +111,7 @@ def synth_circle(size: int, center: tuple, radius: float) -> Scene:
         raise ValueError(
             f"circle must stay 2 pixels clear of the border: radius {radius} + 2 exceeds clearance {clearance}"
         )
-    ys, xs = np.mgrid[0:size, 0:size]
+    ys, xs = np.ogrid[0:size, 0:size]
     inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
     # erosion by the default cross keeps pixels whose 4-neighbours are all inside
     truth = inside & ~ndimage.binary_erosion(inside, border_value=1)
@@ -238,8 +238,8 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
     # components of the plane values linked above grid[i] (linked), or else
     # of the pixels of layer i of the (rows, h, w) values. Tallies by (row,
     # bin), a level's bin being the number of grid values below it, count
-    # them all. The first highest f in row-major order wins, and only the
-    # winner gets params and a report
+    # them all; reach has a layer per row. The first highest f in row-major
+    # order wins, and only the winner gets params and a report
     match = _ToleranceMatch(truth, tolerance)
     lows = np.array(grid, dtype=np.float64)
     ranked, bins = np.sort(lows), lows.size + 1
@@ -249,13 +249,11 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
         if linked:
             labels, maxima, where, component, pixel = _stack_maxima(values, values > lows[k:k + step, None, None])
             cells = where // values.size * bins + np.searchsorted(ranked, maxima)[component]
-            det = np.bincount(cells, minlength=len(labels) * bins).reshape(-1, bins)
             near, reach = cells[match.near.ravel()[pixel]], maxima[labels[match.window]]
-        else:  # each pixel is its own component; a sorted layer's bins are runs
-            det = np.diff([np.searchsorted(np.sort(v, axis=None), ranked, "right") for v in values],
-                          prepend=0, append=values[0].size)
-            near = np.searchsorted(ranked, values[:, match.near]) + bins * np.arange(len(values))[:, None]
-            reach = values[match.window]
+        else:  # each pixel is its own component
+            cells = np.searchsorted(ranked, values) + bins * np.arange(len(values))[:, None, None]
+            near, reach = cells[:, match.near], values[match.window]
+        det = np.bincount(cells.ravel(), minlength=len(reach) * bins).reshape(-1, bins)
         reach = np.searchsorted(ranked, match.disc_maxima(reach)) + bins * np.arange(len(det))[:, None]
         tallies.append([det] + [np.bincount(c.ravel(), minlength=det.size).reshape(det.shape) for c in (near, reach)])
     # reverse cumulative sums count the bins above each grid value

@@ -151,12 +151,20 @@ class EdgeMap:
         return f"EdgeMap({self.width}x{self.height}, {self.count} marked)"
 
 
-def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-    """rgb_to_gray's rule on three channel planes, into out if given."""
-    gray = np.multiply(r, LUMA_RED, out=out)
-    gray += g * LUMA_GREEN
-    gray += b * LUMA_BLUE
-    np.copyto(gray, r, where=(r == g) & (g == b))
+def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """rgb_to_gray's rule on three channel planes, into out."""
+    np.multiply(r, LUMA_RED, out=out)
+    out += g * LUMA_GREEN
+    out += b * LUMA_BLUE
+    np.copyto(out, r, where=(r == g) & (g == b))
+
+
+def _collapse(rgb: np.ndarray, scale: float) -> np.ndarray:
+    """rgb_to_gray's rule on the (h, w, 3) rgb / scale, by row strips, one plane per channel."""
+    gray = np.empty(rgb.shape[:2])
+    for top, bottom in _row_strips(gray):
+        rows = rgb[top:bottom]
+        _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
     return gray
 
 
@@ -165,10 +173,10 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
 
     The weighted sum is a convex combination, so output intensities stay
     in [0, 1]. A pixel whose three channels equal v gives v exactly, so a
-    gray picture stored as RGB reads as the same gray plane. The CLI's PPM
-    reader applies the same rule row strip by row strip, one plane per channel.
+    gray picture stored as RGB reads as the same gray plane. It runs row
+    strip by row strip, one plane per channel, as the CLI's PPM reader does.
     """
-    return GrayImage(_luma(*np.moveaxis(img.pixels, 2, 0)))
+    return GrayImage(_collapse(img.pixels, 1.0))
 
 
 def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -276,19 +284,24 @@ def _read_samples(path) -> tuple:
     if magic in (b"P5", b"P6"):
         if pos >= len(data) or data[pos] not in _HEADER_WHITESPACE:
             raise FormatError("missing whitespace between maxval and pixel data")
-        raster = data[pos + 1:]
         bytes_per_sample = 1 if maxval <= 255 else 2
         needed = count * bytes_per_sample
+        # a copy of just the raster's bytes: a view at a 16-bit header's odd offset reads slower
+        raster = data[pos + 1:pos + 1 + needed]
         if len(raster) < needed:
             raise TruncationError(f"pixel data truncated: expected {needed} bytes, got {len(raster)}")
-        dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
-        samples = np.frombuffer(raster[:needed], dtype=dtype)
+        samples = np.frombuffer(raster, dtype=np.uint8 if bytes_per_sample == 1 else np.dtype(">u2"))
     else:
         samples = _ascii_samples(data, pos, count)
 
     if samples.max(initial=0) > maxval:
         raise FormatError(f"sample value {samples.max():.0f} exceeds maxval {maxval}")
     return samples.reshape(shape), 255.0 if maxval <= 255 else 65535.0
+
+
+def _scaled(samples: np.ndarray, scale: float) -> np.ndarray:
+    # samples / scale; the ASCII parse's own float samples are divided in place
+    return np.divide(samples, scale, out=samples if samples.dtype == np.float64 else None)
 
 
 def read_image(path) -> "GrayImage | RgbImage":
@@ -301,9 +314,7 @@ def read_image(path) -> "GrayImage | RgbImage":
     Raises FormatError for a malformed header or a sample above maxval,
     TruncationError for missing pixel data, and OSError for filesystem failures.
     """
-    samples, scale = _read_samples(path)
-    # the ASCII parse's own float samples are divided in place
-    pixels = np.divide(samples, scale, out=samples if samples.dtype == np.float64 else None)
+    pixels = _scaled(*_read_samples(path))
     return GrayImage(pixels) if pixels.ndim == 2 else RgbImage(pixels)
 
 
@@ -312,14 +323,7 @@ def _read_gray(path) -> np.ndarray:
     collapsed as rgb_to_gray does, one row strip at a time, from one plane
     per channel. The samples are checked and in range, so it is finite."""
     samples, scale = _read_samples(path)
-    if samples.ndim == 2:
-        # the ASCII parse's own float samples are divided in place
-        return np.divide(samples, scale, out=samples if samples.dtype == np.float64 else None)
-    gray = np.empty(samples.shape[:2])
-    for top, bottom in _row_strips(gray):
-        rows = samples[top:bottom]
-        _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
-    return gray
+    return _scaled(samples, scale) if samples.ndim == 2 else _collapse(samples, scale)
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -328,8 +332,14 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     The target either keeps its old content or receives the complete new
     content; a partial file is never left behind. The file, new or
     replaced, gets mode 0o666 less the umask, as a new file from open() does.
+    A target that exists and is not a regular file once symlinks are
+    followed, such as a FIFO or a device, is opened and written in place.
     """
     target = os.fspath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(payload)
+        return
     tmp = os.path.join(os.path.dirname(target), f".edgebench-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

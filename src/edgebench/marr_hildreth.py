@@ -114,8 +114,7 @@ def _landings(v: np.ndarray, mag: np.ndarray):
 
 def _crossing_slopes(v: np.ndarray) -> np.ndarray:
     # an overflowing slope lands as inf, which crossing_slope_map's GrayImage
-    # and _crossing_marks refuse; a same-signed pair's sum may overflow too,
-    # but never lands
+    # refuses; a same-signed pair's sum may overflow too, but never lands
     slopes = np.zeros(v.size)
     with np.errstate(over="ignore"):
         for target, lands, slope in _landings(v, np.abs(v).ravel()):
@@ -124,18 +123,17 @@ def _crossing_slopes(v: np.ndarray) -> np.ndarray:
 
 
 def _crossing_marks(v: np.ndarray, thresholds: tuple) -> np.ndarray:
-    # layer i is crossing_slope_map(v) > thresholds[i]: the pixels some
-    # crossing of slope above thresholds[i] lands on
+    # layer i is crossing_slope_map(v) > thresholds[i], refused as it refuses
+    # an overflowing slope: the pixels some crossing above thresholds[i] lands on
     mag = np.abs(v).ravel()
-    if not mag.max() <= _SAFE:
-        # a slope |a| + |b| may overflow: compare the float slopes, refused
-        # as crossing_slope_map refuses them
-        slopes = _finite(_crossing_slopes(v))
-        return np.stack([slopes > t for t in thresholds])
+    safe = mag.max() <= _SAFE
     marks = np.zeros((len(thresholds), v.size), dtype=bool)
-    for target, lands, slope in _landings(v, mag):
-        for mark, t in zip(marks, thresholds):
-            mark[target] |= lands & (slope > t)
+    with np.errstate(over="ignore"):
+        for target, lands, slope in _landings(v, mag):
+            if not safe:
+                _finite(slope[lands])
+            for mark, t in zip(marks, thresholds):
+                mark[target] |= lands & (slope > t)
     return marks.reshape((len(thresholds),) + v.shape)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import typing
@@ -205,6 +206,24 @@ class TestDetect:
         assert code == 2
         assert not target.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_writes_into_a_fifo(self, step_pgm, tmp_path):
+        # the read end opens first and without blocking, so the write end opens
+        # at once; a 64x64 map is 4,109 bytes, within the pipe's buffer
+        fifo = tmp_path / "edges.fifo"
+        os.mkfifo(fifo)
+        assert run(detect_args(step_pgm, tmp_path / "edges.pgm")) == 0
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(detect_args(step_pgm, fifo)) == 0
+            got = os.read(reader, 2**16)
+        finally:
+            os.close(reader)
+        assert got == (tmp_path / "edges.pgm").read_bytes()
+        # still a FIFO, and no .edgebench-* file is left
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["edges.fifo", "edges.pgm", "step.pgm"]
+
 
 class TestSynth:
     def test_writes_scene_and_truth(self, tmp_path):
@@ -244,8 +263,9 @@ class TestSynth:
 
 class TestFailedWrite:
     """Each output file is written to a temporary file, then renamed over
-    its target. When the rename fails, the run exits 2, the target keeps
-    what it held and no temporary file is left."""
+    its target; a target that exists and is not a regular file is opened
+    in place. When the rename or the open fails, the run exits 2, the
+    target keeps what it held and no temporary file is left."""
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--scene", "circle", "--out-image", "{tmp}/t.pgm", "--out-truth", "{tmp}/s.pgm"],
@@ -256,7 +276,7 @@ class TestFailedWrite:
     def test_exits_2_and_keeps_the_target(self, monkeypatch, tmp_path, capsys, argv, target):
         write_image(synth_circle(16, (7.5, 7.5), 3.0).image, tmp_path / "in.pgm")
         if target == "directory":
-            (tmp_path / "t.pgm").mkdir()  # a file cannot be renamed over a directory
+            (tmp_path / "t.pgm").mkdir()  # a directory cannot be opened for writing
         else:
             (tmp_path / "t.pgm").write_bytes(b"old bytes")
 
@@ -273,6 +293,17 @@ class TestFailedWrite:
             assert not list((tmp_path / "t.pgm").iterdir())
         else:
             assert (tmp_path / "t.pgm").read_bytes() == b"old bytes"
+
+    def test_failed_cleanup_still_exits_2_with_the_original_error(self, monkeypatch, step_pgm, tmp_path, capsys):
+        def refuse(what):
+            def call(*args):
+                raise OSError(f"{what} refused")
+            return call
+
+        monkeypatch.setattr(os, "replace", refuse("replace"))
+        monkeypatch.setattr(os, "unlink", refuse("unlink"))
+        assert run(detect_args(step_pgm, tmp_path / "t.pgm")) == 2
+        assert capsys.readouterr().err == "edgebench: i/o error: replace refused\n"
 
 
 class TestEvaluate:

@@ -152,6 +152,18 @@ class TestSynthCircle:
         with pytest.raises(ValueError, match="size must be positive, got 0"):
             synth_circle(0, (0.0, 0.0), 1.0)
 
+    def test_peak_memory_per_pixel(self):
+        # tracemalloc measured 19 bytes a pixel: the disc's open grids leave
+        # one float plane for its test; full index grids took 35
+        size = 2048
+        tracemalloc.start()
+        try:
+            synth_circle(size, ((size - 1) / 2, (size - 1) / 2), size * 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * size * size, peak / size**2
+
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_radius_must_be_positive(self, radius):
         with pytest.raises(ValueError, match=f"radius must be positive, got {radius}"):

@@ -209,6 +209,15 @@ class TestTypes:
         assert em.count == 3
         assert (em.height, em.width) == (2, 2)
 
+    def test_reprs_give_the_size(self):
+        assert repr(GrayImage(np.zeros((2, 3)))) == "GrayImage(3x2)"
+        assert repr(RgbImage(np.zeros((2, 3, 3)))) == "RgbImage(3x2)"
+        assert repr(EdgeMap(np.array([[True, False, True]]))) == "EdgeMap(3x1, 2 marked)"
+
+    def test_rgb_width_and_height(self):
+        img = RgbImage(np.zeros((2, 5, 3)))
+        assert (img.height, img.width) == (2, 5)
+
     def test_intermediate_values_may_leave_unit_range(self):
         # filter outputs are never clamped, so the type cannot be either
         img = GrayImage(np.array([[-3.0, 42.0]]))
