@@ -42,8 +42,8 @@ __all__ = [
 # serves both the gradient-magnitude and crossing-slope scales.
 THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
 
-# A hysteresis sweep labels its lows in (lows, h, w) stacks of at most this
-# many pixels (one layer at least), 8-connected within a layer only
+# A hysteresis sweep labels its layers in (layers, h, w) stacks of at most
+# this many pixels (one layer at least), 8-connected within a layer only
 _STACK_PIXELS = 128 * 1024
 
 
@@ -236,18 +236,27 @@ def _harmonic_mean(p, r):
 def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, truth: EdgeMap, tolerance: float):
     # Row i detects the levels above grid[j], for each j >= i, of the
     # components of the plane values linked above grid[i] (linked), or else
-    # of the pixels of layer i of the (rows, h, w) values. Tallies by (row,
+    # of the pixels of layer i of the (rows, h, w) values. Tallies by (layer,
     # bin), a level's bin being the number of grid values below it, count
-    # them all; reach has a layer per row. The first highest f in row-major
-    # order wins, and only the winner gets params and a report
+    # them all; reach has a row per layer, and every row reads its layer's.
+    # Linked, the layers above an ascending grid nest, so lows that pass
+    # equal pixel counts pass equal layers: only each run's first non-empty
+    # layer is labelled, and an empty one tallies 0. The first highest f in
+    # row-major order wins, and only the winner gets params and a report
     match = _ToleranceMatch(truth, tolerance)
     lows = np.array(grid, dtype=np.float64)
     ranked, bins = np.sort(lows), lows.size + 1
-    step = max(1, _STACK_PIXELS // values.size) if linked else lows.size
+    if linked:  # a pixel at or below ranked[0] is in bin 0, which no low passes
+        counts = np.bincount(np.searchsorted(ranked, values[values > ranked[0]]), minlength=bins)
+        passed = counts[:0:-1].cumsum()[::-1]  # the pixels above each low
+        first = np.diff(passed, prepend=-1) != 0
+        rows, layers, step = np.cumsum(first) - 1, lows[first & (passed > 0)], max(1, _STACK_PIXELS // values.size)
+    else:
+        rows, layers, step = np.arange(len(values)), values, len(values)
     tallies = []
-    for k in range(0, lows.size, step):
+    for k in range(0, len(layers), step):
         if linked:
-            labels, maxima, where, component, pixel = _stack_maxima(values, values > lows[k:k + step, None, None])
+            labels, maxima, where, component, pixel = _stack_maxima(values, values > layers[k:k + step, None, None])
             cells = where // values.size * bins + np.searchsorted(ranked, maxima)[component]
             near, reach = cells[match.near.ravel()[pixel]], maxima[labels[match.window]]
         else:  # each pixel is its own component
@@ -256,9 +265,10 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
         det = np.bincount(cells.ravel(), minlength=len(reach) * bins).reshape(-1, bins)
         reach = np.searchsorted(ranked, match.disc_maxima(reach)) + bins * np.arange(len(det))[:, None]
         tallies.append([det] + [np.bincount(c.ravel(), minlength=det.size).reshape(det.shape) for c in (near, reach)])
+    tallies.append([np.zeros((1, bins), dtype=np.intp)] * 3)  # read by the lows that pass nothing
     # reverse cumulative sums count the bins above each grid value
     above = lows.size - np.searchsorted(ranked, lows, side="right")
-    det, matched, covered = (np.cumsum(np.concatenate(t)[:, ::-1], axis=1)[:, above] for t in zip(*tallies))
+    det, matched, covered = (np.cumsum(np.concatenate(t)[rows, ::-1], axis=1)[:, above] for t in zip(*tallies))
     f = _harmonic_mean(1.0 - (det - matched) / np.maximum(det, 1),
                        1.0 - (match.ty.size - covered) / max(match.ty.size, 1))
     f[np.arange(lows.size) < np.arange(len(f))[:, None]] = -1.0
@@ -343,12 +353,13 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     Returns (MHParams, EvalReport); ties keep the earliest grid point. With
     use_hysteresis every (low, high) pair with high at or after low in the
     grid is tried, so the grid must ascend (ties allowed), and one stacked
-    labelling of the crossing-slope map at every low gives every pair's
-    counts. One truth transform ranks all candidates; the winner's report
-    equals score() of its map, and only its MHParams is built. An empty
-    grid, one that does not ascend where it must, a grid value the
-    parameters refuse, and a negative or NaN tolerance raise ValueError
-    before any detector work.
+    labelling of the crossing-slope map above the lows gives every pair's
+    counts; lows that pass the same pixels share one labelled layer, and a
+    low that passes none is labelled not at all. One truth transform ranks
+    all candidates; the winner's report equals score() of its map, and only
+    its MHParams is built. An empty grid, one that does not ascend where it
+    must, a grid value the parameters refuse, and a negative or NaN
+    tolerance raise ValueError before any detector work.
     """
     make_params = ((lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
                    if use_hysteresis else (lambda _, t: MHParams(sigma=sigma, slope_threshold=t)))
@@ -361,9 +372,10 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
 def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=THRESHOLD_GRID):
     """Grid-search the (low, high) pair maximising the scene's f_score.
 
-    Returns (CannyParams, EvalReport). It labels the thinned magnitude at
-    every low at once, and ranks, breaks ties, refuses grids and tolerances
-    and builds params like tune_mh with use_hysteresis.
+    Returns (CannyParams, EvalReport). It labels the thinned magnitude above
+    every low at once, one layer per distinct non-empty set of pixels the lows
+    pass, and ranks, breaks ties, refuses grids and tolerances and builds
+    params like tune_mh with use_hysteresis.
     """
     make_params = lambda low, high: CannyParams(sigma=sigma, low=low, high=high)
     grid = _threshold_grid(grid, True, make_params, tolerance)

@@ -517,7 +517,7 @@ class TestTuningWork:
 
     @pytest.mark.parametrize("tuner", ["canny", "mh-hysteresis"])
     def test_labels_and_filters_every_low_at_once(self, monkeypatch, tuner):
-        # one labelling of the stack of every low and one of the winner's
+        # one labelling of the stack of distinct layers and one of the winner's
         # map; one maximum filter per disc box for the sweep and one for the
         # winner's report, not one of each per low
         calls = {}

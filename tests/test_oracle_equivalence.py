@@ -6,8 +6,9 @@ crossing scatter in oracles.py give, on every plane shape from one pixel up
 to 128x128, including values that sit exactly on a threshold or exactly on
 zero. The f-score the tuning sweeps read from counts must equal f_score of
 score() for each candidate, a tie must keep the earliest candidate, and the
-sweep over one stacked labelling of every low must pick what the per-low
-sweep in oracles.py picks, with its report, however the lows are chunked. The
+sweep over one stacked labelling of each distinct layer the lows pass must
+pick what the per-low sweep in oracles.py picks, with its report, however the
+layers are chunked and however many lows share one. The
 strip-wise convolutions and crossing-slope map must equal their whole-plane
 forms, the slice-copy border padding must equal np.pad's edge mode, and
 thinning above low must leave every Canny map as it was. The detector, which takes the gradient magnitude only where thinning reads it,
@@ -285,8 +286,8 @@ def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float, linked: bool = 
     # _best_operating_point with (low, high) standing in for the parameters.
     # levels is a list of level planes, row i of the sweep each, or with
     # linked one plane that row i links above grid[i]. Also returns the
-    # f-scores it ranked, f[i, i:] for each row i, and appends the (lows, h,
-    # w) label stacks it made to stacks. The winner must be the first
+    # f-scores it ranked, f[i, i:] for each row i, and appends the (layers,
+    # h, w) label stacks it made to stacks. The winner must be the first
     # highest f in row-major order among the cells j >= i, and only its
     # params are built
     fs, built, stacks = [], [], [] if stacks is None else stacks
@@ -324,15 +325,24 @@ def assert_sweep_f_scores_match_score(plane: GrayImage, truth: EdgeMap, toleranc
     stacks = []
     (params, report), fs = traced_sweep(plane, grid, truth, tolerance, linked=True, stacks=stacks)
     assert [len(f) for f in fs] == [len(grid) - i for i in range(len(grid))]
-    # layer i of the label stacks holds the components of the pixels above
-    # grid[i]; their maxima, read above high, are the hysteresis map
-    layers = np.concatenate(stacks)
+    # the label stacks hold each distinct non-empty set of pixels above a
+    # low once, in grid order. A low's level plane is the maxima of the
+    # components of the layer that holds its pixels, and reads above high as
+    # the hysteresis map; nothing above the low reads all -inf
+    layers = [labels for stack in stacks for labels in stack]
+    passing = [plane.pixels > low for low in grid]
+    distinct = [p for i, p in enumerate(passing) if p.any() and (i == 0 or not np.array_equal(p, passing[i - 1]))]
+    assert len(layers) == len(distinct) and all(map(np.array_equal, (labels > 0 for labels in layers), distinct))
     levels = []
-    for labels in layers:
-        maxima = np.full(labels.max(initial=0) + 1, -np.inf)
-        np.maximum.at(maxima, labels, plane.pixels)
-        maxima[0] = -np.inf
-        levels.append(maxima[labels])
+    for above in passing:
+        level = np.full(plane.pixels.shape, -np.inf)
+        for labels in layers:
+            if np.array_equal(labels > 0, above):
+                maxima = np.full(labels.max() + 1, -np.inf)
+                np.maximum.at(maxima, labels, plane.pixels)
+                maxima[0] = -np.inf
+                level = maxima[labels]
+        levels.append(level)
     candidates = [((low, high), level, f) for i, (low, level, plane_fs) in enumerate(zip(grid, levels, fs))
                   for high, f in zip(grid[i:], plane_fs)]
     for (low, high), level, f in candidates:
@@ -458,8 +468,9 @@ def assert_sweep_matches_oracle(values: np.ndarray, grid, sweep: str, truth: Edg
 
 
 class TestSweepMatchesThePerLowOracle:
-    # one stacked labelling and one tally per chunk of lows must pick the
-    # params, and give the report, of one labelling and one rates pass per low
+    # one stacked labelling and one tally per chunk of distinct layers must
+    # pick the params, and give the report, of one labelling and one rates
+    # pass per low
 
     @pytest.mark.parametrize("budget", (None,) + SMALL_BUDGETS)
     @pytest.mark.parametrize("tolerance", ORACLE_TOLERANCES)
@@ -510,6 +521,45 @@ class TestSweepMatchesThePerLowOracle:
         grid = tuple(sorted(grid)) if SWEEPS[sweep][0] else tuple(grid[k] for k in rng.permutation(len(grid)))
         with mock.patch.object(evaluation, "_STACK_PIXELS", budget or evaluation._STACK_PIXELS):
             assert_sweep_matches_oracle(plane, grid, sweep, truth, tolerance)
+
+    # a plane of four levels: the lows between two levels pass one layer, so
+    # the sweep labels 3 layers for the 12 lows of REPEATING_GRID, and its
+    # last 2 lows pass nothing
+    QUANTISED = (0.0, 0.1, 0.3, 0.6)
+    REPEATING_GRID = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7)
+
+    @pytest.mark.parametrize("layers_per_stack", (None, 1, 2, 3))
+    @pytest.mark.parametrize("tolerance", ORACLE_TOLERANCES)
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_lows_that_pass_one_layer(self, sweep, tolerance, layers_per_stack):
+        # stacks of one, two or three planes chunk the layers; chunked by low
+        # instead, they would split the runs of lows that share a layer. Lows
+        # that all pass the same pixels, nothing above the first low and a
+        # flat plane must also match the sweep with one labelling per low.
+        # The truth is random, or the pixels above 0.1, which only the lows
+        # from 0.1 up to 0.3 detect alone, so a low read from the wrong layer
+        # moves the winner
+        rng = np.random.default_rng(12)
+        plane = rng.choice(self.QUANTISED, size=(24, 30), p=(0.55, 0.2, 0.15, 0.1))
+        budget = layers_per_stack and layers_per_stack * plane.size
+        with mock.patch.object(evaluation, "_STACK_PIXELS", budget or evaluation._STACK_PIXELS):
+            for truth in (EdgeMap(random_mask(rng, plane.shape, 0.1)), EdgeMap(plane > 0.1)):
+                for grid in (self.REPEATING_GRID, (0.11, 0.15, 0.2, 0.25, 0.29), (0.6, 0.7, 0.9), (0.0, 0.6, 0.6)):
+                    assert_sweep_matches_oracle(plane, grid, sweep, truth, tolerance)
+                assert_sweep_matches_oracle(np.full(plane.shape, 0.3), self.REPEATING_GRID, sweep, truth, tolerance)
+
+    @pytest.mark.parametrize("tolerance", (1.5, math.inf))
+    def test_tuners_on_a_256_scene(self, tolerance):
+        # a 256x256 plane takes two layers per labelled stack at the default
+        # budget, and its lows pass 14 (Canny) and 16 distinct layers, so the
+        # hysteresis sweeps run many chunks
+        scene = noisy_step_suite([3], size=256)[0]
+        magnitude = thinned_magnitude(scene.image, 1.0).pixels
+        slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, 1.0)).pixels
+        for tuner, values in (("canny", magnitude), ("mh-hysteresis", slopes), ("mh", slopes[None])):
+            linked, make_params = SWEEPS[tuner]
+            expected = per_low_operating_point(values, THRESHOLD_GRID, linked, make_params, scene.truth, tolerance)
+            assert repr(TUNERS[tuner](scene, 1.0, tolerance)) == repr(expected), tuner
 
 
 # gradient components where the sample arithmetic is delicate: signed zeros,
