@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
 # A hysteresis sweep labels its layers in (layers, h, w) stacks of at most
 # this many pixels (one layer at least), 8-connected within a layer only
 _STACK_PIXELS = 128 * 1024
+
+# One-entry slots for what consecutive tunes of one scene share: the truth's
+# _ToleranceMatch and the image's Marr-Hildreth slope plane (see _reused)
+_MATCHES, _SLOPES = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +217,8 @@ class _ToleranceMatch:
         (y0, y1), (x0, x1) = ((max(t.min(initial=n) - r, 0), t.max(initial=0) + r + 1)
                               for t, r, n in zip((self.ty, self.tx), (ry, rx), tru.shape))
         self.window, self.wy, self.wx = np.s_[:, y0:y1, x0:x1], self.ty - y0, self.tx - x0
+        for plane in (self.distance, self.near, self.ty, self.tx, self.wy, self.wx):
+            plane.setflags(write=False)  # the tuners share one match across tunes
 
     def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
         # (layers, truth pixels): each window layer's maximum over each truth
@@ -228,6 +235,18 @@ class _ToleranceMatch:
         return EvalReport(float(fp), float(fn), msd, int(n_det), int(n_tru), int(matched), self.tolerance)
 
 
+def _reused(slot, frozen, scalar, build):
+    # slot's value for (frozen, scalar), built on a miss after dropping the old
+    # entry. frozen, a GrayImage or EdgeMap, is a weak key compared by identity
+    # (eq=False); scalar is keyed by its type and bits, so -0.0 is not 0.0
+    bits = (type(scalar), float(scalar).hex())
+    entry = slot.get(frozen)
+    if entry is None or entry[0] != bits:
+        slot.clear()
+        entry = slot[frozen] = (bits, build())
+    return entry[1]
+
+
 def _harmonic_mean(p, r):
     # elementwise 2pr / (p + r), and 0.0 where p and r are both 0.0
     return 2.0 * p * r / np.where(p + r == 0.0, 1.0, p + r)
@@ -242,8 +261,9 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
     # Linked, the layers above an ascending grid nest, so lows that pass
     # equal pixel counts pass equal layers: only each run's first non-empty
     # layer is labelled, and an empty one tallies 0. The first highest f in
-    # row-major order wins, and only the winner gets params and a report
-    match = _ToleranceMatch(truth, tolerance)
+    # row-major order wins, and only the winner gets params and a report.
+    # Consecutive tunes against one truth object and tolerance share its match
+    match = _reused(_MATCHES, truth, tolerance, lambda: _ToleranceMatch(truth, tolerance))
     lows = np.array(grid, dtype=np.float64)
     ranked, bins = np.sort(lows), lows.size + 1
     if linked:  # a pixel at or below ranked[0] is in bin 0, which no low passes
@@ -360,11 +380,19 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     its MHParams is built. An empty grid, one that does not ascend where it
     must, a grid value the parameters refuse, and a negative or NaN
     tolerance raise ValueError before any detector work.
+
+    Consecutive tunes share read-only planes through one-entry slots: the
+    truth transform of the last (truth, tolerance) of any tuner and the slope
+    map of the last (image, sigma). The frozen objects are weak keys matched
+    by identity, whose read-only arrays are trusted; the numbers are matched
+    by type and bits. A new key drops the old entry, and an entry goes with
+    its object, so the three default tunes of one scene take one of each.
     """
     make_params = ((lambda low, high: MHParams(sigma=sigma, use_hysteresis=True, low=low, high=high))
                    if use_hysteresis else (lambda _, t: MHParams(sigma=sigma, slope_threshold=t)))
     grid = _threshold_grid(grid, use_hysteresis, make_params, tolerance)
-    slopes = crossing_slope_map(laplacian_of_smoothed(scene.image, sigma)).pixels
+    slopes = _reused(_SLOPES, scene.image, sigma,
+                     lambda: crossing_slope_map(laplacian_of_smoothed(scene.image, sigma)).pixels)
     levels = slopes if use_hysteresis else slopes[None]
     return _best_operating_point(levels, grid, use_hysteresis, make_params, scene.truth, tolerance)
 
@@ -374,8 +402,8 @@ def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=TH
 
     Returns (CannyParams, EvalReport). It labels the thinned magnitude above
     every low at once, one layer per distinct non-empty set of pixels the lows
-    pass, and ranks, breaks ties, refuses grids and tolerances and builds
-    params like tune_mh with use_hysteresis.
+    pass, and ranks, breaks ties, refuses grids and tolerances, builds params
+    and shares the last tune's truth transform like tune_mh with use_hysteresis.
     """
     make_params = lambda low, high: CannyParams(sigma=sigma, low=low, high=high)
     grid = _threshold_grid(grid, True, make_params, tolerance)

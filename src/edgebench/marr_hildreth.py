@@ -1,6 +1,7 @@
 """Marr-Hildreth edge detection: Laplacian of a smoothed image, then
 zero-crossing localisation with a slope threshold."""
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,13 @@ def _crossing_slopes(v: np.ndarray) -> np.ndarray:
 
 def _crossing_marks(v: np.ndarray, thresholds: tuple) -> np.ndarray:
     # layer i is crossing_slope_map(v) > thresholds[i], refused as it refuses
-    # an overflowing slope: the pixels some crossing above thresholds[i] lands on
+    # an overflowing slope: the pixels some crossing above thresholds[i] lands
+    # on. Only a strip with a |value| above _SAFE can overflow, so only it
+    # pays for np.errstate and the finiteness check
     mag = np.abs(v).ravel()
     safe = mag.max() <= _SAFE
     marks = np.zeros((len(thresholds), v.size), dtype=bool)
-    with np.errstate(over="ignore"):
+    with contextlib.nullcontext() if safe else np.errstate(over="ignore"):
         for target, lands, slope in _landings(v, mag):
             if not safe:
                 _finite(slope[lands])

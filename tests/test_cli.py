@@ -425,6 +425,33 @@ class TestCompare:
         assert code == 2
         assert not target.exists()
 
+    def test_default_radius_matches_the_radius_it_stands_for(self, tmp_path):
+        # compare blurs a scene once when both detectors' (sigma, radius)
+        # agree, with no radius meaning ceil(3*sigma): gaussian_radius(1.0)
+        # is 3, and the CSV has no radius column, so the reports are equal
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["compare", "--suite", "noisy-step", "--seeds", "0..2", "--out", str(a)]) == 0
+        assert run(["compare", "--suite", "noisy-step", "--seeds", "0..2", "--radius", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_tolerance_past_the_diagonal_matches_an_infinite_one(self, tmp_path):
+        # a tolerance past the image diagonal matches everything an infinite
+        # one does, so only the tolerance column (13) may differ
+        rows = {}
+        for tolerance in ("1e9", "inf"):
+            out = tmp_path / f"t-{tolerance}.csv"
+            assert run(["compare", "--suite", "rectangle-corners", "--tolerance", tolerance, "--out", str(out)]) == 0
+            rows[tolerance] = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows["1e9"]) == len(rows["inf"]) == 3
+        for finite, infinite in zip(rows["1e9"], rows["inf"]):
+            assert finite[:12] + finite[13:] == infinite[:12] + infinite[13:]
+
+    def test_sigma_and_json_format(self, capsys):
+        assert run(["compare", "--suite", "noisy-step", "--sigma", "1.4", "--format", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert len(parsed) == 20
+        assert {r["sigma"] for r in parsed} == {1.4}
+
 
 EVALUATE = ["evaluate", "--scene", "step"]
 COMPARE = ["compare", "--suite", "noisy-step", "--seeds", "0"]

@@ -1,9 +1,11 @@
 """Scene generators, scoring, tuning helpers, and report serialisation."""
 
 import functools
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -527,6 +529,79 @@ class TestTuningWork:
         TUNERS[tuner](scene)
         assert calls["label"] <= 2
         assert calls["maximum_filter"] <= 2 * len(evaluation._ToleranceMatch(scene.truth, 1.5).boxes)
+
+
+class TestTuningSlots:
+    # consecutive tunes of one scene share the truth's match rule and the
+    # image's slope plane, each through a one-entry slot keyed by the object's
+    # identity and the exact tolerance or sigma
+
+    def clear(self):
+        evaluation._MATCHES.clear()
+        evaluation._SLOPES.clear()
+
+    def fresh(self, tuner, scene):
+        self.clear()
+        return TUNERS[tuner](scene)
+
+    def slot_value(self, slot):
+        (_, value), = slot.values()
+        return value
+
+    def test_scenes_in_turn_rebuild_every_time(self, monkeypatch):
+        # A, B, then A again: a slot holds one scene, so each takes one transform
+        # and one slope plane, and every result equals that of a fresh tune
+        a, b = noisy_step_suite([0])[0], noisy_step_suite([1])[0]
+        expected = [repr(self.fresh(tuner, scene)) for scene in (a, b, a) for tuner in TUNERS]
+        self.clear()
+        calls = {}
+        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        count_calls(monkeypatch, calls, evaluation, "laplacian_of_smoothed")
+        got = []
+        for scene in (a, b, a):
+            for tuner in TUNERS:
+                got.append(repr(TUNERS[tuner](scene)))
+                assert len(evaluation._MATCHES) <= 1 and len(evaluation._SLOPES) <= 1
+        assert got == expected
+        assert calls == {"distance_transform_edt": 3, "laplacian_of_smoothed": 3}
+
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_negative_zero_tolerance_is_its_own_key(self, tuner):
+        scene = synth_step(16, 16, 8, 0.5)
+        for tolerance in (-0.0, 0.0, -0.0):
+            report = TUNERS[tuner](scene, tolerance=tolerance)[1]
+            assert math.copysign(1.0, report.match_tolerance) == math.copysign(1.0, tolerance)
+
+    def test_sigma_is_keyed_by_type_and_bits(self, monkeypatch):
+        # a float32 sigma samples its kernel in float32, so its slope plane
+        # differs from that of the float64 sigma with the same value
+        scene = noisy_step_suite([0])[0]
+        calls = {}
+        count_calls(monkeypatch, calls, evaluation, "laplacian_of_smoothed")
+        tune_mh(scene, np.float32(1.4))
+        tune_mh(scene, float(np.float32(1.4)))
+        assert calls == {"laplacian_of_smoothed": 2}
+        expected = marr_hildreth.laplacian_of_smoothed(scene.image, float(np.float32(1.4)))
+        assert np.array_equal(self.slot_value(evaluation._SLOPES), marr_hildreth.crossing_slope_map(expected).pixels)
+
+    def test_values_go_with_their_scene(self):
+        scene = synth_step(16, 16, 8, 0.5)
+        tune_mh(scene)
+        match, slopes = (weakref.ref(self.slot_value(slot)) for slot in (evaluation._MATCHES, evaluation._SLOPES))
+        assert match() is not None and slopes() is not None
+        del scene
+        gc.collect()
+        assert match() is None and slopes() is None
+        assert not evaluation._MATCHES and not evaluation._SLOPES
+
+    def test_shared_planes_are_read_only(self):
+        scene = synth_step(16, 16, 8, 0.5)
+        tune_mh(scene)
+        match = self.slot_value(evaluation._MATCHES)
+        for plane in (match.distance, match.near, match.ty, match.tx, match.wy, match.wx,
+                      self.slot_value(evaluation._SLOPES)):
+            with pytest.raises(ValueError, match="read-only"):
+                plane.flat[0] = plane.flat[0]
 
 
 class TestScoringMemoryIsBounded:

@@ -431,18 +431,25 @@ class TestSweepSelection:
             assert report == score(truth, truth, tolerance)
 
     def test_tuning_takes_one_transform_and_reports_score_of_the_winner(self, monkeypatch):
-        # the sweep and the winner's report read one truth transform
+        # the three default tunes of one scene share one truth transform; a
+        # tune at another tolerance, or against another truth object, takes
+        # one more. Every winner's report is score() of its detector's map
         calls = []
         real = evaluation.ndimage.distance_transform_edt
         monkeypatch.setattr(evaluation.ndimage, "distance_transform_edt",
                             lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
         scene = noisy_step_suite([0])[0]
-        for tune, detect in ((tune_canny, canny_detect), (tune_mh, mh_detect),
-                             (lambda s: tune_mh(s, use_hysteresis=True), mh_detect)):
-            calls.clear()
-            params, report = tune(scene)
-            assert len(calls) == 1
-            assert report == score(detect(scene.image, params), scene.truth)
+        other = Scene(scene.image, EdgeMap(scene.truth.mask), scene.name)
+        tunes = [(tune_canny, canny_detect, scene, 1.5), (tune_mh, mh_detect, scene, 1.5),
+                 (TUNERS["mh-hysteresis"], mh_detect, scene, 1.5),
+                 (tune_canny, canny_detect, scene, 3.0), (tune_mh, mh_detect, other, 3.0)]
+        results, totals = [], []
+        for tune, _, s, tolerance in tunes:
+            results.append(tune(s, tolerance=tolerance))
+            totals.append(len(calls))
+        assert totals == [1, 1, 1, 2, 3]
+        for (_, detect, s, tolerance), (params, report) in zip(tunes, results):
+            assert report == score(detect(s.image, params), s.truth, tolerance)
 
 
 # the sweeps of tune_canny, tune_mh with use_hysteresis, and tune_mh
