@@ -155,6 +155,8 @@ def add_gaussian_noise(img: GrayImage, stddev: float, seed: int) -> GrayImage:
         raise ValueError(f"stddev must be non-negative and finite, got {stddev}")
     if stddev == 0:
         return img
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     noisy = img.pixels + rng.normal(0.0, stddev, img.pixels.shape)
     return GrayImage(np.clip(noisy, 0.0, 1.0))
@@ -326,9 +328,10 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     distinct Gaussian kernel is built once per call, not once per scene. A
     scene is blurred once when both detectors smooth alike (equal sigma, and
     radii equal once None stands for gaussian_radius(sigma)): one kernel and
-    one blur serve both. Each distinct truth mask object is
-    distance-transformed once. An empty scene list or a negative or NaN
-    tolerance raises ValueError before any detector work.
+    one blur serve both. Scenes in a row that share one truth mask object
+    share one distance transform, so truths A, B, A take three. An empty
+    scene list or a negative or NaN tolerance raises ValueError before any
+    detector work.
     """
     scenes = list(scenes)
     if not scenes:
@@ -337,13 +340,10 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     canny_blur, mh_blur = ((p.sigma, gaussian_radius(p.sigma) if p.radius is None else p.radius) for p in (canny, mh))
     canny_k = gaussian_kernel_1d(*canny_blur)
     mh_k = canny_k if mh_blur == canny_blur else gaussian_kernel_1d(*mh_blur)
-    # EdgeMap compares by identity, so scenes sharing one truth object share its match rule
-    matches = {}
     rows = []
     for scene in scenes:
-        if scene.truth not in matches:
-            matches[scene.truth] = _ToleranceMatch(scene.truth, tolerance)
-        match = matches[scene.truth]
+        # scenes in a row that share one truth object share its match, as consecutive tunes do
+        match = _reused(_MATCHES, scene.truth, tolerance, lambda: _ToleranceMatch(scene.truth, tolerance))
         smoothed = _blur(scene.image.pixels, canny_k, canny_k)
         rows.append((scene.name, "canny", match.report(_canny_from_smoothed(smoothed, canny))))
         if mh_k is not canny_k:

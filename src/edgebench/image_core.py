@@ -38,8 +38,12 @@ LUMA_GREEN = 0.5870 / _RAW_SUM
 LUMA_BLUE = 1.0 - (LUMA_RED + LUMA_GREEN)
 
 _HEADER_WHITESPACE = b" \t\n\r\x0b\x0c"
-# netpbm allows whitespace and '#' comments (to end of line) before each token
-_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c#]*)")
+# a comment runs from '#' to the end of its line
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# netpbm allows whitespace and comments before each token
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|%s)*([^ \t\n\r\x0b\x0c#]*)" % _COMMENT.pattern)
+# comments before the whitespace byte that delimits a binary raster, each through its CR or LF
+_RASTER_COMMENTS = re.compile(rb"(?:%s[\r\n]?)*" % _COMMENT.pattern)
 # one whitespace byte, where an ASCII raster is cut into runs
 _SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c]")
 # an ASCII sample of this many digits, with '0' offsets, still fits an int64
@@ -199,8 +203,7 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     if data.find(b"#", pos) >= 0:
-        # as in the header, a comment runs from '#' to the end of its line
-        data, pos = re.sub(rb"#[^\r\n]*", b"", data[pos:]), 0
+        data, pos = _COMMENT.sub(b"", data[pos:]), 0
     # n tokens take at least 2n - 1 bytes, so a huge header allocates nothing huge
     samples = np.empty(min(count, (len(data) - pos + 1) // 2))
     # runs of about _STRIP_BYTES bytes, each cut at a whitespace byte so no
@@ -282,6 +285,7 @@ def _read_samples(path) -> tuple:
     count = math.prod(shape)
 
     if magic in (b"P5", b"P6"):
+        pos = _RASTER_COMMENTS.match(data, pos).end()
         if pos >= len(data) or data[pos] not in _HEADER_WHITESPACE:
             raise FormatError("missing whitespace between maxval and pixel data")
         bytes_per_sample = 1 if maxval <= 255 else 2

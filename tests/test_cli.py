@@ -535,6 +535,23 @@ class TestNonFiniteParameters:
         assert not image.exists() and not truth.exists()
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--suite", "noisy-step", "--seeds", "-1"],
+        EVALUATE + ["--detector", "canny", "--seed", "-1", "--noise-stddev", "0.1"],
+        ["synth", "--scene", "circle", "--seed", "-1", "--noise-stddev", "0.1",
+         "--out-image", "{tmp}/s.pgm", "--out-truth", "{tmp}/t.pgm"],
+    ], ids=["compare", "evaluate", "synth"])
+    def test_exits_1_and_names_the_value(self, tmp_path, capsys, argv):
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", "edgebench: invalid parameters: seed must be non-negative, got -1\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_is_unread_without_noise(self, capsys):
+        assert run(EVALUATE + ["--detector", "canny", "--seed", "-1"]) == 0
+        assert run(["compare", "--suite", "noisy-step", "--seeds", "-1", "--noise-stddev", "0"]) == 0
+
+
 # (detector flags, flags that detector never reads)
 UNREAD_FLAGS = [
     pytest.param(["--detector", "marr-hildreth", "--slope-threshold", "0.02"], ["--low", "0.2", "--high", "0.1"],

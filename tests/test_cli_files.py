@@ -79,13 +79,14 @@ def canny_stages(img, blur, sigma: float, radius: int, low: float) -> EdgeMap:
     return hysteresis(nonmax_suppress(gradient(blur(img, k, k)), low), low, 0.15)
 
 
-def smoothed_1(img):
+def whole_plane_blur_sigma_1(img):
     k = gaussian_kernel_1d(1.0, gaussian_radius(1.0))
     return whole_plane_convolve_separable(img, k, k)
 
 
-@pytest.mark.parametrize("name, flags", [("big", ["--detector", "canny"]), ("noisy", ["--detector", "canny"]),
-                                         ("noisy", ["--detector", "marr-hildreth"])], ids=["big-canny", "noisy-canny", "noisy-mh"])
+@pytest.mark.parametrize("name, flags", [
+    ("big", ["--detector", "canny"]), ("noisy", ["--detector", "canny"]), ("noisy", ["--detector", "marr-hildreth"]),
+], ids=["big-canny", "noisy-canny", "noisy-mh"])
 def test_ascii_copies_give_the_map_of_the_p5(files, name, flags):
     expected = detect(files / f"{name}.pgm", *flags)
     assert detect(files / f"{name}-p2.pgm", *flags) == expected
@@ -117,7 +118,7 @@ def test_canny_gives_the_map_of_the_whole_plane_stages(files, name, flags, blur,
 ], ids=["thin-col", "thin-row", "big-slope-0", "big-slope", "big-hysteresis", "noisy-slope", "noisy-hysteresis"])
 def test_mh_gives_the_map_of_the_whole_plane_oracles(files, name, flags):
     slopes = whole_plane_crossing_slope_map(
-        whole_plane_convolve_2d(smoothed_1(read_image(files / f"{name}.pgm")), laplacian_kernel_2d()))
+        whole_plane_convolve_2d(whole_plane_blur_sigma_1(read_image(files / f"{name}.pgm")), laplacian_kernel_2d()))
     if flags == MH_HYST:
         expected = bfs_hysteresis(slopes, 0.05, 0.15)
     else:
@@ -135,7 +136,7 @@ def test_colour_gives_the_map_of_its_gray_plane(files, name, flags):
     if flags == CANNY_14:
         expected = canny_stages(gray, whole_plane_convolve_separable, 1.4, gaussian_radius(1.4), 0.05)
     else:
-        slopes = crossing_slope_map(convolve_2d(smoothed_1(gray), laplacian_kernel_2d()))
+        slopes = crossing_slope_map(convolve_2d(whole_plane_blur_sigma_1(gray), laplacian_kernel_2d()))
         expected = hysteresis(slopes, 0.05, 0.15) if flags == MH_HYST else EdgeMap(slopes.pixels > 0.02)
     assert detect(files / name, *flags) == written(expected, files)
 

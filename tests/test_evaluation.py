@@ -265,6 +265,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_gaussian_noise(GrayImage(np.zeros((2, 2))), -0.1, 0)
 
+    def test_negative_seed_rejected_by_value_unless_no_noise_is_drawn(self):
+        img = GrayImage(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            add_gaussian_noise(img, 0.1, -1)
+        assert add_gaussian_noise(img, 0.0, -1) is img
+
     @pytest.mark.parametrize("stddev", [math.nan, math.inf, -math.inf])
     def test_nan_and_infinite_stddev_rejected_by_value(self, stddev):
         with pytest.raises(ValueError, match=f"got {stddev}"):

@@ -57,7 +57,7 @@ def netpbm_files(draw):
     seps = [draw(st.sampled_from(HEADER_SEPARATORS)) for _ in range(3)]
     header = magic + seps[0] + b"%d" % width + seps[1] + b"%d" % height + seps[2] + b"%d" % maxval
     if magic in (b"P5", b"P6"):
-        last = draw(st.sampled_from((b" ", b"\n", b"\t", b"\r")))
+        last = draw(st.sampled_from((b" ", b"\n", b"\t", b"\r", b"#c\n\n", b"# note\r\n", b"#\r#\n ")))
         raster = np.array(samples, dtype=np.uint8 if maxval == 255 else ">u2").tobytes()
     else:
         last = draw(st.sampled_from(HEADER_SEPARATORS))
@@ -406,7 +406,13 @@ class TestRead:
         (b"P2#magic\n1 1 255#maxval\n7\n", [[7 / 255]]),
         (b"P5\r1\r1\r255\r\x07", [[7 / 255]]),
         (b"P2\r#c\r2 1\r255\r1\r2\r", [[1 / 255, 2 / 255]]),
-    ], ids=["comments-glued-to-magic-and-maxval", "cr-line-ends", "cr-ended-comments"])
+        # a comment before a binary raster runs through its CR or LF; one more
+        # whitespace byte delimits the raster
+        (b"P5 1 1 255#c\n\n\x07", [[7 / 255]]),
+        (b"P5 1 1 255#c\r\n\x07", [[7 / 255]]),
+        (b"P6 1 1 255#c\n \x07\x07\x07", [[[7 / 255] * 3]]),
+    ], ids=["comments-glued-to-magic-and-maxval", "cr-line-ends", "cr-ended-comments",
+            "p5-comment-then-lf", "p5-cr-ended-comment-then-lf", "p6-comment-then-space"])
     def test_header_filler_edge_cases_parse(self, tmp_path, body, pixels):
         p = tmp_path / "t.pgm"
         p.write_bytes(body)
