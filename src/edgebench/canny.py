@@ -64,8 +64,9 @@ class CannyParams:
 
 
 def _central_differences(pixels: np.ndarray) -> tuple:
+    # (gx, gy) of a plane, or of each layer of a (layers, h, w) stack
     p = _edge_padded(pixels, 1, 1)
-    return (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0, (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+    return (p[..., 1:-1, 2:] - p[..., 1:-1, :-2]) / 2.0, (p[..., 2:, 1:-1] - p[..., :-2, 1:-1]) / 2.0
 
 
 def gradient(img: GrayImage) -> GradientField:
@@ -86,16 +87,18 @@ _SLACK = 1.0 - 2.0 ** -40
 def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None) -> tuple:
     # NMS above floor, as (flat indices, values) of the kept pixels, all above
     # floor; a kept value that is not finite is refused as GrayImage refuses
-    # it. With no magnitude plane, hypot is taken only where read
-    w = gx.shape[1]
+    # it. With no magnitude plane, hypot is taken only where read. On a
+    # (layers, h, w) stack each layer's border is suppressed, so no sample
+    # leaves its layer
+    w = gx.shape[-1]
     if magnitude is not None:
         candidates = magnitude > floor
     elif floor * floor < _TINY_SQUARE:
         candidates = (gx != 0) | (gy != 0)
     else:
         candidates = gx * gx + gy * gy > min(floor * floor, np.finfo(np.float64).max) * _SLACK
-    candidates[[0, -1]] = False
-    candidates[:, [0, -1]] = False
+    candidates[..., [0, -1], :] = False
+    candidates[..., [0, -1]] = False
     idx = np.flatnonzero(candidates)
     gx, gy = gx.ravel(), gy.ravel()
 
@@ -170,9 +173,10 @@ def _stack_maxima(values: np.ndarray, passable: np.ndarray) -> tuple:
 
 
 def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    # the 8-connected components of passable that hold a seed; every seed
-    # is passable, so a component with one has a pixel above high
-    labels, n = ndimage.label(passable, structure=_EIGHT_CONNECTED)
+    # the 8-connected components of passable, a plane or each layer of a
+    # (layers, h, w) stack, that hold a seed; every seed is passable, so a
+    # component with one has a pixel above high
+    labels, n = ndimage.label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED)
     keep = np.zeros(n + 1, dtype=bool)
     keep[labels[seeds]] = True
     return keep.take(labels)
@@ -205,9 +209,10 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None)
 
 
 def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarray:
-    # the detector after its blur, on a float64 plane: differentiate, thin
-    # above low, then link the kept pixels, every one above low, from those
-    # above high; no thinned plane is built
+    # the detector after its blur, on a float64 plane or each layer of a
+    # (layers, h, w) stack: differentiate, thin above low, then link the kept
+    # pixels, every one above low, from those above high; no thinned plane
+    # is built
     idx, kept = _thin(*_central_differences(smoothed), params.low)
     passable, seeds = np.zeros((2,) + smoothed.shape, dtype=bool)
     np.put(passable, idx, True)

@@ -2,9 +2,12 @@
 comparison reports."""
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -43,8 +46,8 @@ __all__ = [
 # serves both the gradient-magnitude and crossing-slope scales.
 THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
 
-# A hysteresis sweep labels its layers in (layers, h, w) stacks of at most
-# this many pixels (one layer at least), 8-connected within a layer only
+# A hysteresis sweep labels its layers, and run_comparison runs its scenes,
+# in (layers, h, w) stacks of at most this many pixels (one layer at least)
 _STACK_PIXELS = 128 * 1024
 
 # One-entry slots for what consecutive tunes of one scene share: the truth's
@@ -183,7 +186,7 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
         raise ValueError("detected and truth masks must share dimensions")
-    return _ToleranceMatch(truth, match_tolerance).report(detected.mask)
+    return _ToleranceMatch(truth, match_tolerance).reports(detected.mask[None])[0]
 
 
 def _check_tolerance(match_tolerance: float) -> None:
@@ -225,16 +228,21 @@ class _ToleranceMatch:
     def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
         # (layers, truth pixels): each window layer's maximum over each truth
         # pixel's disc; a box across the window's border holds what "nearest" pads
-        return np.max([ndimage.maximum_filter(levels, (1,) + box, mode="nearest")[:, self.wy, self.wx]
-                       for box in self.boxes], axis=0)
+        filtered = (ndimage.maximum_filter(levels, (1,) + box, mode="nearest") for box in self.boxes)
+        return functools.reduce(np.maximum, (plane[:, self.wy, self.wx] for plane in filtered))
 
-    def report(self, det: np.ndarray) -> EvalReport:
-        """score(EdgeMap(det), truth, tolerance) for a bool plane det."""
-        n_det, n_tru, matched = np.count_nonzero(det), self.ty.size, np.count_nonzero(det & self.near)
-        fp = (n_det - matched) / max(n_det, 1)
-        fn = (n_tru - np.count_nonzero(self.disc_maxima(det[None][self.window]))) / max(n_tru, 1)
-        msd = float(np.mean(self.distance[det & self.near] ** 2)) if matched else 0.0
-        return EvalReport(float(fp), float(fn), msd, int(n_det), int(n_tru), int(matched), self.tolerance)
+    def reports(self, dets: np.ndarray) -> list:
+        """score(EdgeMap(det), truth, tolerance) for each bool layer det of
+        the (layers, h, w) stack dets, whose matches and discs are read in
+        one pass over the stack."""
+        n_tru, out = self.ty.size, []
+        for det, hit, cover in zip(dets, dets & self.near, self.disc_maxima(dets[self.window])):
+            n_det, matched = np.count_nonzero(det), np.count_nonzero(hit)
+            fp = (n_det - matched) / max(n_det, 1)
+            fn = (n_tru - np.count_nonzero(cover)) / max(n_tru, 1)
+            msd = float(np.mean(self.distance[hit] ** 2)) if matched else 0.0
+            out.append(EvalReport(float(fp), float(fn), msd, int(n_det), int(n_tru), int(matched), self.tolerance))
+        return out
 
 
 def _reused(slot, frozen, scalar, build):
@@ -296,7 +304,7 @@ def _best_operating_point(values: np.ndarray, grid, linked: bool, make_params, t
     f[np.arange(lows.size) < np.arange(len(f))[:, None]] = -1.0
     i, j = np.unravel_index(np.argmax(f), f.shape)
     edges = hysteresis(GrayImage(values), grid[i], grid[j]).mask if linked else values[i] > grid[j]
-    return make_params(grid[i], grid[j]), match.report(edges)
+    return make_params(grid[i], grid[j]), match.reports(edges[None])[0]
 
 
 def f_score(report: EvalReport) -> float:
@@ -325,13 +333,16 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     Returns one (scene name, detector name, EvalReport) row per pair, scenes
     in the given order and detectors alphabetical within a scene; each
     report equals score(canny_detect(...)) or score(mh_detect(...)). Each
-    distinct Gaussian kernel is built once per call, not once per scene. A
-    scene is blurred once when both detectors smooth alike (equal sigma, and
-    radii equal once None stands for gaussian_radius(sigma)): one kernel and
-    one blur serve both. Scenes in a row that share one truth mask object
-    share one distance transform, so truths A, B, A take three. An empty
-    scene list or a negative or NaN tolerance raises ValueError before any
-    detector work.
+    distinct Gaussian kernel is built once per call, not once per scene.
+    Scenes in a row that share one truth mask object run as (scenes, h, w)
+    stacks of at most _STACK_PIXELS pixels (one scene at least). A stack is
+    blurred once per distinct kernel, so once when both detectors smooth
+    alike (equal sigma, and radii equal once None stands for
+    gaussian_radius(sigma)), runs Canny after its blur once, and is scored
+    in one pass through the truth's one distance transform; truths A, B, A
+    take three. Marr-Hildreth, slower stacked, runs on each smoothed layer.
+    An empty scene list or a negative or NaN tolerance raises ValueError
+    before any detector work.
     """
     scenes = list(scenes)
     if not scenes:
@@ -341,28 +352,42 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     canny_k = gaussian_kernel_1d(*canny_blur)
     mh_k = canny_k if mh_blur == canny_blur else gaussian_kernel_1d(*mh_blur)
     rows = []
-    for scene in scenes:
+    for truth, run in itertools.groupby(scenes, key=operator.attrgetter("truth")):
         # scenes in a row that share one truth object share its match, as consecutive tunes do
-        match = _reused(_MATCHES, scene.truth, tolerance, lambda: _ToleranceMatch(scene.truth, tolerance))
-        smoothed = _blur(scene.image.pixels, canny_k, canny_k)
-        rows.append((scene.name, "canny", match.report(_canny_from_smoothed(smoothed, canny))))
-        if mh_k is not canny_k:
-            smoothed = _blur(scene.image.pixels, mh_k, mh_k)
-        rows.append((scene.name, "marr-hildreth", match.report(_mh_from_smoothed(smoothed, mh))))
+        match = _reused(_MATCHES, truth, tolerance, lambda: _ToleranceMatch(truth, tolerance))
+        run = list(run)
+        step = max(1, _STACK_PIXELS // truth.mask.size)
+        for stack in (run[k:k + step] for k in range(0, len(run), step)):
+            pixels = stack[0].image.pixels[None] if len(stack) == 1 else np.stack([s.image.pixels for s in stack])
+            smoothed = _blur(pixels, canny_k, canny_k)
+            canny_maps = _canny_from_smoothed(smoothed, canny)
+            if mh_k is not canny_k:
+                smoothed = _blur(pixels, mh_k, mh_k)
+            reports = match.reports(np.concatenate((canny_maps, [_mh_from_smoothed(layer, mh) for layer in smoothed])))
+            for scene, canny_report, mh_report in zip(stack, reports, reports[len(stack):]):
+                rows += [(scene.name, "canny", canny_report), (scene.name, "marr-hildreth", mh_report)]
     return rows
 
 
 def _threshold_grid(grid, ascending: bool, make_params, tolerance: float) -> tuple:
     # in an ascending grid every pair (low, high) has low <= high, so a pair
-    # is refused exactly when one of its values is refused, as (t, t), alone
+    # is refused exactly when one of its values is refused, as (t, t), alone.
+    # Once the first value's parameters pass, which checks the blur, only a t
+    # that fails t >= 0, or cannot be compared, can be refused: only it is built
     grid = tuple(grid)
     if not grid:
         raise ValueError("the threshold grid must not be empty")
     if ascending and any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"a hysteresis sweep needs an ascending threshold grid, got {grid}")
     _check_tolerance(tolerance)
-    for t in grid:
-        make_params(t, t)
+    make_params(grid[0], grid[0])
+    for t in grid[1:]:
+        try:
+            plain = t >= 0
+        except TypeError:
+            plain = False
+        if not plain:
+            make_params(t, t)
     return grid
 
 

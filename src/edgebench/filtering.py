@@ -133,15 +133,16 @@ def _edge_padded(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
     """px with ry rows above and below and rx columns left and right that
     repeat its nearest border pixel, built by slice copies into one new
     buffer: numpy's edge-mode pad costs more per call than the copying on
-    small planes and strips."""
-    h, w = px.shape
-    out = np.empty((h + 2 * ry, w + 2 * rx), dtype=px.dtype)
-    rows = out[ry:ry + h]
-    rows[:, rx:rx + w] = px
-    rows[:, :rx] = px[:, :1]
-    rows[:, rx + w:] = px[:, -1:]
-    out[:ry] = rows[0]
-    out[ry + h:] = rows[-1]
+    small planes and strips. Leading axes, as of a (layers, h, w) stack,
+    pad each layer alone."""
+    h, w = px.shape[-2:]
+    out = np.empty(px.shape[:-2] + (h + 2 * ry, w + 2 * rx), dtype=px.dtype)
+    rows = out[..., ry:ry + h, :]
+    rows[..., rx:rx + w] = px
+    rows[..., :rx] = px[..., :1]
+    rows[..., rx + w:] = px[..., -1:]
+    out[..., :ry, :] = rows[..., :1, :]
+    out[..., ry + h:, :] = rows[..., -1:, :]
     return out
 
 
@@ -179,19 +180,22 @@ def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
 
 
 def _blur(px: np.ndarray, kx: Kernel1D, ky: Kernel1D) -> np.ndarray:
-    """convolve_separable on a float64 plane, with no wrap. Each strip of
-    the ky pass refuses the rows it writes unless finite, as GrayImage
-    would: a finite image may still overflow."""
-    h, w = px.shape
+    """convolve_separable on a float64 plane, or on each layer of a (layers,
+    h, w) stack, with no wrap. Each strip of the ky pass refuses the rows it
+    writes unless finite, as GrayImage would: a finite image may still
+    overflow. A stack's strips span every layer."""
+    h, w = px.shape[-2:]
     ry = ky.radius
-    tmp = np.empty((h + 2 * ry, w))
-    for top, bottom in _row_strips(px):
-        padded = _edge_padded(px[top:bottom], 0, kx.radius)
-        _accumulate(tmp[ry + top:ry + bottom], ((tap, padded[:, i:i + w]) for i, tap in enumerate(kx.taps)))
-    tmp[:ry], tmp[ry + h:] = tmp[ry], tmp[ry + h - 1]
+    tmp = np.empty(px.shape[:-2] + (h + 2 * ry, w))
+    strips = _row_strips(px)
+    for top, bottom in strips:
+        padded = _edge_padded(px[..., top:bottom, :], 0, kx.radius)
+        _accumulate(tmp[..., ry + top:ry + bottom, :], ((tap, padded[..., i:i + w]) for i, tap in enumerate(kx.taps)))
+    tmp[..., :ry, :], tmp[..., ry + h:, :] = tmp[..., ry:ry + 1, :], tmp[..., ry + h - 1:ry + h, :]
     out = np.empty_like(px)
-    for top, bottom in _row_strips(px):
-        _finite(_accumulate(out[top:bottom], ((tap, tmp[top + i:bottom + i]) for i, tap in enumerate(ky.taps))))
+    for top, bottom in strips:
+        _finite(_accumulate(out[..., top:bottom, :],
+                            ((tap, tmp[..., top + i:bottom + i, :]) for i, tap in enumerate(ky.taps))))
     return out
 
 

@@ -61,9 +61,12 @@ def _finite(px: np.ndarray) -> np.ndarray:
 
 
 def _row_strips(plane: np.ndarray) -> list:
-    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row."""
-    rows = max(1, _STRIP_BYTES // (plane.itemsize * plane.shape[1]))
-    return [(top, min(top + rows, len(plane))) for top in range(0, len(plane), rows)]
+    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row.
+    Rows run along the second-to-last axis; a row of a (layers, h, w) stack
+    spans every layer, layers * w values."""
+    h = plane.shape[-2]
+    rows = max(1, _STRIP_BYTES // (plane.nbytes // h))
+    return [(top, min(top + rows, h)) for top in range(0, h, rows)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -437,17 +437,27 @@ class TestSuitesAndTuning:
     ], ids=["defaults", "default-radius-resolved", "sigmas-differ", "radii-differ"])
     def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny_params, blurs):
         # ten scenes share one truth object, so one truth transform; the
-        # detections are matched through it and never transformed. Each
-        # Gaussian kernel is built once per run, and the Laplacian never
+        # detections are matched through it and never transformed. The ten
+        # run as one stack, blurred once per kernel, and each scene is blurred
+        # once per kernel. Each Gaussian kernel is built once per run, and the
+        # Laplacian never
         scenes = noisy_step_suite(range(10))
-        calls = {}
+        calls, layers = {}, []
         for name in ("_blur", "gaussian_kernel_1d", "laplacian_kernel_2d"):
             count_calls_everywhere(monkeypatch, calls, filtering, name)
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        counted = evaluation._blur
+
+        def blur(px, kx, ky):
+            layers.append(len(px))
+            return counted(px, kx, ky)
+
+        monkeypatch.setattr(evaluation, "_blur", blur)
         rows = run_comparison(scenes, mh, canny_params)
         assert all(report.detected_count for _, _, report in rows)
-        assert calls == {"_blur": blurs, "gaussian_kernel_1d": blurs // 10,
+        assert calls == {"_blur": blurs // 10, "gaussian_kernel_1d": blurs // 10,
                          "laplacian_kernel_2d": 0, "distance_transform_edt": 1}
+        assert sum(layers) == blurs
 
     def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):
         scenes = [circle_scene(), *noisy_step_suite([0, 1]), rectangle_scene(), circle_scene()]
@@ -514,13 +524,15 @@ TUNERS = {"canny": tune_canny, "mh": tune_mh, "mh-hysteresis": functools.partial
 
 class TestTuningWork:
     @pytest.mark.parametrize("tuner", TUNERS)
-    def test_builds_params_once_per_grid_value_and_for_the_winner(self, monkeypatch, tuner):
-        # one check per grid value and the winner, not one per (low, high) pair
+    def test_builds_params_for_one_check_and_the_winner(self, monkeypatch, tuner):
+        # one check of the blur and the first grid value, then only the grid
+        # values that are not plainly >= 0, and the winner; not one per value
+        # or per (low, high) pair
         calls = {}
         for name in ("CannyParams", "MHParams"):
             count_calls(monkeypatch, calls, evaluation, name)
         params, report = TUNERS[tuner](noisy_step_suite([0])[0])
-        assert sum(calls.values()) <= len(THRESHOLD_GRID) + 1
+        assert sum(calls.values()) == 2
         assert type(params) in (CannyParams, MHParams)
 
     @pytest.mark.parametrize("tuner", ["canny", "mh-hysteresis"])
@@ -682,6 +694,26 @@ class TestTuningRefusesBadSweeps:
     def test_grid_values_the_parameters_refuse(self, no_detector, tuner, grid):
         with pytest.raises(ValueError, match="non-negative|low <= high"):
             TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+
+    @pytest.mark.parametrize("tuner, bad, error, message", [
+        ("canny", math.nan, ValueError, "canny thresholds require 0 <= low <= high, got low=nan, high=nan"),
+        ("canny", -1, ValueError, "a hysteresis sweep needs an ascending threshold grid"),
+        ("canny", "0.1", TypeError, "'<' not supported between instances of 'str' and 'float'"),
+        ("mh", math.nan, ValueError, "slope_threshold must be non-negative, got nan"),
+        ("mh", -1, ValueError, "slope_threshold must be non-negative, got -1"),
+        ("mh", "0.1", TypeError, "'>=' not supported between instances of 'str' and 'int'"),
+        ("mh-hysteresis", math.nan, ValueError, "hysteresis thresholds must be non-negative, got low=nan, high=nan"),
+        ("mh-hysteresis", -1, ValueError, "a hysteresis sweep needs an ascending threshold grid"),
+        ("mh-hysteresis", "0.1", TypeError, "'<' not supported between instances of 'str' and 'float'"),
+    ])
+    def test_a_bad_value_mid_grid(self, no_detector, tuner, bad, error, message):
+        # the default grid with one value swapped mid-grid raises what checking
+        # every value through the parameters raised
+        grid = THRESHOLD_GRID[:11] + (bad,) + THRESHOLD_GRID[12:]
+        with pytest.raises(error) as err:
+            TUNERS[tuner](synth_step(16, 16, 8, 0.5), grid=grid)
+        assert type(err.value) is error
+        assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize("tuner", TUNERS)
     def test_tolerance_is_refused_before_grid_values(self, no_detector, tuner):

@@ -1569,6 +1569,15 @@ def report_bytes(rows, mh: MHParams, canny: CannyParams) -> tuple:
     return records_to_csv(records).encode(), records_to_json(records).encode()
 
 
+def compared(compare, scenes, mh: MHParams, canny: CannyParams):
+    # compare's rows, or the message of the ValueError it raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return compare(scenes, mh, canny)
+        except ValueError as exc:
+            return str(exc)
+
+
 class TestComparisonMatchesTwoPasses:
     @pytest.mark.parametrize("params", COMPARISON_PARAMS.values(), ids=COMPARISON_PARAMS.keys())
     @pytest.mark.parametrize("suite", COMPARISON_SCENES.values(), ids=COMPARISON_SCENES.keys())
@@ -1584,6 +1593,66 @@ class TestComparisonMatchesTwoPasses:
         scenes = COMPARISON_SCENES["mixed-truths"]()
         assert run_comparison(scenes, MHParams(), CannyParams(), tolerance) == \
             two_pass_comparison(scenes, MHParams(), CannyParams(), tolerance)
+
+    @pytest.mark.parametrize("params", COMPARISON_PARAMS.values(), ids=COMPARISON_PARAMS.keys())
+    @pytest.mark.parametrize("per_stack, sizes", [(3, [3, 3, 3, 1]), (1, [1] * 10)], ids=["threes", "ones"])
+    def test_split_stacks(self, monkeypatch, params, per_stack, sizes):
+        # a smaller stack budget splits the ten scenes that share one truth
+        mh, canny = params
+        monkeypatch.setattr(evaluation, "_STACK_PIXELS", per_stack * 64 * 64 + 63)
+        assert self.stacks(monkeypatch, noisy_step_suite(range(10)), mh, canny) == sizes
+        assert run_comparison(noisy_step_suite(range(10)), mh, canny) == \
+            two_pass_comparison(noisy_step_suite(range(10)), mh, canny)
+
+    def test_a_truth_between_runs_of_another(self, monkeypatch):
+        # truths A, A, B, A, A of one shape: B cuts A's scenes into two stacks
+        a, b = noisy_step_suite(range(4)), flat_scene()
+        scenes = a[:2] + [b] + a[2:]
+        assert self.stacks(monkeypatch, scenes, MHParams(), CannyParams()) == [2, 1, 2]
+        for mh, canny in COMPARISON_PARAMS.values():
+            assert run_comparison(scenes, mh, canny) == two_pass_comparison(scenes, mh, canny)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("px, sigma, strip, canny_refuses, mh_refuses", STRIP_REFUSALS)
+    def test_one_later_scene_of_a_stack_overflows(self, monkeypatch, k, px, sigma, strip, canny_refuses, mh_refuses):
+        # scene k of a three-scene stack overflows in the blur, in thinning or
+        # in the crossings, and the stack's strips are `strip` rows tall: the
+        # comparison raises what that scene alone raises, or maps as it maps,
+        # and the stage that refuses is the first that can, so none after it runs
+        truth = EdgeMap(np.zeros(px.shape, dtype=bool))
+        images = [GrayImage(np.full(px.shape, 0.5)), GrayImage(np.eye(*px.shape)), GrayImage(px)]
+        images[k], images[2] = images[2], images[k]
+        scenes = [Scene(image, truth, f"scene{i}") for i, image in enumerate(images)]
+        set_strip_rows(monkeypatch, strip, 3 * px.shape[1])
+        params = MHParams(sigma=sigma), CannyParams(sigma=sigma, low=0.05, high=0.15)
+        assert self.stacks(monkeypatch, scenes, *params) == [3]
+        expected = compared(two_pass_comparison, scenes, *params)
+        assert (expected == NOT_FINITE) == (canny_refuses or mh_refuses)
+        entered = set()
+        for name in ("_canny_from_smoothed", "_mh_from_smoothed"):
+            monkeypatch.setattr(evaluation, name, lambda *args, stage=getattr(evaluation, name), name=name:
+                                entered.add(name) or stage(*args))
+        assert compared(run_comparison, scenes, *params) == expected
+        kernel = gaussian_kernel_1d(sigma, gaussian_radius(sigma))
+        blur_refuses = outcome(convolve_separable, GrayImage(px), kernel, kernel) == NOT_FINITE.encode()
+        ran = {"_canny_from_smoothed"} if not blur_refuses else set()
+        if not (blur_refuses or canny_refuses):
+            ran.add("_mh_from_smoothed")
+        assert entered == ran
+
+    @staticmethod
+    def stacks(monkeypatch, scenes, mh, canny) -> list:
+        # the number of scenes in each stack that run_comparison blurs for Canny
+        calls, blur = [], evaluation._blur
+
+        def counted(px, kx, ky):
+            calls.append((len(px), kx))
+            return blur(px, kx, ky)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "_blur", counted)
+            compared(run_comparison, scenes, mh, canny)
+        return [n for n, kx in calls if kx is calls[0][1]]
 
     def test_flat_scene_detects_nothing(self):
         rows = run_comparison([flat_scene()], MHParams(), CannyParams())
