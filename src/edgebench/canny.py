@@ -6,7 +6,7 @@ import numpy as np
 from scipy import ndimage
 
 from .filtering import _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
-from .image_core import EdgeMap, GrayImage, _finite
+from .image_core import EdgeMap, GrayImage, _bands, _finite, _run_bands
 
 __all__ = [
     "CannyParams",
@@ -64,9 +64,13 @@ class CannyParams:
 
 
 def _central_differences(pixels: np.ndarray) -> tuple:
-    # (gx, gy) of a plane, or of each layer of a (layers, h, w) stack
+    # (gx, gy) of a plane, or of each layer of a (layers, h, w) stack, each
+    # halved in place: the bits of (a - b) / 2.0 with one plane fewer
     p = _edge_padded(pixels, 1, 1)
-    return (p[..., 1:-1, 2:] - p[..., 1:-1, :-2]) / 2.0, (p[..., 2:, 1:-1] - p[..., :-2, 1:-1]) / 2.0
+    planes = np.subtract(p[..., 1:-1, 2:], p[..., 1:-1, :-2]), np.subtract(p[..., 2:, 1:-1], p[..., :-2, 1:-1])
+    for g in planes:
+        g /= 2.0
+    return planes
 
 
 def gradient(img: GrayImage) -> GradientField:
@@ -84,20 +88,24 @@ _TINY_SQUARE = 2.0 ** -960
 _SLACK = 1.0 - 2.0 ** -40
 
 
-def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None) -> tuple:
+def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray | None" = None,
+          rows: "tuple | None" = None) -> tuple:
     # NMS above floor, as (flat indices, values) of the kept pixels, all above
     # floor; a kept value that is not finite is refused as GrayImage refuses
     # it. With no magnitude plane, hypot is taken only where read. On a
     # (layers, h, w) stack each layer's border is suppressed, so no sample
-    # leaves its layer
-    w = gx.shape[-1]
+    # leaves its layer. Only rows (top, bottom) may keep a pixel, so a strip
+    # neither keeps nor refuses one on its halo rows
+    h, w = gx.shape[-2:]
+    top, bottom = rows or (0, h)
     if magnitude is not None:
         candidates = magnitude > floor
     elif floor * floor < _TINY_SQUARE:
         candidates = (gx != 0) | (gy != 0)
     else:
         candidates = gx * gx + gy * gy > min(floor * floor, np.finfo(np.float64).max) * _SLACK
-    candidates[..., [0, -1], :] = False
+    candidates[..., :max(top, 1), :] = False
+    candidates[..., min(bottom, h - 1):, :] = False
     candidates[..., [0, -1]] = False
     idx = np.flatnonzero(candidates)
     gx, gy = gx.ravel(), gy.ravel()
@@ -212,11 +220,23 @@ def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarra
     # the detector after its blur, on a float64 plane or each layer of a
     # (layers, h, w) stack: differentiate, thin above low, then link the kept
     # pixels, every one above low, from those above high; no thinned plane
-    # is built
-    idx, kept = _thin(*_central_differences(smoothed), params.low)
+    # is built. A plane of two bands differentiates and thins each band in
+    # one call with the 2 rows of halo that thinning reads, both at once
+    def band(strips):
+        top, bottom = strips[0][0], strips[-1][1]
+        lo = max(top - 2, 0)
+        idx, kept = _thin(*_central_differences(smoothed[lo:bottom + 2]), params.low, rows=(top - lo, bottom - lo))
+        return idx + lo * smoothed.shape[1], kept
+
+    bands = _bands(smoothed) if smoothed.ndim == 2 else []
+    if len(bands) == 2:
+        thinned = _run_bands(band, [(strips,) for strips in bands])
+    else:
+        thinned = [_thin(*_central_differences(smoothed), params.low)]
     passable, seeds = np.zeros((2,) + smoothed.shape, dtype=bool)
-    np.put(passable, idx, True)
-    np.put(seeds, idx[kept > params.high], True)
+    for idx, kept in thinned:
+        np.put(passable, idx, True)
+        np.put(seeds, idx[kept > params.high], True)
     return _link(passable, seeds)
 
 

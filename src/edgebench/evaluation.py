@@ -197,8 +197,9 @@ def _check_tolerance(match_tolerance: float) -> None:
 class _ToleranceMatch:
     """score()'s match rule for one truth mask and one checked tolerance.
 
-    It holds the truth's distance transform, near (the pixels within the
-    tolerance of truth) and the tolerance disc as boxes: one centred
+    It holds the truth's distance transform (+inf outside the window
+    below), near (the pixels within the tolerance of truth) and the
+    tolerance disc as boxes: one centred
     (rows, width) box per distinct disc-row width, spanning every disc row
     at least that wide. Every disc lies in the window, the truth's bounding
     box grown by the disc's reach. run_comparison and the tuning sweeps
@@ -208,8 +209,6 @@ class _ToleranceMatch:
     def __init__(self, truth: EdgeMap, tolerance: float) -> None:
         tru = truth.mask
         self.tolerance = float(tolerance)
-        self.distance = ndimage.distance_transform_edt(~tru)
-        self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
         self.ty, self.tx = np.nonzero(tru)
         # the offsets the transform would measure within the tolerance,
         # clipped to the image first so an infinite tolerance works, in one
@@ -222,6 +221,13 @@ class _ToleranceMatch:
         (y0, y1), (x0, x1) = ((max(t.min(initial=n) - r, 0), t.max(initial=0) + r + 1)
                               for t, r, n in zip((self.ty, self.tx), (ry, rx), tru.shape))
         self.window, self.wy, self.wx = np.s_[:, y0:y1, x0:x1], self.ty - y0, self.tx - x0
+        # the truth's distance transform in the window, whose distances are the
+        # whole image's since every truth pixel is in it; +inf outside it,
+        # where no pixel is within the tolerance
+        self.distance = np.full(tru.shape, np.inf)
+        if self.ty.size:
+            self.distance[y0:y1, x0:x1] = ndimage.distance_transform_edt(~tru[y0:y1, x0:x1])
+        self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
         for plane in (self.distance, self.near, self.ty, self.tx, self.wy, self.wx):
             plane.setflags(write=False)  # the tuners share one match across tunes
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import GrayImage, _finite, _row_strips
+from .image_core import GrayImage, _bands, _finite, _row_strips, _run_bands
 
 __all__ = [
     "Kernel1D",
@@ -181,21 +181,35 @@ def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
 
 def _blur(px: np.ndarray, kx: Kernel1D, ky: Kernel1D) -> np.ndarray:
     """convolve_separable on a float64 plane, or on each layer of a (layers,
-    h, w) stack, with no wrap. Each strip of the ky pass refuses the rows it
-    writes unless finite, as GrayImage would: a finite image may still
-    overflow. A stack's strips span every layer."""
+    h, w) stack, with no wrap, in the bands of _bands. Each band runs the kx
+    pass over its rows and ky's radius of neighbour rows, repeating the
+    image's first or last row only past its border, then its strips of the
+    ky pass, each of which refuses the rows it writes unless finite, as
+    GrayImage would: a finite image may still overflow. A stack's strips
+    span every layer."""
     h, w = px.shape[-2:]
     ry = ky.radius
-    tmp = np.empty(px.shape[:-2] + (h + 2 * ry, w))
-    strips = _row_strips(px)
-    for top, bottom in strips:
-        padded = _edge_padded(px[..., top:bottom, :], 0, kx.radius)
-        _accumulate(tmp[..., ry + top:ry + bottom, :], ((tap, padded[..., i:i + w]) for i, tap in enumerate(kx.taps)))
-    tmp[..., :ry, :], tmp[..., ry + h:, :] = tmp[..., ry:ry + 1, :], tmp[..., ry + h - 1:ry + h, :]
+    bands = _bands(px)
+    rows = bands[0][0][1] - bands[0][0][0]
     out = np.empty_like(px)
-    for top, bottom in strips:
-        _finite(_accumulate(out[..., top:bottom, :],
-                            ((tap, tmp[..., top + i:bottom + i, :]) for i, tap in enumerate(ky.taps))))
+
+    def band(strips, tmp):
+        # tmp row j holds the kx pass of image row top - ry + j
+        top, bottom = strips[0][0], strips[-1][1]
+        lo, hi = max(top - ry, 0), min(bottom + ry, h)
+        for t in range(lo, hi, rows):
+            b = min(t + rows, hi)
+            padded = _edge_padded(px[..., t:b, :], 0, kx.radius)
+            _accumulate(tmp[..., t - top + ry:b - top + ry, :],
+                        ((tap, padded[..., i:i + w]) for i, tap in enumerate(kx.taps)))
+        first, last = lo - top + ry, hi - top + ry
+        tmp[..., :first, :], tmp[..., last:, :] = tmp[..., first:first + 1, :], tmp[..., last - 1:last, :]
+        for t, b in strips:
+            _finite(_accumulate(out[..., t:b, :],
+                                ((tap, tmp[..., t - top + i:b - top + i, :]) for i, tap in enumerate(ky.taps))))
+
+    _run_bands(band, [(strips, np.empty(px.shape[:-2] + (strips[-1][1] - strips[0][0] + 2 * ry, w)))
+                      for strips in bands])
     return out
 
 
@@ -206,7 +220,9 @@ def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
     the two 1-D passes exactly equivalent to the 2-D outer-product pass.
     Both run in row strips: the kx pass filters each row once, into a plane
     padded with ky's radius of repeated first and last rows, whose strips
-    the ky pass reads with their halo. The bits are the whole-plane passes'.
+    the ky pass reads with their halo. A plane of at least 4 strips runs as
+    two bands of whole strips on two threads when the process may use 2
+    CPUs. The bits are the whole-plane passes'.
     """
     return GrayImage(_blur(img.pixels, kx, ky))
 

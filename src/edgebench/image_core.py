@@ -1,5 +1,6 @@
 """Pixel buffers, grayscale conversion, and PGM/PPM file I/O."""
 
+import contextvars
 import math
 import os
 import re
@@ -67,6 +68,45 @@ def _row_strips(plane: np.ndarray) -> list:
     h = plane.shape[-2]
     rows = max(1, _STRIP_BYTES // (plane.nbytes // h))
     return [(top, min(top + rows, h)) for top in range(0, h, rows)]
+
+
+# the two workers that run a plane's two bands, built on first use; a forked
+# child builds its own, since the parent's worker threads are not in it
+_POOL = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _cpus() -> int:
+    # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _bands(plane: np.ndarray) -> list:
+    """The row strips of _row_strips(plane) as bands: two halves of whole
+    strips when there are at least 4 and the process may run on 2 CPUs,
+    else one band of them all."""
+    strips = _row_strips(plane)
+    if len(strips) < 4 or _cpus() < 2:
+        return [strips]
+    half = len(strips) // 2
+    return [strips[:half], strips[half:]]
+
+
+def _run_bands(task, calls: list) -> list:
+    """[task(*args) for args in calls], one call per band of _bands. One band
+    runs in this thread; two run on the two workers, each under a copy of
+    this thread's context, so the caller's np.errstate holds there. Both
+    finish before the first band's exception, in row order, is raised."""
+    if len(calls) == 1:
+        return [task(*calls[0])]
+    if not _POOL:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL.append(ThreadPoolExecutor(2))
+    futures = [_POOL[0].submit(contextvars.copy_context().run, task, *args) for args in calls]
+    for future in futures:
+        future.exception()  # waits for the band without raising its error
+    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True, eq=False)

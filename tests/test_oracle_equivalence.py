@@ -25,7 +25,11 @@ each threshold and linked by component maxima, or their refusals.
 
 import importlib.util
 import math
+import os
+import signal
 import sys
+import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -36,8 +40,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from edgebench import cli, evaluation, filtering, image_core, marr_hildreth
-from edgebench.canny import (CannyParams, GradientField, _thin, canny_detect, component_maxima, gradient, hysteresis,
-                             nonmax_suppress, thinned_magnitude)
+from edgebench.canny import (CannyParams, GradientField, _canny_from_smoothed, _central_differences, _thin,
+                             canny_detect, component_maxima, gradient, hysteresis, nonmax_suppress, thinned_magnitude)
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, circle_scene, comparison_record,
                                   count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
                                   rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
@@ -1361,6 +1365,190 @@ class TestBlurPassesMatchWholePlane:
         with pytest.MonkeyPatch.context() as mp:
             set_strip_rows(mp, strip, width)
             assert_blur_matches(GrayImage(px), kx, ky)
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    # the CPUs the band driver sees, whatever this process may really use
+    monkeypatch.setattr(image_core, "_cpus", lambda: cpus)
+
+
+def canny_core(px: np.ndarray, params: CannyParams) -> np.ndarray:
+    # the blur and the Canny core as detect runs them
+    return _canny_from_smoothed(filtering._smooth(px, params.sigma, params.radius), params)
+
+
+# row 8, the second band's first row in strips of 4, has two infinite
+# magnitudes (gx between -0.6 and 0.6 of MAX) that the whole plane does not
+# keep: each one's far interpolation sample on row 9 is infinite too (gy
+# between rows 8 and 10), and that sample's weight of 0 times inf is NaN. The
+# first band's halo ends at row 9, whose gy repeats row 9 for row 10, so the
+# sample is finite there and the band's row 8 would keep both
+HALO_ONLY_KEPT_INF = plane_with((16, 7), ((8, 1), -0.6 * MAX), ((8, 3), 0.6 * MAX), ((10, 3), -0.6 * MAX),
+                                ((8, 5), -0.6 * MAX))
+
+
+class TestBands:
+    """A plane of at least 4 row strips runs its blur and Canny core as two
+    bands of whole strips on two worker threads, when the process may use 2
+    CPUs: the maps and refusals must be the whole-plane stages' and the
+    one-band path's, the caller's np.errstate must hold in the workers, both
+    bands must finish before the first band's error is raised, and a forked
+    child must build its own workers."""
+
+    @pytest.mark.parametrize("h, strip, cpus, expected", [
+        (16, 4, 2, [[(0, 4), (4, 8)], [(8, 12), (12, 16)]]),
+        (17, 4, 2, [[(0, 4), (4, 8)], [(8, 12), (12, 16), (16, 17)]]),
+        (12, 4, 2, [[(0, 4), (4, 8), (8, 12)]]),
+        (16, 4, 1, [[(0, 4), (4, 8), (8, 12), (12, 16)]]),
+        (16, 16, 2, [[(0, 16)]]),
+    ])
+    def test_bands_are_halves_of_whole_strips(self, monkeypatch, h, strip, cpus, expected):
+        set_strip_rows(monkeypatch, strip, 3)
+        set_cpus(monkeypatch, cpus)
+        assert image_core._bands(np.zeros((h, 3))) == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("shape, strip", [((16, 5), 2), ((17, 9), 4), ((40, 3), 3), ((9, 4), 2)],
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("sigma, radius", [(1.0, None), (1.4, None), (4.0, 12), (13.0, 40)])
+    def test_seams_match_the_whole_plane(self, monkeypatch, shape, strip, cpus, sigma, radius):
+        # radii 12 and 40 reach past a band of 8 or 9 rows, and past the image
+        px = random_plane(np.random.default_rng(shape[0] * strip + cpus), shape) - 0.2
+        set_strip_rows(monkeypatch, strip, shape[1])
+        set_cpus(monkeypatch, cpus)
+        k = gaussian_kernel_1d(sigma, gaussian_radius(sigma) if radius is None else radius)
+        narrow = gaussian_kernel_1d(0.7, 2)
+        for kx, ky in ((k, k), (narrow, k), (k, narrow)):
+            assert_blur_matches(GrayImage(px), kx, ky)
+        for low, high in ((0.0, 0.0), (0.01, 0.05), (0.05, 0.15)):
+            params = CannyParams(sigma=sigma, low=low, high=high, radius=radius)
+            with monkeypatch.context() as one:
+                set_cpus(one, 1)
+                serial = canny_core(px, params)
+            assert canny_core(px, params).tobytes() == serial.tobytes(), params
+            if radius is None:
+                assert serial.tobytes() == whole_plane_canny(GrayImage(px), params).mask.tobytes(), params
+
+    @given(st.tuples(st.integers(4, 40), st.integers(1, 12)), st.integers(1, 10), seeds,
+           st.sampled_from([0.5, 1.0, 1.4, 3.0]))
+    def test_random_planes_in_bands(self, shape, strip, seed, sigma):
+        px = random_plane(np.random.default_rng(seed), shape) - 0.2
+        img = GrayImage(px)
+        params = CannyParams(sigma=sigma, low=0.05, high=0.15)
+        with pytest.MonkeyPatch.context() as mp:
+            set_strip_rows(mp, strip, shape[1])
+            set_cpus(mp, 2)
+            k = gaussian_kernel_1d(sigma, gaussian_radius(sigma))
+            assert_blur_matches(img, k, k)
+            assert canny_core(px, params).tobytes() == whole_plane_canny(img, params).mask.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_stack_of_at_least_4_strips(self, monkeypatch, cpus):
+        # a (3, 20, 5) stack in strips of 3 rows spans 7 strips, so its blur
+        # runs in two bands; Canny on a stack stays one call
+        stack = np.random.default_rng(3).random((3, 20, 5)) - 0.3
+        set_strip_rows(monkeypatch, 3, 3 * 5)
+        set_cpus(monkeypatch, cpus)
+        assert len(image_core._bands(stack)) == cpus
+        k = gaussian_kernel_1d(1.4, gaussian_radius(1.4))
+        smoothed = filtering._blur(stack, k, k)
+        for layer, blurred in zip(stack, smoothed):
+            assert blurred.tobytes() == whole_plane_convolve_separable(GrayImage(layer), k, k).pixels.tobytes()
+        params = CannyParams(sigma=1.4, low=0.01, high=0.05)
+        for layer, mask in zip(stack, _canny_from_smoothed(smoothed, params)):
+            assert mask.tobytes() == whole_plane_canny(GrayImage(layer), params).mask.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("px, sigma, strip, canny_refuses, mh_refuses", STRIP_REFUSALS)
+    def test_refusals_in_bands(self, monkeypatch, px, sigma, strip, canny_refuses, mh_refuses, cpus):
+        set_strip_rows(monkeypatch, strip, px.shape[1])
+        set_cpus(monkeypatch, cpus)
+        params = CannyParams(sigma=sigma, low=0.05, high=0.15)
+        expected = outcome(wrapped_canny, GrayImage(px), params)
+        assert (expected == NOT_FINITE.encode()) == canny_refuses
+        assert outcome(canny_core, px, params) == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_infinite_magnitude_kept_only_in_a_halo_row_is_not_refused(self, monkeypatch, cpus):
+        px = HALO_ONLY_KEPT_INF
+        set_strip_rows(monkeypatch, 4, px.shape[1])
+        set_cpus(monkeypatch, cpus)
+        params = CannyParams(sigma=IDENTITY_SIGMA, low=0.05, high=0.15)
+        # the first band's rows 0-9, row 9 repeated below, keep an infinite
+        # magnitude on row 8; the whole plane keeps none
+        with np.errstate(over="ignore", invalid="ignore"):
+            gradients = _central_differences(px[:10])
+            with pytest.raises(ValueError, match=NOT_FINITE):
+                _thin(*gradients, 0.05, rows=(8, 9))
+            _thin(*gradients, 0.05, rows=(0, 8))
+            _thin(*_central_differences(px), 0.05)
+        expected = outcome(wrapped_canny, GrayImage(px), params)
+        assert expected != NOT_FINITE.encode()
+        assert outcome(canny_detect, GrayImage(px), params) == expected
+        assert outcome(canny_core, px, params) == expected
+
+    def test_the_callers_errstate_holds_in_the_workers(self, monkeypatch):
+        # the blur of STRIP_REFUSALS' first plane overflows in the second band
+        px = STRIP_REFUSALS[0].values[0]
+        set_strip_rows(monkeypatch, 4, px.shape[1])
+        set_cpus(monkeypatch, 2)
+        k = gaussian_kernel_1d(OVERFLOWING_SIGMA, gaussian_radius(OVERFLOWING_SIGMA))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            filtering._blur(px, k, k)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=NOT_FINITE):
+            filtering._blur(px, k, k)
+
+    @pytest.mark.parametrize("slow", [0, 1])
+    def test_both_bands_finish_before_the_first_bands_error(self, slow):
+        # whichever band ends first, the first band's error is raised, and
+        # only once both have ended
+        ended = []
+
+        def task(band):
+            if band == slow:
+                time.sleep(0.05)
+            ended.append(band)
+            if band == 0:
+                raise ValueError("band 0")
+            raise KeyError("band 1")
+
+        with pytest.raises(ValueError, match="band 0"):
+            image_core._run_bands(task, [(0,), (1,)])
+        assert sorted(ended) == [0, 1]
+        with pytest.raises(KeyError, match="band 1"):
+            image_core._run_bands(lambda band: band if band == 0 else task(band), [(0,), (1,)])
+        assert image_core._run_bands(lambda band: band * 10, [(1,), (2,)]) == [10, 20]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_builds_its_own_workers(self, monkeypatch):
+        px = np.random.default_rng(8).random((16, 5))
+        set_strip_rows(monkeypatch, 2, 5)
+        set_cpus(monkeypatch, 2)
+        k = gaussian_kernel_1d(1.4, gaussian_radius(1.4))
+        expected = filtering._blur(px, k, k).tobytes()
+        assert image_core._POOL
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 2 if image_core._POOL else int(filtering._blur(px, k, k).tobytes() != expected)
+            finally:
+                os._exit(code)
+        # the parent's workers are not in the child, so a child that kept
+        # the parent's pool would wait on them for ever
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's blur did not finish")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 # the six Netpbm whitespace bytes and a CRLF line end
