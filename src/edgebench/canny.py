@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .filtering import _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
 from .image_core import EdgeMap, GrayImage, _bands, _finite, _run_bands
@@ -20,9 +19,17 @@ __all__ = [
     "thinned_magnitude",
 ]
 
-_EIGHT_CONNECTED = ndimage.generate_binary_structure(2, 2)
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # 8-connected within each layer of a (layers, h, w) stack, never across layers
 _LAYERED = np.pad(_EIGHT_CONNECTED[None], ((1, 1), (0, 0), (0, 0)))
+
+
+def _ndimage():
+    # scipy.ndimage, imported on first use, so a detect that links sparse Canny
+    # pixels or marks Marr-Hildreth slopes never loads scipy; each caller looks
+    # its function up here when it runs, so a patch of the module's is seen
+    from scipy import ndimage
+    return ndimage
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +179,7 @@ def _stack_maxima(values: np.ndarray, passable: np.ndarray) -> tuple:
     # (labels, maxima, where, component, pixel) of the (layers, h, w) stack passable
     # over the (h, w) plane values: its ndimage.label stack, each label's largest value
     # (-inf for 0), and its pixels' flat stack indices, labels and flat indices in values
-    labels, n = ndimage.label(passable, structure=_LAYERED)
+    labels, n = _ndimage().label(passable, structure=_LAYERED)
     where = np.flatnonzero(passable)
     component, pixel = labels.ravel()[where], where % values.size
     maxima = np.full(n + 1, -np.inf)
@@ -184,10 +191,47 @@ def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     # the 8-connected components of passable, a plane or each layer of a
     # (layers, h, w) stack, that hold a seed; every seed is passable, so a
     # component with one has a pixel above high
-    labels, n = ndimage.label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED)
+    labels, n = _ndimage().label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED)
     keep = np.zeros(n + 1, dtype=bool)
     keep[labels[seeds]] = True
     return keep.take(labels)
+
+
+# Canny links in numpy while it keeps at most this share of the plane's
+# pixels, and labels dense planes with ndimage.label above it
+_SPARSE_SHARE = 1 / 40
+# hooking rounds before the numpy link gives way to ndimage.label
+_SPARSE_ROUNDS = 16
+
+
+def _sparse_link(idx: np.ndarray, seeded: np.ndarray, shape: tuple) -> "np.ndarray | None":
+    # _link's map of the pixels _thin keeps on a plane or stack of this shape,
+    # from their sorted flat indices idx, of which seeded are seeds; None if
+    # _SPARSE_ROUNDS rounds leave an edge between two components. _thin keeps
+    # no border pixel of any layer, so the forward neighbours +1, w-1, w and
+    # w+1 never wrap to another row or layer, and those on the next row are
+    # among the 3 kept pixels from the first at or past a pixel's index + w-1
+    w = shape[-1]
+    root = np.arange(idx.size)
+    below = np.searchsorted(idx, idx + (w - 1))
+    ends = np.concatenate(([root + 1], below + np.array([[0], [1], [2]])))
+    tail = np.append(idx, np.iinfo(idx.dtype).max)  # past the last kept pixel
+    k, src = np.nonzero(tail.take(ends, mode="clip") - idx <= np.array([[1], [w + 1], [w + 1], [w + 1]]))
+    dst = ends[k, src]
+    # each round hooks every component's least index to the least across its
+    # edges, then jumps pointers until every pixel points at its least index
+    for _ in range(_SPARSE_ROUNDS):
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            keep, edges = np.zeros(idx.size, dtype=bool), np.zeros(shape, dtype=bool)
+            keep[root[seeded]] = True
+            np.put(edges, idx[keep[root]], True)
+            return edges
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not ((up := root[root]) == root).all():
+            root = up
+    return None
 
 
 def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:
@@ -219,8 +263,8 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None)
 def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarray:
     # the detector after its blur, on a float64 plane or each layer of a
     # (layers, h, w) stack: differentiate, thin above low, then link the kept
-    # pixels, every one above low, from those above high; no thinned plane
-    # is built. A plane of two bands differentiates and thins each band in
+    # pixels, every one above low, from those above high, in numpy when few
+    # are kept; no thinned plane is built. A plane of two bands differentiates and thins each band in
     # one call with the 2 rows of halo that thinning reads, both at once
     def band(strips):
         top, bottom = strips[0][0], strips[-1][1]
@@ -233,10 +277,13 @@ def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarra
         thinned = _run_bands(band, [(strips,) for strips in bands])
     else:
         thinned = [_thin(*_central_differences(smoothed), params.low)]
+    idx, kept = (np.concatenate(parts) for parts in zip(*thinned))  # the bands' indices, in order
+    seeded = kept > params.high
+    if idx.size <= _SPARSE_SHARE * smoothed.size and (edges := _sparse_link(idx, seeded, smoothed.shape)) is not None:
+        return edges
     passable, seeds = np.zeros((2,) + smoothed.shape, dtype=bool)
-    for idx, kept in thinned:
-        np.put(passable, idx, True)
-        np.put(seeds, idx[kept > params.high], True)
+    np.put(passable, idx, True)
+    np.put(seeds, idx[seeded], True)
     return _link(passable, seeds)
 
 

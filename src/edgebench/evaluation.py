@@ -12,9 +12,9 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .canny import CannyParams, _canny_from_smoothed, _stack_maxima, hysteresis, thinned_magnitude
+from .canny import (_EIGHT_CONNECTED, CannyParams, _canny_from_smoothed, _ndimage, _stack_maxima, hysteresis,
+                    thinned_magnitude)
 from .filtering import _blur, gaussian_kernel_1d, gaussian_radius
 from .image_core import EdgeMap, GrayImage
 from .marr_hildreth import MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed
@@ -50,9 +50,19 @@ THRESHOLD_GRID: tuple = tuple(float(t) for t in np.geomspace(1e-3, 1.0, 22))
 # in (layers, h, w) stacks of at most this many pixels (one layer at least)
 _STACK_PIXELS = 128 * 1024
 
+# count_components' 4-connected structure
+_CROSS = np.array([[False, True, False], [True, True, True], [False, True, False]])
+
 # One-entry slots for what consecutive tunes of one scene share: the truth's
 # _ToleranceMatch and the image's Marr-Hildreth slope plane (see _reused)
 _MATCHES, _SLOPES = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
+
+
+def __getattr__(name):
+    # evaluation.ndimage is scipy.ndimage, imported on first use (PEP 562)
+    if name == "ndimage":
+        return _ndimage()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +131,14 @@ def synth_circle(size: int, center: tuple, radius: float) -> Scene:
         )
     ys, xs = np.ogrid[0:size, 0:size]
     inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
-    # erosion by the default cross keeps pixels whose 4-neighbours are all inside
-    truth = inside & ~ndimage.binary_erosion(inside, border_value=1)
-    return Scene(GrayImage(inside.astype(np.float64)), EdgeMap(truth), f"circle-{size}-r{radius:g}")
+    return Scene(GrayImage(inside.astype(np.float64)), EdgeMap(_inner_boundary(inside)), f"circle-{size}-r{radius:g}")
+
+
+def _inner_boundary(inside: np.ndarray) -> np.ndarray:
+    # the pixels of the bool plane inside with an outside 4-neighbour, off-image
+    # pixels counting as inside
+    p = np.pad(inside, 1, constant_values=True)
+    return inside & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
 
 
 def synth_rectangle(size: int, x0: int, y0: int, x1: int, y1: int) -> Scene:
@@ -226,7 +241,7 @@ class _ToleranceMatch:
         # where no pixel is within the tolerance
         self.distance = np.full(tru.shape, np.inf)
         if self.ty.size:
-            self.distance[y0:y1, x0:x1] = ndimage.distance_transform_edt(~tru[y0:y1, x0:x1])
+            self.distance[y0:y1, x0:x1] = _ndimage().distance_transform_edt(~tru[y0:y1, x0:x1])
         self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
         for plane in (self.distance, self.near, self.ty, self.tx, self.wy, self.wx):
             plane.setflags(write=False)  # the tuners share one match across tunes
@@ -234,7 +249,7 @@ class _ToleranceMatch:
     def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
         # (layers, truth pixels): each window layer's maximum over each truth
         # pixel's disc; a box across the window's border holds what "nearest" pads
-        filtered = (ndimage.maximum_filter(levels, (1,) + box, mode="nearest") for box in self.boxes)
+        filtered = (_ndimage().maximum_filter(levels, (1,) + box, mode="nearest") for box in self.boxes)
         return functools.reduce(np.maximum, (plane[:, self.wy, self.wx] for plane in filtered))
 
     def reports(self, dets: np.ndarray) -> list:
@@ -329,8 +344,7 @@ def count_components(edges, connectivity: int = 8) -> int:
     mask = edges.mask if isinstance(edges, EdgeMap) else np.asarray(edges, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"edge mask must be 2-D, got shape {mask.shape}")
-    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
-    return ndimage.label(mask, structure=structure)[1]
+    return _ndimage().label(mask, structure=_CROSS if connectivity == 4 else _EIGHT_CONNECTED)[1]
 
 
 def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 1.5) -> list:

@@ -29,6 +29,8 @@ component's maximum from component_maxima, compared with high.
 slope_plane_mh_from_smoothed is the Marr-Hildreth detector after its blur
 as it ran before its crossings were marked as boolean strips: whole
 Laplacian and crossing-slope planes, then a threshold or maxima_hysteresis.
+erosion_ring is synth_circle's truth as it ran before it moved from
+ndimage.binary_erosion to four shifted ands.
 """
 
 import re
@@ -83,6 +85,12 @@ def slope_plane_mh_from_smoothed(smoothed: GrayImage, params: MHParams) -> EdgeM
     if params.use_hysteresis:
         return maxima_hysteresis(slopes, params.low, params.high)
     return EdgeMap(slopes.pixels > params.slope_threshold)
+
+
+def erosion_ring(inside: np.ndarray) -> np.ndarray:
+    """synth_circle's truth as binary erosion gives it: the inside pixels the
+    default cross erodes away, off-image pixels counting as inside."""
+    return inside & ~ndimage.binary_erosion(inside, border_value=1)
 
 
 def bfs_count_components(edges, connectivity: int = 8) -> int:

@@ -40,6 +40,7 @@ from edgebench.evaluation import (
 )
 from edgebench.image_core import EdgeMap, GrayImage
 from edgebench.marr_hildreth import MHParams, mh_detect
+from oracles import erosion_ring
 
 
 def count_calls(monkeypatch, calls: dict, module, name: str) -> None:
@@ -138,6 +139,23 @@ class TestSynthCircle:
         has_outside = ~(padded[:-2, 1:-1] & padded[2:, 1:-1]
                         & padded[1:-1, :-2] & padded[1:-1, 2:])
         assert np.array_equal(scene.truth.mask, inside & has_outside)
+
+    @given(hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    def test_ring_is_the_erosion_ring_on_random_masks(self, inside):
+        assert np.array_equal(evaluation._inner_boundary(inside), erosion_ring(inside))
+
+    @pytest.mark.parametrize("size,center,radius", [
+        (32, (15.5, 15.5), 13.5),
+        (32, (11.0, 20.0), 9.0),
+        (40, (6.5, 30.0), 4.5),
+        (17, (8.0, 8.0), 6.0),
+    ])
+    def test_ring_is_the_erosion_ring_at_the_clearance(self, size, center, radius):
+        # radius + 2 is the clearance: the disc comes as near the border as allowed
+        cx, cy = center
+        assert radius + 2 == min(cx, cy, size - 1 - cx, size - 1 - cy)
+        scene = synth_circle(size, center, radius)
+        assert np.array_equal(scene.truth.mask, erosion_ring(scene.image.pixels == 1.0))
 
     @pytest.mark.parametrize("size,center,radius", [
         (64, (31.5, 31.5), 19.2),
