@@ -109,8 +109,10 @@ def _thin(gx: np.ndarray, gy: np.ndarray, floor: float, magnitude: "np.ndarray |
         candidates = magnitude > floor
     elif floor * floor < _TINY_SQUARE:
         candidates = (gx != 0) | (gy != 0)
-    else:
-        candidates = gx * gx + gy * gy > min(floor * floor, np.finfo(np.float64).max) * _SLACK
+    else:  # gx * gx + gy * gy, summed in place: the same bits with one temporary fewer
+        candidates = gx * gx
+        candidates += gy * gy
+        candidates = candidates > min(floor * floor, np.finfo(np.float64).max) * _SLACK
     candidates[..., :max(top, 1), :] = False
     candidates[..., min(bottom, h - 1):, :] = False
     candidates[..., [0, -1]] = False

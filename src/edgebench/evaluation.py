@@ -57,6 +57,12 @@ _CROSS = np.array([[False, True, False], [True, True, True], [False, True, False
 # _ToleranceMatch and the image's Marr-Hildreth slope plane (see _reused)
 _MATCHES, _SLOPES = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
 
+# _ToleranceMatch reads the tolerance disc through its integer offsets, in
+# numpy, up to this tolerance, and through scipy's distance transform and box
+# filters above it. The offsets were the faster up to 10 on sparse truths; the
+# bound keeps them to 29 per truth pixel, so a dense truth's taps stay small
+_DISC_TOLERANCE = 3.0
+
 
 def __getattr__(name):
     # evaluation.ndimage is scipy.ndimage, imported on first use (PEP 562)
@@ -192,11 +198,14 @@ def score(detected: EdgeMap, truth: EdgeMap, match_tolerance: float = 1.5) -> Ev
     matched). Rates over an empty set are 0.0, except that an empty
     detection against non-empty truth gives a false-negative rate of 1.0.
 
-    Nearest-truth distances come from one exact Euclidean distance
-    transform (ndimage.distance_transform_edt) of the truth's complement,
-    in row-major pixel order. A truth pixel is covered when the detection's
-    maximum over the tolerance disc around it, read from box maximum
-    filters, is set; the detection itself is never transformed.
+    Nearest-truth distances are exact. Up to a tolerance of 3 each is the
+    square root of the least dy*dy + dx*dx over the disc's integer offsets
+    (dy, dx) that reach the pixel from truth, the value an exact Euclidean
+    distance transform of the truth's complement gives; above it they come
+    from that transform (ndimage.distance_transform_edt). A truth pixel is
+    covered when the detection's maximum over the tolerance disc around it,
+    read through the disc's offsets or from box maximum filters, is set; the
+    detection itself is never transformed.
     """
     _check_tolerance(match_tolerance)
     if (detected.height, detected.width) != (truth.height, truth.width):
@@ -212,43 +221,65 @@ def _check_tolerance(match_tolerance: float) -> None:
 class _ToleranceMatch:
     """score()'s match rule for one truth mask and one checked tolerance.
 
-    It holds the truth's distance transform (+inf outside the window
-    below), near (the pixels within the tolerance of truth) and the
-    tolerance disc as boxes: one centred
-    (rows, width) box per distinct disc-row width, spanning every disc row
-    at least that wide. Every disc lies in the window, the truth's bounding
-    box grown by the disc's reach. run_comparison and the tuning sweeps
-    build one per truth mask and read every detection through it.
+    It holds the truth's distances (+inf beyond the tolerance and outside
+    the window below), near (the pixels within the tolerance of truth) and
+    the tolerance disc. Every disc lies in the window, the truth's bounding
+    box grown by the disc's reach. Up to _DISC_TOLERANCE the disc is its
+    integer offsets: a pixel's distance is the square root of the least
+    dy*dy + dx*dx over the offsets that reach it from truth, the value the
+    exact transform measures, and taps holds each (offset, truth pixel)'s
+    flat window index. Above it, where the offsets grow with the tolerance
+    squared, the distances are scipy's transform of the window and the disc
+    is boxes: one centred (rows, width) box per distinct disc-row width,
+    spanning every disc row at least that wide. run_comparison and the
+    tuning sweeps build one per truth mask and read every detection through it.
     """
 
     def __init__(self, truth: EdgeMap, tolerance: float) -> None:
         tru = truth.mask
         self.tolerance = float(tolerance)
         self.ty, self.tx = np.nonzero(tru)
-        # the offsets the transform would measure within the tolerance,
-        # clipped to the image first so an infinite tolerance works, in one
-        # quadrant: disc rows +-d are 2 * half[d] - 1 wide, and the disc is
-        # convex, so the rows at least that wide are a centred run
+        # the offsets within the tolerance, clipped to the image first so an
+        # infinite tolerance works
         ry, rx = (math.floor(min(tolerance, n - 1)) for n in tru.shape)
-        dy, dx = np.ogrid[:ry + 1, :rx + 1]
-        half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
-        self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
         (y0, y1), (x0, x1) = ((max(t.min(initial=n) - r, 0), t.max(initial=0) + r + 1)
                               for t, r, n in zip((self.ty, self.tx), (ry, rx), tru.shape))
         self.window, self.wy, self.wx = np.s_[:, y0:y1, x0:x1], self.ty - y0, self.tx - x0
-        # the truth's distance transform in the window, whose distances are the
-        # whole image's since every truth pixel is in it; +inf outside it,
-        # where no pixel is within the tolerance
+        # +inf outside the window, where no pixel is within the tolerance
         self.distance = np.full(tru.shape, np.inf)
-        if self.ty.size:
-            self.distance[y0:y1, x0:x1] = _ndimage().distance_transform_edt(~tru[y0:y1, x0:x1])
+        window = self.distance[y0:y1, x0:x1]
+        if tolerance <= _DISC_TOLERANCE:
+            h, w = window.shape
+            square = np.add.outer(np.arange(-ry, ry + 1.0) ** 2, np.arange(-rx, rx + 1.0) ** 2)
+            oy, ox = np.nonzero(np.sqrt(square) <= tolerance)
+            # each (offset, truth pixel)'s flat index in the window padded by the reach
+            at = (self.wy + oy[:, None]) * (w + 2 * rx) + (self.wx + ox[:, None])
+            padded = np.full((h + 2 * ry, w + 2 * rx), np.inf)
+            np.minimum.at(padded.ravel(), at.ravel(), np.repeat(square[oy, ox], self.ty.size))
+            window[...] = np.sqrt(padded[ry:ry + h, rx:rx + w])
+            # a tap reads the window pixel nearest its padded one, which is in
+            # the same truth pixel's disc
+            rows, cols = (np.arange(-r, n + r).clip(0, n - 1) for r, n in ((ry, h), (rx, w)))
+            self.taps = (rows[:, None] * w + cols).ravel().take(at)
+        else:
+            # disc rows +-d are 2 * half[d] - 1 wide, and the disc is convex,
+            # so the rows at least that wide are a centred run
+            dy, dx = np.ogrid[:ry + 1, :rx + 1]
+            half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
+            self.taps = None
+            self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
+            if self.ty.size:  # every truth pixel is in the window, so its distances are the whole image's
+                window[...] = _ndimage().distance_transform_edt(~tru[y0:y1, x0:x1])
         self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
         for plane in (self.distance, self.near, self.ty, self.tx, self.wy, self.wx):
             plane.setflags(write=False)  # the tuners share one match across tunes
 
     def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
         # (layers, truth pixels): each window layer's maximum over each truth
-        # pixel's disc; a box across the window's border holds what "nearest" pads
+        # pixel's disc; a tap or box across the window's border reads what
+        # "nearest" pads
+        if self.taps is not None:
+            return levels.reshape(len(levels), -1).take(self.taps, axis=1).max(axis=1)
         filtered = (_ndimage().maximum_filter(levels, (1,) + box, mode="nearest") for box in self.boxes)
         return functools.reduce(np.maximum, (plane[:, self.wy, self.wx] for plane in filtered))
 
@@ -359,10 +390,10 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
     blurred once per distinct kernel, so once when both detectors smooth
     alike (equal sigma, and radii equal once None stands for
     gaussian_radius(sigma)), runs Canny after its blur once, and is scored
-    in one pass through the truth's one distance transform; truths A, B, A
-    take three. Marr-Hildreth, slower stacked, runs on each smoothed layer.
-    An empty scene list or a negative or NaN tolerance raises ValueError
-    before any detector work.
+    in one pass through the truth's one match; truths A, B, A build three.
+    Marr-Hildreth, slower stacked, runs on each smoothed layer. An empty
+    scene list or a negative or NaN tolerance raises ValueError before any
+    detector work.
     """
     scenes = list(scenes)
     if not scenes:
@@ -380,10 +411,11 @@ def run_comparison(scenes, mh: MHParams, canny: CannyParams, tolerance: float = 
         for stack in (run[k:k + step] for k in range(0, len(run), step)):
             pixels = stack[0].image.pixels[None] if len(stack) == 1 else np.stack([s.image.pixels for s in stack])
             smoothed = _blur(pixels, canny_k, canny_k)
+            mh_smoothed = smoothed if mh_k is canny_k else _blur(pixels, mh_k, mh_k)
+            del pixels  # freed before the Canny core allocates its stack planes
             canny_maps = _canny_from_smoothed(smoothed, canny)
-            if mh_k is not canny_k:
-                smoothed = _blur(pixels, mh_k, mh_k)
-            reports = match.reports(np.concatenate((canny_maps, [_mh_from_smoothed(layer, mh) for layer in smoothed])))
+            mh_maps = [_mh_from_smoothed(layer, mh) for layer in mh_smoothed]
+            reports = match.reports(np.concatenate((canny_maps, mh_maps)))
             for scene, canny_report, mh_report in zip(stack, reports, reports[len(stack):]):
                 rows += [(scene.name, "canny", canny_report), (scene.name, "marr-hildreth", mh_report)]
     return rows
@@ -420,14 +452,14 @@ def tune_mh(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5,
     grid is tried, so the grid must ascend (ties allowed), and one stacked
     labelling of the crossing-slope map above the lows gives every pair's
     counts; lows that pass the same pixels share one labelled layer, and a
-    low that passes none is labelled not at all. One truth transform ranks
+    low that passes none is labelled not at all. One truth match ranks
     all candidates; the winner's report equals score() of its map, and only
     its MHParams is built. An empty grid, one that does not ascend where it
     must, a grid value the parameters refuse, and a negative or NaN
     tolerance raise ValueError before any detector work.
 
     Consecutive tunes share read-only planes through one-entry slots: the
-    truth transform of the last (truth, tolerance) of any tuner and the slope
+    truth match of the last (truth, tolerance) of any tuner and the slope
     map of the last (image, sigma). The frozen objects are weak keys matched
     by identity, whose read-only arrays are trusted; the numbers are matched
     by type and bits. A new key drops the old entry, and an entry goes with
@@ -448,7 +480,7 @@ def tune_canny(scene: Scene, sigma: float = 1.0, tolerance: float = 1.5, grid=TH
     Returns (CannyParams, EvalReport). It labels the thinned magnitude above
     every low at once, one layer per distinct non-empty set of pixels the lows
     pass, and ranks, breaks ties, refuses grids and tolerances, builds params
-    and shares the last tune's truth transform like tune_mh with use_hysteresis.
+    and shares the last tune's truth match like tune_mh with use_hysteresis.
     """
     make_params = lambda low, high: CannyParams(sigma=sigma, low=low, high=high)
     grid = _threshold_grid(grid, True, make_params, tolerance)

@@ -30,9 +30,14 @@ slope_plane_mh_from_smoothed is the Marr-Hildreth detector after its blur
 as it ran before its crossings were marked as boolean strips: whole
 Laplacian and crossing-slope planes, then a threshold or maxima_hysteresis.
 erosion_ring is synth_circle's truth as it ran before it moved from
-ndimage.binary_erosion to four shifted ands.
+ndimage.binary_erosion to four shifted ands. ScipyToleranceMatch is score()'s
+match rule as it ran before small tolerances moved to the disc's integer
+offsets: one exact distance transform of the truth's complement, and the
+tolerance disc as centred boxes of ndimage.maximum_filter.
 """
 
+import functools
+import math
 import re
 from collections import deque
 
@@ -41,7 +46,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from edgebench.canny import CannyParams, GradientField, canny_detect, component_maxima
-from edgebench.evaluation import EvalReport, _harmonic_mean, _ToleranceMatch, score
+from edgebench.evaluation import EvalReport, _harmonic_mean, score
 from edgebench.filtering import Kernel1D, Kernel2D, laplacian_kernel_2d
 from edgebench.image_core import EdgeMap, FormatError, GrayImage, TruncationError
 from edgebench.marr_hildreth import MHParams, mh_detect
@@ -456,12 +461,40 @@ def whole_buffer_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     return samples
 
 
+class ScipyToleranceMatch:
+    """evaluation._ToleranceMatch's rule through scipy, on whole planes.
+
+    distance is the exact transform of the truth's complement (+inf
+    everywhere for an empty truth), near the pixels within the tolerance of
+    truth, and boxes the tolerance disc, clipped to the image, as one
+    centred (rows, width) box per distinct disc-row width, spanning every
+    disc row at least that wide.
+    """
+
+    def __init__(self, truth: EdgeMap, tolerance: float) -> None:
+        tru = truth.mask
+        self.tolerance = float(tolerance)
+        self.ty, self.tx = np.nonzero(tru)
+        ry, rx = (math.floor(min(tolerance, n - 1)) for n in tru.shape)
+        dy, dx = np.ogrid[:ry + 1, :rx + 1]
+        half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= tolerance, axis=1)
+        self.boxes = [(2 * int(np.count_nonzero(half >= h)) - 1, 2 * int(h) - 1) for h in np.unique(half)]
+        self.distance = ndimage.distance_transform_edt(~tru) if tru.any() else np.full(tru.shape, np.inf)
+        self.near = (self.distance <= tolerance) & tru.any()  # nothing is near an empty truth
+
+    def disc_maxima(self, levels: np.ndarray) -> np.ndarray:
+        """(layers, truth pixels): the maximum of each layer of the (layers,
+        h, w) stack levels over each truth pixel's disc, clipped to the image."""
+        filtered = (ndimage.maximum_filter(levels, (1,) + box, mode="nearest") for box in self.boxes)
+        return functools.reduce(np.maximum, (plane[:, self.ty, self.tx] for plane in filtered))
+
+
 def _counts_above(values: np.ndarray, hs: np.ndarray) -> np.ndarray:
     # for each h in hs, the number of values above h
     return values.size - np.searchsorted(np.sort(values, axis=None), hs, side="right")
 
 
-def _rates(match: _ToleranceMatch, level: np.ndarray, hs, counts_above=_counts_above):
+def _rates(match: ScipyToleranceMatch, level: np.ndarray, hs, counts_above=_counts_above):
     """(detected, matched, fp, fn) of the detection level > h, per h in hs.
 
     A truth pixel is covered at h exactly when the maximum of level over
@@ -482,7 +515,7 @@ def _rates(match: _ToleranceMatch, level: np.ndarray, hs, counts_above=_counts_a
     return n_det, matched, fp, fn
 
 
-def _report(match: _ToleranceMatch, detected: EdgeMap) -> EvalReport:
+def _report(match: ScipyToleranceMatch, detected: EdgeMap) -> EvalReport:
     det = detected.mask
     n_det, matched, fp, fn = _rates(match, det, None, lambda values, _: np.count_nonzero(values))
     msd = float(np.mean(match.distance[det & match.near] ** 2)) if matched else 0.0
@@ -505,7 +538,7 @@ def per_low_operating_point(values: np.ndarray, grid, linked: bool, make_params,
     f in that order wins, and only the winner gets params and a report.
     """
     levels = _linked_levels(GrayImage(values), grid) if linked else values
-    match = _ToleranceMatch(truth, tolerance)
+    match = ScipyToleranceMatch(truth, tolerance)
     best = None
     for i, level in enumerate(levels):
         _, _, fp, fn = _rates(match, level, np.array(grid[i:], dtype=np.float64))

@@ -339,14 +339,17 @@ class TestScore:
 
     @pytest.mark.parametrize("tolerance", [0.0, 1.5, math.inf])
     def test_takes_one_truth_transform_per_call(self, monkeypatch, tolerance):
-        # the detection is matched through the truth's transform, never transformed itself
+        # the detection is matched through one match of the truth, never
+        # transformed itself; only above the offsets' bound is the truth transformed
         scene = noisy_step_suite([0])[0]
         edges = canny_detect(scene.image, CannyParams())
         calls = {}
+        count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        transforms = tolerance > evaluation._DISC_TOLERANCE
         for n in (1, 2):
             score(edges, scene.truth, tolerance)
-            assert calls == {"distance_transform_edt": n}
+            assert calls == {"_ToleranceMatch": n, "distance_transform_edt": n * transforms}
 
     @given(bool_masks, st.sampled_from([0.0, 1.0, 2.5]))
     def test_truth_against_itself_is_perfect(self, mask, tol):
@@ -454,7 +457,7 @@ class TestSuitesAndTuning:
         (MHParams(radius=2), CannyParams(), 20),
     ], ids=["defaults", "default-radius-resolved", "sigmas-differ", "radii-differ"])
     def test_run_comparison_shares_blurs_and_truth_transforms(self, monkeypatch, mh, canny_params, blurs):
-        # ten scenes share one truth object, so one truth transform; the
+        # ten scenes share one truth object, so one truth match; the
         # detections are matched through it and never transformed. The ten
         # run as one stack, blurred once per kernel, and each scene is blurred
         # once per kernel. Each Gaussian kernel is built once per run, and the
@@ -463,6 +466,7 @@ class TestSuitesAndTuning:
         calls, layers = {}, []
         for name in ("_blur", "gaussian_kernel_1d", "laplacian_kernel_2d"):
             count_calls_everywhere(monkeypatch, calls, filtering, name)
+        count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
         count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
         counted = evaluation._blur
 
@@ -473,18 +477,18 @@ class TestSuitesAndTuning:
         monkeypatch.setattr(evaluation, "_blur", blur)
         rows = run_comparison(scenes, mh, canny_params)
         assert all(report.detected_count for _, _, report in rows)
-        assert calls == {"_blur": blurs // 10, "gaussian_kernel_1d": blurs // 10,
-                         "laplacian_kernel_2d": 0, "distance_transform_edt": 1}
+        assert calls == {"_blur": blurs // 10, "gaussian_kernel_1d": blurs // 10, "laplacian_kernel_2d": 0,
+                         "_ToleranceMatch": 1, "distance_transform_edt": 0}
         assert sum(layers) == blurs
 
     def test_run_comparison_transforms_each_distinct_truth_once(self, monkeypatch):
         scenes = [circle_scene(), *noisy_step_suite([0, 1]), rectangle_scene(), circle_scene()]
         calls = {}
-        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
         rows = run_comparison(scenes, MHParams(), CannyParams())
         assert all(report.detected_count for _, _, report in rows)
         # circle_scene() makes a new truth object per call
-        assert calls == {"distance_transform_edt": 4}
+        assert calls == {"_ToleranceMatch": 4}
 
     def test_threshold_grid_shape(self):
         assert len(THRESHOLD_GRID) == 22
@@ -553,18 +557,22 @@ class TestTuningWork:
         assert sum(calls.values()) == 2
         assert type(params) in (CannyParams, MHParams)
 
+    @pytest.mark.parametrize("tolerance", [1.5, 3.5])
     @pytest.mark.parametrize("tuner", ["canny", "mh-hysteresis"])
-    def test_labels_and_filters_every_low_at_once(self, monkeypatch, tuner):
+    def test_labels_and_filters_every_low_at_once(self, monkeypatch, tuner, tolerance):
         # one labelling of the stack of distinct layers and one of the winner's
-        # map; one maximum filter per disc box for the sweep and one for the
-        # winner's report, not one of each per low
+        # map; one pass over the discs for the sweep and one for the winner's
+        # report, not one of each per low, and above the offsets' bound one
+        # maximum filter per disc box in each pass
         calls = {}
         for name in ("label", "maximum_filter"):
             count_calls(monkeypatch, calls, ndimage, name)
+        count_calls(monkeypatch, calls, evaluation._ToleranceMatch, "disc_maxima")
         scene = noisy_step_suite([0])[0]
-        TUNERS[tuner](scene)
-        assert calls["label"] <= 2
-        assert calls["maximum_filter"] <= 2 * len(evaluation._ToleranceMatch(scene.truth, 1.5).boxes)
+        TUNERS[tuner](scene, tolerance=tolerance)
+        match = evaluation._ToleranceMatch(scene.truth, tolerance)
+        assert calls["label"] <= 2 and calls["disc_maxima"] == 2
+        assert calls["maximum_filter"] == (0 if match.taps is not None else 2 * len(match.boxes))
 
 
 class TestTuningSlots:
@@ -585,13 +593,13 @@ class TestTuningSlots:
         return value
 
     def test_scenes_in_turn_rebuild_every_time(self, monkeypatch):
-        # A, B, then A again: a slot holds one scene, so each takes one transform
-        # and one slope plane, and every result equals that of a fresh tune
+        # A, B, then A again: a slot holds one scene, so each takes one truth
+        # match and one slope plane, and every result equals that of a fresh tune
         a, b = noisy_step_suite([0])[0], noisy_step_suite([1])[0]
         expected = [repr(self.fresh(tuner, scene)) for scene in (a, b, a) for tuner in TUNERS]
         self.clear()
         calls = {}
-        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
         count_calls(monkeypatch, calls, evaluation, "laplacian_of_smoothed")
         got = []
         for scene in (a, b, a):
@@ -599,7 +607,7 @@ class TestTuningSlots:
                 got.append(repr(TUNERS[tuner](scene)))
                 assert len(evaluation._MATCHES) <= 1 and len(evaluation._SLOPES) <= 1
         assert got == expected
-        assert calls == {"distance_transform_edt": 3, "laplacian_of_smoothed": 3}
+        assert calls == {"_ToleranceMatch": 3, "laplacian_of_smoothed": 3}
 
     @pytest.mark.parametrize("tuner", TUNERS)
     def test_negative_zero_tolerance_is_its_own_key(self, tuner):

@@ -52,7 +52,7 @@ from edgebench.image_core import (EdgeMap, FormatError, GrayImage, RgbImage, Tru
 from edgebench.marr_hildreth import (MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed, mh_detect,
                                      zero_crossings)
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress, maxima_hysteresis,
-                     pad_central_differences, per_low_operating_point, scatter_crossing_slope_map,
+                     ScipyToleranceMatch, pad_central_differences, per_low_operating_point, scatter_crossing_slope_map,
                      slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison, whole_buffer_ascii_samples,
                      whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
                      whole_plane_nonmax_suppress)
@@ -217,6 +217,55 @@ class TestScoreMatchesKdTree:
         det = EdgeMap(random_mask(rng, shape, det_density))
         tru = EdgeMap(random_mask(rng, shape, tru_density))
         assert_score_matches(det, tru, tolerance)
+
+
+# around the bound evaluation._DISC_TOLERANCE (3.0): 0, exactly sqrt(2), an
+# ulp either side of integers below, at and above it, and inf
+MATCH_TOLERANCES = (0.0, math.sqrt(2.0), 1.5, *(math.nextafter(float(k), k + side) for k in (1, 2, 3, 5)
+                                               for side in (-1, 1)), 3.0, 4.0, math.inf)
+
+
+def assert_match_matches_scipy(mask: np.ndarray, tolerance: float, seed: int) -> None:
+    # near, its distances and the disc maxima of bool and float stacks, with
+    # their dtype, equal to scipy's whole-plane transform and box filters
+    truth = EdgeMap(mask)
+    match, oracle = evaluation._ToleranceMatch(truth, tolerance), ScipyToleranceMatch(truth, tolerance)
+    assert (match.taps is None) == (tolerance > evaluation._DISC_TOLERANCE)
+    assert np.array_equal(match.near, oracle.near)
+    assert np.array_equal(match.distance[match.near], oracle.distance[oracle.near])
+    levels = random_plane(np.random.default_rng(seed), (3,) + mask.shape)
+    for stack in (levels > 0.2, levels):
+        got, expected = match.disc_maxima(stack[match.window]), oracle.disc_maxima(stack)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), (mask.shape, tolerance)
+
+
+class TestToleranceMatchMatchesScipy:
+    # up to the bound the match reads the disc through its integer offsets;
+    # on both sides it must give what scipy's transform and filters give
+    small_shapes = st.tuples(st.integers(1, 23), st.integers(1, 23))
+
+    @given(hnp.arrays(np.bool_, small_shapes), st.sampled_from(MATCH_TOLERANCES), seeds)
+    def test_random_truths(self, mask, tolerance, seed):
+        assert_match_matches_scipy(mask, tolerance, seed)
+
+    @given(small_shapes, st.floats(0.0, 0.5), st.sampled_from(MATCH_TOLERANCES), seeds)
+    def test_truths_on_every_border(self, shape, density, tolerance, seed):
+        rng = np.random.default_rng(seed)
+        mask = random_mask(rng, shape, density)
+        h, w = shape
+        mask[[0, -1], rng.integers(w, size=2)] = True
+        mask[rng.integers(h, size=2), [0, -1]] = True
+        assert_match_matches_scipy(mask, tolerance, seed)
+
+    @given(st.integers(1, 40), st.booleans(), st.floats(0.0, 1.0), st.sampled_from(MATCH_TOLERANCES), seeds)
+    def test_one_pixel_wide_images(self, length, tall, density, tolerance, seed):
+        shape = (length, 1) if tall else (1, length)
+        assert_match_matches_scipy(random_mask(np.random.default_rng(seed), shape, density), tolerance, seed)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 12)])
+    @pytest.mark.parametrize("tolerance", MATCH_TOLERANCES)
+    def test_empty_truths(self, shape, tolerance):
+        assert_match_matches_scipy(np.zeros(shape, dtype=bool), tolerance, 5)
 
 
 def oracle_tune(candidates, truth: EdgeMap, tolerance: float):
@@ -435,13 +484,12 @@ class TestSweepSelection:
             assert report == score(truth, truth, tolerance)
 
     def test_tuning_takes_one_transform_and_reports_score_of_the_winner(self, monkeypatch):
-        # the three default tunes of one scene share one truth transform; a
-        # tune at another tolerance, or against another truth object, takes
-        # one more. Every winner's report is score() of its detector's map
+        # the three default tunes of one scene share one truth match; a tune
+        # at another tolerance, or against another truth object, takes one
+        # more. Every winner's report is score() of its detector's map
         calls = []
-        real = evaluation.ndimage.distance_transform_edt
-        monkeypatch.setattr(evaluation.ndimage, "distance_transform_edt",
-                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        real = evaluation._ToleranceMatch
+        monkeypatch.setattr(evaluation, "_ToleranceMatch", lambda *args: calls.append(args) or real(*args))
         scene = noisy_step_suite([0])[0]
         other = Scene(scene.image, EdgeMap(scene.truth.mask), scene.name)
         tunes = [(tune_canny, canny_detect, scene, 1.5), (tune_mh, mh_detect, scene, 1.5),
