@@ -192,11 +192,64 @@ def _stack_maxima(values: np.ndarray, passable: np.ndarray) -> tuple:
 def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     # the 8-connected components of passable, a plane or each layer of a
     # (layers, h, w) stack, that hold a seed; every seed is passable, so a
-    # component with one has a pixel above high
-    labels, n = _ndimage().label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED)
+    # component with one has a pixel above high. A plane links in the two
+    # bands that the blur runs a float64 plane of its shape in, if it has two
+    bands = _bands(np.broadcast_to(0.0, passable.shape)) if passable.ndim == 2 else []
+    if len(bands) == 2:
+        return _banded_link(passable, seeds, bands[1][0][0])
+    # intp labels, which take reads with no copy
+    labels, n = _ndimage().label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED,
+                                 output=np.intp)
     keep = np.zeros(n + 1, dtype=bool)
     keep[labels[seeds]] = True
     return keep.take(labels)
+
+
+def _banded_link(passable: np.ndarray, seeds: np.ndarray, cut: int) -> np.ndarray:
+    # _link of a plane as two row bands, rows up to cut and from it: each
+    # worker labels its band into one intp plane and returns its seeds'
+    # labels; band b's count on from band a's. The labels that meet across
+    # the seam, each pixel of a's last row against b's first row at shifts
+    # -1, 0 and +1, are merged by _hook, and each worker maps its band
+    # through the keep table of its labels
+    h, label = passable.shape[0], _ndimage().label
+    labels, edges = np.empty(passable.shape, dtype=np.intp), np.empty(passable.shape, dtype=bool)
+
+    def band(top, bottom):
+        n = label(passable[top:bottom], structure=_EIGHT_CONNECTED, output=labels[top:bottom])
+        return n, labels[top:bottom][seeds[top:bottom]]
+
+    (na, seeded_a), (nb, seeded_b) = _run_bands(band, [(0, cut), (cut, h)])
+    above, below = labels[cut - 1], labels[cut]
+    src, dst = (np.concatenate(side) for side in zip((above[1:], below[:-1]), (above, below), (above[:-1], below[1:])))
+    joined = (src != 0) & (dst != 0)
+    # a round with an edge left hooks a component, so these rounds always end
+    root = _hook(na + nb + 1, src[joined], dst[joined] + na, na + nb + 1)
+    keep = np.zeros(na + nb + 1, dtype=bool)
+    keep[root[np.concatenate((seeded_a, seeded_b + na))]] = True
+    keep = keep[root]
+    tables = keep[:na + 1], np.concatenate(([False], keep[na + 1:]))  # b's label 0 is its background
+    _run_bands(lambda top, bottom, table: table.take(labels[top:bottom], out=edges[top:bottom], mode="clip"),
+               [(0, cut, tables[0]), (cut, h, tables[1])])
+    return edges
+
+
+def _hook(n: int, src: np.ndarray, dst: np.ndarray, rounds: int) -> "np.ndarray | None":
+    # each of the nodes 0 .. n - 1 mapped to the least node of its component
+    # of the edges (src, dst); None if rounds rounds leave an edge between two
+    # components. Each round hooks every component's least node to the least
+    # across its edges, then jumps pointers until every node points at its
+    # least, so a round with an edge left hooks at least one component
+    root = np.arange(n)
+    for _ in range(rounds):
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not ((up := root[root]) == root).all():
+            root = up
+    return None
 
 
 # Canny links in numpy while it keeps at most this share of the plane's
@@ -214,26 +267,18 @@ def _sparse_link(idx: np.ndarray, seeded: np.ndarray, shape: tuple) -> "np.ndarr
     # w+1 never wrap to another row or layer, and those on the next row are
     # among the 3 kept pixels from the first at or past a pixel's index + w-1
     w = shape[-1]
-    root = np.arange(idx.size)
     below = np.searchsorted(idx, idx + (w - 1))
-    ends = np.concatenate(([root + 1], below + np.array([[0], [1], [2]])))
+    ends = np.concatenate(([np.arange(1, idx.size + 1)], below + np.array([[0], [1], [2]])))
     tail = np.append(idx, np.iinfo(idx.dtype).max)  # past the last kept pixel
     k, src = np.nonzero(tail.take(ends, mode="clip") - idx <= np.array([[1], [w + 1], [w + 1], [w + 1]]))
     dst = ends[k, src]
-    # each round hooks every component's least index to the least across its
-    # edges, then jumps pointers until every pixel points at its least index
-    for _ in range(_SPARSE_ROUNDS):
-        a, b = root[src], root[dst]
-        split = a != b
-        if not split.any():
-            keep, edges = np.zeros(idx.size, dtype=bool), np.zeros(shape, dtype=bool)
-            keep[root[seeded]] = True
-            np.put(edges, idx[keep[root]], True)
-            return edges
-        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while not ((up := root[root]) == root).all():
-            root = up
-    return None
+    root = _hook(idx.size, src, dst, _SPARSE_ROUNDS)
+    if root is None:
+        return None
+    keep, edges = np.zeros(idx.size, dtype=bool), np.zeros(shape, dtype=bool)
+    keep[root[seeded]] = True
+    np.put(edges, idx[keep[root]], True)
+    return edges
 
 
 def hysteresis(thinned: GrayImage, low: float, high: float) -> EdgeMap:

@@ -62,6 +62,10 @@ _MATCHES, _SLOPES = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
 # filters above it. The offsets were the faster up to 10 on sparse truths; the
 # bound keeps them to 29 per truth pixel, so a dense truth's taps stay small
 _DISC_TOLERANCE = 3.0
+# the most pixels a synthetic scene may have: 4096 x 4096, a 128 MiB float64
+# plane. A larger one is refused before any plane is built, since Linux may
+# overcommit a huge allocation and kill the process later, not refuse it
+_MAX_SCENE_PIXELS = 2**24
 
 
 def __getattr__(name):
@@ -97,6 +101,11 @@ class EvalReport:
     match_tolerance: float
 
 
+def _check_scene_size(width: int, height: int) -> None:
+    if width * height > _MAX_SCENE_PIXELS:
+        raise ValueError(f"scene of {width}x{height} pixels exceeds the bound of {_MAX_SCENE_PIXELS} pixels")
+
+
 def synth_step(width: int, height: int, column: int, contrast: float) -> Scene:
     """Vertical step scene: intensity 0.5 -+ contrast/2 left/right of column.
 
@@ -104,6 +113,7 @@ def synth_step(width: int, height: int, column: int, contrast: float) -> Scene:
     """
     if width < 2 or height < 1:
         raise ValueError(f"step scene needs width >= 2 and height >= 1, got {width}x{height}")
+    _check_scene_size(width, height)
     if not 0 < column < width:
         raise ValueError(f"step column must satisfy 0 < column < width, got column={column}, width={width}")
     if not 0.0 < contrast <= 1.0:
@@ -126,6 +136,7 @@ def synth_circle(size: int, center: tuple, radius: float) -> Scene:
     cx, cy = center
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
+    _check_scene_size(size, size)
     if not all(map(math.isfinite, (cx, cy, radius))):
         raise ValueError(f"circle centre and radius must be finite, got centre {center}, radius {radius}")
     if radius <= 0:
@@ -158,6 +169,7 @@ def synth_rectangle(size: int, x0: int, y0: int, x1: int, y1: int) -> Scene:
             "rectangle must satisfy 0 < x0 <= x1 < size-1 and 0 < y0 <= y1 < size-1, "
             f"got x0={x0}, x1={x1}, y0={y0}, y1={y1}, size={size}"
         )
+    _check_scene_size(size, size)
     px = np.zeros((size, size))
     px[y0:y1 + 1, x0:x1 + 1] = 1.0
     truth = np.zeros((size, size), dtype=bool)

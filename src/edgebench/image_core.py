@@ -207,11 +207,16 @@ def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 
 def _collapse(rgb: np.ndarray, scale: float) -> np.ndarray:
-    """rgb_to_gray's rule on the (h, w, 3) rgb / scale, by row strips, one plane per channel."""
+    """rgb_to_gray's rule on the (h, w, 3) rgb / scale, by row strips, one
+    plane per channel, in the bands of _bands of the gray plane."""
     gray = np.empty(rgb.shape[:2])
-    for top, bottom in _row_strips(gray):
-        rows = rgb[top:bottom]
-        _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
+
+    def band(strips):
+        for top, bottom in strips:
+            rows = rgb[top:bottom]
+            _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
+
+    _run_bands(band, [(strips,) for strips in _bands(gray)])
     return gray
 
 

@@ -580,6 +580,51 @@ class TestRadiusCap:
         assert "radius must be at most 4096, got 4097" in capsys.readouterr().err
 
 
+# each scene at 10x10 pixels, then one row or column more
+SCENES = {
+    "step": (["--scene", "step", "--width", "10", "--height", "10", "--column", "5"], ["--height", "11"], "10x11"),
+    "circle": (["--scene", "circle", "--size", "10", "--cx", "4.5", "--cy", "4.5", "--circle-radius", "2"],
+               ["--size", "11"], "11x11"),
+    "rectangle": (["--scene", "rectangle", "--size", "10", "--x0", "2", "--y0", "2", "--x1", "7", "--y1", "7"],
+                  ["--size", "11"], "11x11"),
+}
+
+
+class TestSceneSizeBound:
+    """A synthetic scene of more pixels than evaluation._MAX_SCENE_PIXELS is
+    refused with exit 1 before any plane is built. Only a bound patched to
+    100 pixels is tried: no test asks for a large scene."""
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_synth_past_a_patched_bound_exits_1_and_writes_nothing(self, monkeypatch, tmp_path, capsys, scene):
+        flags, larger, shown = SCENES[scene]
+        monkeypatch.setattr(evaluation, "_MAX_SCENE_PIXELS", 100)
+        outs = ["--out-image", str(tmp_path / "s.pgm"), "--out-truth", str(tmp_path / "t.pgm")]
+        assert run(["synth", *flags, *outs]) == 0
+        assert read_image(tmp_path / "s.pgm").pixels.shape == (10, 10)
+        for path in tmp_path.iterdir():
+            path.unlink()
+        # with no numpy in evaluation, any plane built before the refusal would fail otherwise
+        monkeypatch.setattr(evaluation, "np", None)
+        assert run(["synth", *flags, *larger, *outs]) == 1
+        err = capsys.readouterr().err
+        assert err == f"edgebench: invalid parameters: scene of {shown} pixels exceeds the bound of 100 pixels\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_evaluate_past_a_patched_bound_exits_1(self, monkeypatch, capsys, scene):
+        flags, larger, shown = SCENES[scene]
+        monkeypatch.setattr(evaluation, "_MAX_SCENE_PIXELS", 100)
+        assert run(["evaluate", "--detector", "canny", *flags]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(evaluation, "np", None)
+        assert run(["evaluate", "--detector", "marr-hildreth", *flags, *larger]) == 1
+        assert f"scene of {shown} pixels exceeds the bound of 100 pixels" in capsys.readouterr().err
+
+    def test_the_bound_is_4096_squared(self):
+        assert evaluation._MAX_SCENE_PIXELS == 4096 * 4096
+
+
 class TestUnreadDetectorFlags:
     @pytest.mark.parametrize("flags, unread", UNREAD_FLAGS)
     def test_detect_ignores_them(self, step_pgm, tmp_path, flags, unread):
