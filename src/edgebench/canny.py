@@ -189,48 +189,45 @@ def _stack_maxima(values: np.ndarray, passable: np.ndarray) -> tuple:
     return labels, maxima, where, component, pixel
 
 
+def _plane_bands(shape: tuple) -> list:
+    # the bands of a plane; a stack is one band, since its flat indices and
+    # layered labels cannot be offset by rows
+    return _bands(shape) if len(shape) == 2 else [(0, shape[-2])]
+
+
 def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     # the 8-connected components of passable, a plane or each layer of a
     # (layers, h, w) stack, that hold a seed; every seed is passable, so a
-    # component with one has a pixel above high. A plane links in the two
-    # bands that the blur runs a float64 plane of its shape in, if it has two
-    bands = _bands(np.broadcast_to(0.0, passable.shape)) if passable.ndim == 2 else []
-    if len(bands) == 2:
-        return _banded_link(passable, seeds, bands[1][0][0])
-    # intp labels, which take reads with no copy
-    labels, n = _ndimage().label(passable, structure=_EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED,
-                                 output=np.intp)
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[labels[seeds]] = True
-    return keep.take(labels)
-
-
-def _banded_link(passable: np.ndarray, seeds: np.ndarray, cut: int) -> np.ndarray:
-    # _link of a plane as two row bands, rows up to cut and from it: each
-    # worker labels its band into one intp plane and returns its seeds'
-    # labels; band b's count on from band a's. The labels that meet across
-    # the seam, each pixel of a's last row against b's first row at shifts
-    # -1, 0 and +1, are merged by _hook, and each worker maps its band
-    # through the keep table of its labels
-    h, label = passable.shape[0], _ndimage().label
+    # component with one has a pixel above high. Each worker labels one of
+    # _plane_bands into one intp plane and returns its seeds' labels. With
+    # two bands, the labels that meet across the seam, each pixel of a's last
+    # row against b's first row at shifts -1, 0 and +1, are merged by _hook.
+    # Each worker then maps its band through its part of the keep table
+    label, structure = _ndimage().label, _EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED
     labels, edges = np.empty(passable.shape, dtype=np.intp), np.empty(passable.shape, dtype=bool)
 
     def band(top, bottom):
-        n = label(passable[top:bottom], structure=_EIGHT_CONNECTED, output=labels[top:bottom])
-        return n, labels[top:bottom][seeds[top:bottom]]
+        rows = np.s_[..., top:bottom, :]
+        return label(passable[rows], structure=structure, output=labels[rows]), labels[rows][seeds[rows]]
 
-    (na, seeded_a), (nb, seeded_b) = _run_bands(band, [(0, cut), (cut, h)])
-    above, below = labels[cut - 1], labels[cut]
-    src, dst = (np.concatenate(side) for side in zip((above[1:], below[:-1]), (above, below), (above[:-1], below[1:])))
-    joined = (src != 0) & (dst != 0)
+    bands = _plane_bands(passable.shape)
+    counts, seeded = zip(*_run_bands(band, bands))
+    # in the keep table, band b's labels follow band a's and an entry for b's background 0
+    starts, size = (0, counts[0] + 1), sum(counts) + len(counts)
+    src = dst = np.zeros(0, dtype=np.intp)
+    if len(bands) == 2:
+        above, below = labels[bands[1][0] - 1], labels[bands[1][0]]
+        src, dst = (np.concatenate(side) for side in zip((above[1:], below[:-1]), (above, below), (above[:-1], below[1:])))
+        joined = (src != 0) & (dst != 0)
+        src, dst = src[joined], dst[joined] + starts[1]
     # a round with an edge left hooks a component, so these rounds always end
-    root = _hook(na + nb + 1, src[joined], dst[joined] + na, na + nb + 1)
-    keep = np.zeros(na + nb + 1, dtype=bool)
-    keep[root[np.concatenate((seeded_a, seeded_b + na))]] = True
+    root = _hook(size, src, dst, size)
+    keep = np.zeros(size, dtype=bool)
+    keep[root[np.concatenate([labelled + start for labelled, start in zip(seeded, starts)])]] = True
     keep = keep[root]
-    tables = keep[:na + 1], np.concatenate(([False], keep[na + 1:]))  # b's label 0 is its background
-    _run_bands(lambda top, bottom, table: table.take(labels[top:bottom], out=edges[top:bottom], mode="clip"),
-               [(0, cut, tables[0]), (cut, h, tables[1])])
+    _run_bands(lambda top, bottom, table: table.take(labels[..., top:bottom, :], out=edges[..., top:bottom, :],
+                                                     mode="clip"),
+               [band + (keep[start:start + count + 1],) for band, start, count in zip(bands, starts, counts)])
     return edges
 
 
@@ -311,20 +308,17 @@ def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarra
     # the detector after its blur, on a float64 plane or each layer of a
     # (layers, h, w) stack: differentiate, thin above low, then link the kept
     # pixels, every one above low, from those above high, in numpy when few
-    # are kept; no thinned plane is built. A plane of two bands differentiates and thins each band in
-    # one call with the 2 rows of halo that thinning reads, both at once
-    def band(strips):
-        top, bottom = strips[0][0], strips[-1][1]
+    # are kept; no thinned plane is built. Each band of _plane_bands is
+    # differentiated and thinned in one call with the 2 rows of halo that
+    # thinning reads, so two bands run at once
+    def band(top, bottom):
         lo = max(top - 2, 0)
-        idx, kept = _thin(*_central_differences(smoothed[lo:bottom + 2]), params.low, rows=(top - lo, bottom - lo))
-        return idx + lo * smoothed.shape[1], kept
+        idx, kept = _thin(*_central_differences(smoothed[..., lo:bottom + 2, :]), params.low,
+                          rows=(top - lo, bottom - lo))
+        return idx + lo * smoothed.shape[-1], kept
 
-    bands = _bands(smoothed) if smoothed.ndim == 2 else []
-    if len(bands) == 2:
-        thinned = _run_bands(band, [(strips,) for strips in bands])
-    else:
-        thinned = [_thin(*_central_differences(smoothed), params.low)]
-    idx, kept = (np.concatenate(parts) for parts in zip(*thinned))  # the bands' indices, in order
+    # the bands' indices, in order
+    idx, kept = (np.concatenate(parts) for parts in zip(*_run_bands(band, _plane_bands(smoothed.shape))))
     seeded = kept > params.high
     if idx.size <= _SPARSE_SHARE * smoothed.size and (edges := _sparse_link(idx, seeded, smoothed.shape)) is not None:
         return edges

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import GrayImage, _bands, _finite, _row_strips, _run_bands
+from .image_core import GrayImage, _bands, _by_strips, _finite, _row_strips, _run_bands
 
 __all__ = [
     "Kernel1D",
@@ -155,61 +155,33 @@ def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
-    """stage(plane), computed over the row strips of _row_strips.
-
-    stage's output row y must read only input rows y - halo .. y + halo, and
-    its border handling must start at the plane's first and last rows. Each
-    strip runs with the halo rows the image has and keeps its own rows, so
-    the result is bit-identical. The output takes its dtype and any leading
-    axes from stage's, whose rows run along the second-to-last axis. A plane
-    that fits in one strip, or a halo taller than half a strip, takes one
-    whole-plane call.
-    """
-    strips = _row_strips(plane)
-    if len(strips) == 1 or 2 * halo > strips[0][1]:
-        return stage(plane)
-    out = None
-    for top, bottom in strips:
-        lo = max(top - halo, 0)
-        strip = stage(plane[lo:bottom + halo])[..., top - lo:bottom - lo, :]
-        if out is None:
-            out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
-        out[..., top:bottom, :] = strip
-    return out
-
-
 def _blur(px: np.ndarray, kx: Kernel1D, ky: Kernel1D) -> np.ndarray:
     """convolve_separable on a float64 plane, or on each layer of a (layers,
-    h, w) stack, with no wrap, in the bands of _bands. Each band runs the kx
-    pass over its rows and ky's radius of neighbour rows, repeating the
-    image's first or last row only past its border, then its strips of the
-    ky pass, each of which refuses the rows it writes unless finite, as
+    h, w) stack, with no wrap, in the row bands of its shape. Each band runs
+    the kx pass over its rows and ky's radius of neighbour rows, repeating
+    the image's first or last row only past its border, then its strips of
+    the ky pass, each of which refuses the rows it writes unless finite, as
     GrayImage would: a finite image may still overflow. A stack's strips
     span every layer."""
     h, w = px.shape[-2:]
     ry = ky.radius
-    bands = _bands(px)
-    rows = bands[0][0][1] - bands[0][0][0]
     out = np.empty_like(px)
 
-    def band(strips, tmp):
+    def band(top, bottom, tmp):
         # tmp row j holds the kx pass of image row top - ry + j
-        top, bottom = strips[0][0], strips[-1][1]
         lo, hi = max(top - ry, 0), min(bottom + ry, h)
-        for t in range(lo, hi, rows):
-            b = min(t + rows, hi)
+        for t, b in _row_strips(px.shape, lo, hi):
             padded = _edge_padded(px[..., t:b, :], 0, kx.radius)
             _accumulate(tmp[..., t - top + ry:b - top + ry, :],
                         ((tap, padded[..., i:i + w]) for i, tap in enumerate(kx.taps)))
         first, last = lo - top + ry, hi - top + ry
         tmp[..., :first, :], tmp[..., last:, :] = tmp[..., first:first + 1, :], tmp[..., last - 1:last, :]
-        for t, b in strips:
+        for t, b in _row_strips(px.shape, top, bottom):
             _finite(_accumulate(out[..., t:b, :],
                                 ((tap, tmp[..., t - top + i:b - top + i, :]) for i, tap in enumerate(ky.taps))))
 
-    _run_bands(band, [(strips, np.empty(px.shape[:-2] + (strips[-1][1] - strips[0][0] + 2 * ry, w)))
-                      for strips in bands])
+    _run_bands(band, [(top, bottom, np.empty(px.shape[:-2] + (bottom - top + 2 * ry, w)))
+                      for top, bottom in _bands(px.shape)])
     return out
 
 
@@ -221,8 +193,8 @@ def convolve_separable(img: GrayImage, kx: Kernel1D, ky: Kernel1D) -> GrayImage:
     Both run in row strips: the kx pass filters each row once, into a plane
     padded with ky's radius of repeated first and last rows, whose strips
     the ky pass reads with their halo. A plane of at least 4 strips runs as
-    two bands of whole strips on two threads when the process may use 2
-    CPUs. The bits are the whole-plane passes'.
+    two bands, each of half its strips, on two threads when the process may
+    use 2 CPUs, else as one band. The bits are the whole-plane passes'.
     """
     return GrayImage(_blur(img.pixels, kx, ky))
 

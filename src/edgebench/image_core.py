@@ -61,13 +61,39 @@ def _finite(px: np.ndarray) -> np.ndarray:
     return px
 
 
-def _row_strips(plane: np.ndarray) -> list:
-    """(top, bottom) of each row strip of about _STRIP_BYTES, at least one row.
-    Rows run along the second-to-last axis; a row of a (layers, h, w) stack
-    spans every layer, layers * w values."""
-    h = plane.shape[-2]
-    rows = max(1, _STRIP_BYTES // (plane.nbytes // h))
-    return [(top, min(top + rows, h)) for top in range(0, h, rows)]
+def _row_strips(shape: tuple, top: int = 0, bottom: "int | None" = None) -> list:
+    """(top, bottom) of each row strip of about _STRIP_BYTES of a float64
+    plane of this shape, at least one row, in rows top up to bottom (the
+    plane's height when None). Rows run along the second-to-last axis; a row
+    of a (layers, h, w) stack spans every layer, layers * w values."""
+    h = shape[-2]
+    rows = max(1, _STRIP_BYTES // (8 * math.prod(shape) // h))
+    bottom = h if bottom is None else bottom
+    return [(t, min(t + rows, bottom)) for t in range(top, bottom, rows)]
+
+
+def _by_strips(stage, plane: np.ndarray, halo: int) -> np.ndarray:
+    """stage(plane), computed over the row strips of _row_strips.
+
+    stage's output row y must read only input rows y - halo .. y + halo, and
+    its border handling must start at the plane's first and last rows. Each
+    strip runs with the halo rows the image has and keeps its own rows, so
+    the result is bit-identical. The output takes its dtype and any leading
+    axes from stage's, whose rows run along the second-to-last axis. A plane
+    that fits in one strip, or a halo taller than half a strip, takes one
+    whole-plane call.
+    """
+    strips = _row_strips(plane.shape)
+    if len(strips) == 1 or 2 * halo > strips[0][1]:
+        return stage(plane)
+    out = None
+    for top, bottom in strips:
+        lo = max(top - halo, 0)
+        strip = stage(plane[lo:bottom + halo])[..., top - lo:bottom - lo, :]
+        if out is None:
+            out = np.empty(strip.shape[:-2] + plane.shape, dtype=strip.dtype)
+        out[..., top:bottom, :] = strip
+    return out
 
 
 # the two workers that run a plane's two bands, built on first use; a forked
@@ -82,22 +108,24 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _bands(plane: np.ndarray) -> list:
-    """The row strips of _row_strips(plane) as bands: two halves of whole
-    strips when there are at least 4 and the process may run on 2 CPUs,
-    else one band of them all."""
-    strips = _row_strips(plane)
+def _bands(shape: tuple) -> list:
+    """(top, bottom) rows of each band of a float64 plane of this shape: the
+    two halves of its _row_strips, in whole strips, when there are at least
+    4 and the process may run on 2 CPUs, else one band of all its rows."""
+    strips = _row_strips(shape)
     if len(strips) < 4 or _cpus() < 2:
-        return [strips]
-    half = len(strips) // 2
-    return [strips[:half], strips[half:]]
+        return [(0, shape[-2])]
+    cut = strips[len(strips) // 2][0]
+    return [(0, cut), (cut, shape[-2])]
 
 
 def _run_bands(task, calls: list) -> list:
     """[task(*args) for args in calls], one call per band of _bands. One band
     runs in this thread; two run on the two workers, each under a copy of
     this thread's context, so the caller's np.errstate holds there. Both
-    finish before the first band's exception, in row order, is raised."""
+    finish before the first band's exception, in row order, is raised. A
+    task must never call _run_bands itself: with both workers inside such
+    tasks, each would wait for a worker the other holds."""
     if len(calls) == 1:
         return [task(*calls[0])]
     if not _POOL:
@@ -208,15 +236,15 @@ def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def _collapse(rgb: np.ndarray, scale: float) -> np.ndarray:
     """rgb_to_gray's rule on the (h, w, 3) rgb / scale, by row strips, one
-    plane per channel, in the bands of _bands of the gray plane."""
+    plane per channel, in the bands of the gray plane's shape."""
     gray = np.empty(rgb.shape[:2])
 
-    def band(strips):
-        for top, bottom in strips:
-            rows = rgb[top:bottom]
-            _luma(*(rows[..., c] / scale for c in range(3)), out=gray[top:bottom])
+    def band(top, bottom):
+        for t, b in _row_strips(gray.shape, top, bottom):
+            rows = rgb[t:b]
+            _luma(*(rows[..., c] / scale for c in range(3)), out=gray[t:b])
 
-    _run_bands(band, [(strips,) for strips in _bands(gray)])
+    _run_bands(band, _bands(gray.shape))
     return gray
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import _link
-from .filtering import _by_strips, _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
-from .image_core import EdgeMap, GrayImage, _finite
+from .filtering import _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
+from .image_core import EdgeMap, GrayImage, _by_strips, _finite
 
 __all__ = [
     "MHParams",

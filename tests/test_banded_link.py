@@ -6,9 +6,10 @@ worker maps its band through the keep table. Its map must equal the one-band
 labelling's and the flood fill's, for components that cross the seam in
 each 8-neighbour direction or touch only at a corner, a zig-zag that crosses
 it many times, seeds in either band, bands of one row, an empty band and a
-full one, and random planes. The PPM collapse runs its row strips in the
-same two bands and must give the same bits on one CPU or two. Small planes
-and stacks keep one labelling call.
+full one, and random planes; a cut at any row is reached by patching the
+driver's bands. The PPM collapse runs its row strips in the same two bands
+and must give the same bits on one CPU or two. Small planes and stacks keep
+one labelling call.
 """
 
 import sys
@@ -20,7 +21,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from edgebench.canny import _banded_link, _link
+from edgebench import canny
+from edgebench.canny import _link
 from edgebench.image_core import GrayImage, RgbImage, _read_gray, read_image, rgb_to_gray
 from oracles import bfs_hysteresis
 from test_image_core import netpbm_bytes
@@ -43,11 +45,21 @@ def flood_fill(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return bfs_hysteresis(GrayImage(values), 0.5, 1.5).mask
 
 
+def banded_link(passable: np.ndarray, seeds: np.ndarray, cut: int) -> np.ndarray:
+    # _link with the band driver cutting the plane into bands at row cut
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canny, "_bands", lambda shape: seen.append(shape) or [(0, cut), (cut, shape[-2])])
+        got = _link(passable, seeds)
+    assert seen == [passable.shape]
+    return got
+
+
 def assert_link_matches(passable: np.ndarray, seeds: np.ndarray, cut: "int | None" = None) -> np.ndarray:
-    # the banded link at cut, or _link with the bands in force, against both
-    # references; returns the map
+    # _link with its bands cut at row cut, or with the bands in force,
+    # against both references; returns the map
     assert not (seeds & ~passable).any()
-    got = _link(passable, seeds) if cut is None else _banded_link(passable, seeds, cut)
+    got = _link(passable, seeds) if cut is None else banded_link(passable, seeds, cut)
     assert (got.dtype, got.shape) == (np.dtype(bool), passable.shape)
     assert got.tobytes() == one_band(passable, seeds).tobytes()
     assert got.tobytes() == flood_fill(passable, seeds).tobytes()
@@ -167,7 +179,7 @@ class TestSeam:
             seeds[rows.start, 5] = True
         assert_link_matches(passable, seeds, SEAM)
         assert_link_matches(passable, np.zeros_like(seeds), SEAM)
-        assert not _banded_link(np.zeros((8, 10), dtype=bool), np.zeros((8, 10), dtype=bool), SEAM).any()
+        assert not banded_link(np.zeros((8, 10), dtype=bool), np.zeros((8, 10), dtype=bool), SEAM).any()
 
 
 class TestRandomPlanes:

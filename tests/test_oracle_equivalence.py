@@ -45,10 +45,10 @@ from edgebench.canny import (CannyParams, GradientField, _canny_from_smoothed, _
 from edgebench.evaluation import (THRESHOLD_GRID, Scene, add_gaussian_noise, circle_scene, comparison_record,
                                   count_components, f_score, noisy_step_suite, records_to_csv, records_to_json,
                                   rectangle_scene, run_comparison, score, synth_step, tune_canny, tune_mh)
-from edgebench.filtering import (_by_strips, convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
+from edgebench.filtering import (convolve_2d, convolve_separable, gaussian_kernel_1d, gaussian_radius,
                                  laplacian_kernel_2d, outer_kernel)
-from edgebench.image_core import (EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, read_image, rgb_to_gray,
-                                  write_image)
+from edgebench.image_core import (EdgeMap, FormatError, GrayImage, RgbImage, TruncationError, _by_strips, read_image,
+                                  rgb_to_gray, write_image)
 from edgebench.marr_hildreth import (MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed, mh_detect,
                                      zero_crossings)
 from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress, maxima_hysteresis,
@@ -1451,9 +1451,12 @@ class TestBands:
         (16, 16, 2, [[(0, 16)]]),
     ])
     def test_bands_are_halves_of_whole_strips(self, monkeypatch, h, strip, cpus, expected):
+        # each band's (top, bottom) rows, and the strips _row_strips gives between them
         set_strip_rows(monkeypatch, strip, 3)
         set_cpus(monkeypatch, cpus)
-        assert image_core._bands(np.zeros((h, 3))) == expected
+        bands = image_core._bands((h, 3))
+        assert bands == [(strips[0][0], strips[-1][1]) for strips in expected]
+        assert [image_core._row_strips((h, 3), top, bottom) for top, bottom in bands] == expected
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("shape, strip", [((16, 5), 2), ((17, 9), 4), ((40, 3), 3), ((9, 4), 2)],
@@ -1497,7 +1500,7 @@ class TestBands:
         stack = np.random.default_rng(3).random((3, 20, 5)) - 0.3
         set_strip_rows(monkeypatch, 3, 3 * 5)
         set_cpus(monkeypatch, cpus)
-        assert len(image_core._bands(stack)) == cpus
+        assert len(image_core._bands(stack.shape)) == cpus
         k = gaussian_kernel_1d(1.4, gaussian_radius(1.4))
         smoothed = filtering._blur(stack, k, k)
         for layer, blurred in zip(stack, smoothed):
