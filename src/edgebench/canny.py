@@ -201,8 +201,9 @@ def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     # component with one has a pixel above high. Each worker labels one of
     # _plane_bands into one intp plane and returns its seeds' labels. With
     # two bands, the labels that meet across the seam, each pixel of a's last
-    # row against b's first row at shifts -1, 0 and +1, are merged by _hook.
-    # Each worker then maps its band through its part of the keep table
+    # row against b's first row at shifts -1, 0 and +1, are merged by _hook;
+    # one band keeps its seeds' labels as they are. Each worker then maps its
+    # band through its part of the keep table
     label, structure = _ndimage().label, _EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED
     labels, edges = np.empty(passable.shape, dtype=np.intp), np.empty(passable.shape, dtype=bool)
 
@@ -214,17 +215,18 @@ def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     counts, seeded = zip(*_run_bands(band, bands))
     # in the keep table, band b's labels follow band a's and an entry for b's background 0
     starts, size = (0, counts[0] + 1), sum(counts) + len(counts)
-    src = dst = np.zeros(0, dtype=np.intp)
+    keep = np.zeros(size, dtype=bool)
+    keep[seeded[0]] = True
     if len(bands) == 2:
+        keep[seeded[1] + starts[1]] = True
         above, below = labels[bands[1][0] - 1], labels[bands[1][0]]
         src, dst = (np.concatenate(side) for side in zip((above[1:], below[:-1]), (above, below), (above[:-1], below[1:])))
         joined = (src != 0) & (dst != 0)
-        src, dst = src[joined], dst[joined] + starts[1]
-    # a round with an edge left hooks a component, so these rounds always end
-    root = _hook(size, src, dst, size)
-    keep = np.zeros(size, dtype=bool)
-    keep[root[np.concatenate([labelled + start for labelled, start in zip(seeded, starts)])]] = True
-    keep = keep[root]
+        # a round with an edge left hooks a component, so these rounds always end
+        root = _hook(size, src[joined], dst[joined] + starts[1], size)
+        # a merged component is kept when any of its labels holds a seed
+        keep[root[keep]] = True
+        keep = keep[root]
     _run_bands(lambda top, bottom, table: table.take(labels[..., top:bottom, :], out=edges[..., top:bottom, :],
                                                      mode="clip"),
                [band + (keep[start:start + count + 1],) for band, start, count in zip(bands, starts, counts)])

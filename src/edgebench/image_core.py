@@ -47,8 +47,12 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|%s)*([^ \t\n\r\x0b\x0c#]*)" %
 _RASTER_COMMENTS = re.compile(rb"(?:%s[\r\n]?)*" % _COMMENT.pattern)
 # one whitespace byte, where an ASCII raster is cut into runs
 _SEPARATOR = re.compile(rb"[ \t\n\r\x0b\x0c]")
-# an ASCII sample of this many digits, with '0' offsets, still fits an int64
-_EXACT_DIGITS = 18
+# the first byte of an ASCII raster's first token
+_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c]")
+# the dtype in which an ASCII run's digit sum accumulates, by the run's
+# longest token: the narrowest that holds every value of that many digits;
+# longer tokens take float(), which has no digit limit
+_DIGIT_SUMS = ((4, np.uint16), (9, np.uint32), (18, np.int64))
 # bytes per row strip of a float64 plane (32 rows at width 1024) and per ASCII byte run
 _STRIP_BYTES = 256 * 1024
 
@@ -120,7 +124,8 @@ def _bands(shape: tuple) -> list:
 
 
 def _run_bands(task, calls: list) -> list:
-    """[task(*args) for args in calls], one call per band of _bands. One band
+    """[task(*args) for args in calls], one call per band of _bands (or of
+    _ascii_bands, whose bands are byte ranges of an ASCII raster). One band
     runs in this thread; two run on the two workers, each under a copy of
     this thread's context, so the caller's np.errstate holds there. Both
     finish before the first band's exception, in row order, is raised. A
@@ -277,31 +282,43 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
     return int(value), pos
 
 
+def _ascii_bands(data: bytes, pos: int, count: int) -> list:
+    """(start, stop) bytes of each band of the ASCII raster data[pos:] of
+    count samples: two when the 2 * count - 1 bytes from its first token,
+    which count tokens must fill, span at least 4 runs of _STRIP_BYTES and
+    the process may run on 2 CPUs, as _bands rules for strips; else one.
+    The cut is the last whitespace byte at most a run's bytes back from the
+    middle of the bytes from the first token, and before the earliest byte
+    where the count-th token could start, so no token spans the two bands
+    and the first holds fewer than count tokens and no byte after the last
+    sample. With no such byte after the first token, there is one band."""
+    first = _TOKEN.search(data, pos)
+    if first is None or 2 * count - 1 <= 3 * _STRIP_BYTES or _cpus() < 2:
+        return [(pos, len(data))]
+    first = first.start()
+    target = min((first + len(data)) // 2, first + 2 * (count - 1) - 1)
+    lo = max(first + 1, target - _STRIP_BYTES)
+    cut = max(data.rfind(byte, lo, target + 1) for byte in _HEADER_WHITESPACE)
+    return [(pos, cut), (cut, len(data))] if cut > first else [(pos, len(data))]
+
+
 def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     if data.find(b"#", pos) >= 0:
         data, pos = _COMMENT.sub(b"", data[pos:]), 0
     # n tokens take at least 2n - 1 bytes, so a huge header allocates nothing huge
     samples = np.empty(min(count, (len(data) - pos + 1) // 2))
-    # runs of about _STRIP_BYTES bytes, each cut at a whitespace byte so no
-    # token spans two, until count tokens are found; once one is malformed
-    # the runs after it are only counted, so a short raster stays truncated
-    seen, bad = 0, None
-    while seen < count and pos < len(data):
-        cut = _SEPARATOR.search(data, pos + max(_STRIP_BYTES, 1))
-        end = cut.start() if cut else len(data)
-        buf = np.frombuffer(data, np.uint8, end - pos, pos)
-        pos = end
-        # tok marks the bytes outside the six whitespace bytes 9-13 and 32,
-        # padded with a blank at each end so every token has a start and an end
-        tok = np.zeros(buf.size + 2, dtype=bool)
-        np.greater(buf - 9, 4, out=tok[1:-1])
-        tok[1:-1] &= buf != 32
-        bounds = np.flatnonzero(tok[1:] != tok[:-1])[:2 * (count - seen)]  # start, end, start, end, ...
-        if bad is None and bounds.size:
-            bad = _malformed_token(buf, tok, bounds)
-            if bad is None:
-                _decimals(buf, bounds, samples[seen:seen + bounds.size // 2])
-        seen += bounds.size // 2
+    bands = _ascii_bands(data, pos, count)
+    budget = max(_STRIP_BYTES // len(bands), 1)
+
+    def band(start, stop):
+        # the second band first counts the first band's tokens, the samples before its own
+        before = _token_count(np.frombuffer(data, np.uint8, start - pos, pos))
+        seen, bad = _ascii_runs(data, start, stop, count - before, samples[before:], budget)
+        return before + seen, bad
+
+    runs = _run_bands(band, bands)
+    # the errors in file order: the first band's malformed token, then the second's
+    seen, bad = runs[-1][0], next((bad for _, bad in runs if bad is not None), None)
     if seen < count:
         raise TruncationError(f"pixel data truncated: expected {count} samples, got {seen}")
     if bad is not None:
@@ -309,39 +326,83 @@ def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     return samples
 
 
-def _malformed_token(buf: np.ndarray, tok: np.ndarray, bounds: np.ndarray) -> "bytes | None":
+def _token_mask(buf: np.ndarray) -> np.ndarray:
+    # the bytes of buf outside the six whitespace bytes 9-13 and 32, padded
+    # with a blank at each end so every token has a start and an end
+    tok = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf - 9, 4, out=tok[1:-1])
+    tok[1:-1] &= buf != 32
+    return tok
+
+
+def _token_count(buf: np.ndarray) -> int:
+    # the tokens of buf, from one mask pass
+    tok = _token_mask(buf)
+    return int(np.count_nonzero(tok[1:] > tok[:-1]))
+
+
+def _ascii_runs(data: bytes, pos: int, stop: int, limit: int, out: np.ndarray, budget: int) -> tuple:
+    """(tokens, the first malformed one or None) of data[pos:stop] up to
+    limit tokens, with the all-digit ones' values in out. It reads runs of
+    about budget bytes, each cut at a whitespace byte so no token spans two,
+    until limit tokens are found; once one is malformed the runs after it
+    are only counted, so a short raster stays truncated."""
+    seen, bad = 0, None
+    while seen < limit and pos < stop:
+        cut = _SEPARATOR.search(data, pos + budget, stop)
+        end = cut.start() if cut else stop
+        buf = np.frombuffer(data, np.uint8, end - pos, pos)
+        tok = _token_mask(buf)
+        bounds = np.flatnonzero(tok[1:] != tok[:-1])[:2 * (limit - seen)]  # start, end, start, end, ...
+        if bad is None and bounds.size:
+            # each byte's digit value, laid out as tok is
+            digits = np.empty_like(tok, dtype=np.uint8)
+            np.subtract(buf, 48, out=digits[1:-1])
+            bad = _malformed_token(buf, digits, tok, bounds)
+            if bad is None:
+                digits *= tok
+                _decimals(buf, digits, bounds, out[seen:seen + bounds.size // 2])
+        seen += bounds.size // 2
+        pos = end
+    return seen, bad
+
+
+def _malformed_token(buf: np.ndarray, digits: np.ndarray, tok: np.ndarray, bounds: np.ndarray) -> "bytes | None":
     # the first token of bounds that is not all digits; samples are unsigned
     # decimals, and bytes after the last token are never read. tok > digit
     # marks the token bytes that are not digits
-    end = bounds[-1]
-    bad = tok[1:end + 1] > ((buf[:end] - 48) < 10)
+    end = bounds[-1] + 1
+    bad = tok[1:end] > (digits[1:end] < 10)
     if not bad.any():
         return None
     first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
     return buf[bounds[first]:bounds[first + 1]].tobytes()
 
 
-def _decimals(buf: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
-    # out[i] = the value of the i-th all-digit token of bounds
-    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        group = lengths == length
-        if length > _EXACT_DIGITS:
-            # float() rounds each one exactly as int() then float64 would,
-            # and an overlong one becomes inf > maxval
-            for i in np.flatnonzero(group):
-                out[i] = float(buf[starts[i]:starts[i] + length].tobytes())
-            continue
-        # Horner's rule over the digit bytes; the ASCII '0' offsets of all
-        # length digits come off at the end as 48 times the repunit
-        at = starts[group]
-        value = buf[at].astype(np.int64)
-        for _ in range(length - 1):
-            at += 1
-            value *= 10
-            value += buf[at]
-        value -= 48 * ((10**length - 1) // 9)
-        out[group] = value
+def _decimals(buf: np.ndarray, digits: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
+    # out[i] = the value of the i-th token of bounds, from the digit values
+    # laid out as _token_mask lays out bytes and zero outside tokens: one
+    # positional sum, 10**k times each token's k-th digit from its end while
+    # the token is longer than k. A token's last digit is digits[end]; one
+    # place past its first digit lies a zero, so only k > 1 needs the length
+    at = bounds[1::2].copy()  # contiguous, as take wants its indices
+    lengths = at - bounds[0::2]
+    longest = int(lengths.max())
+    places, dtype = next(((n, t) for n, t in _DIGIT_SUMS if longest <= n), _DIGIT_SUMS[-1])
+    value = digits.take(at).astype(dtype)
+    for k in range(1, min(longest, places)):
+        at -= 1
+        term = digits.take(at).astype(dtype)
+        if k > 1:
+            term *= lengths > k
+        term *= dtype(10**k)
+        value += term
+    out[:] = value
+    if longest > places:
+        # float() rounds each one exactly as int() then float64 would, and an
+        # overlong one becomes inf > maxval
+        for i in np.flatnonzero(lengths > places).tolist():
+            out[i] = float(buf[bounds[2 * i]:bounds[2 * i + 1]].tobytes())
 
 
 def _read_samples(path) -> tuple:

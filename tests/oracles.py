@@ -18,10 +18,12 @@ ran when borders were replicated with np.pad; the slice-copy padding must
 equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
 ran before it moved to whole-array byte passes, one bytes token at a time,
 and whole_buffer_ascii_samples as it ran before those passes moved into
-byte runs of about image_core._STRIP_BYTES. two_pass_comparison is
-run_comparison as it ran before a scene's blur and a truth mask's distance
-transform were shared: each detector blurs every scene itself and score()
-transforms the truth for every row. per_low_operating_point is the tuning
+byte runs of about image_core._STRIP_BYTES. horner_decimals is the runs'
+digit conversion as it ran before it became one positional sum per run:
+Horner's rule in int64, one group of tokens per length. two_pass_comparison
+is run_comparison as it ran before a scene's blur and a truth mask's
+distance transform were shared: each detector blurs every scene itself and
+score() transforms the truth for every row. per_low_operating_point is the tuning
 sweep as it ran before every low was labelled in one stack: one labelling,
 one set of box maximum filters and three sorts per low. maxima_hysteresis
 is hysteresis as it ran before it kept the components holding a seed: each
@@ -437,16 +439,23 @@ def whole_buffer_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         first = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
         raise FormatError(f"malformed sample token {buf[bounds[first]:bounds[first + 1]].tobytes()!r}")
     del bad
-    starts, lengths = bounds[0::2], bounds[1::2]
-    lengths -= starts
     samples = np.empty(count)
+    horner_decimals(buf, bounds, samples)
+    return samples
+
+
+def horner_decimals(buf: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the value of the i-th token of bounds, (start, end) byte
+    offsets into buf of all-digit tokens, by Horner's rule over each group
+    of tokens of one length."""
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
         group = lengths == length
         if length > EXACT_DIGITS:
             # float() rounds each one exactly as int() then float64 would,
             # and an overlong one becomes inf > maxval
             for i in np.flatnonzero(group):
-                samples[i] = float(buf[starts[i]:starts[i] + length].tobytes())
+                out[i] = float(buf[starts[i]:starts[i] + length].tobytes())
             continue
         # Horner's rule over the digit bytes; the ASCII '0' offsets of all
         # length digits come off at the end as 48 times the repunit
@@ -457,8 +466,7 @@ def whole_buffer_ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
             value *= 10
             value += buf[at]
         value -= 48 * ((10**length - 1) // 9)
-        samples[group] = value
-    return samples
+        out[group] = value
 
 
 class ScipyToleranceMatch:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from edgebench import image_core
 from edgebench.image_core import (
     LUMA_BLUE,
     LUMA_GREEN,
@@ -355,6 +356,25 @@ class TestRead:
         # about 20 bytes a sample: the 8-byte result and one byte run's masks
         # and token bounds; the whole-buffer passes took about 38, and one
         # bytes object per token, as bytes.split() makes, needs over 50
+        assert peak < 24 * count, peak / count
+
+    def test_ascii_parse_of_1024_squared_in_two_bands_stays_within_its_memory_budget(self, monkeypatch):
+        count = 1024 * 1024
+        samples = np.random.default_rng(1).integers(0, 256, count)
+        buf = io.BytesIO()
+        np.savetxt(buf, samples.reshape(-1, 16), fmt="%d")
+        raster = buf.getvalue()
+        monkeypatch.setattr(image_core, "_cpus", lambda: 2)
+        assert len(image_core._ascii_bands(raster, 0, count)) == 2
+        tracemalloc.start()
+        try:
+            parsed = _ascii_samples(raster, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(parsed, samples)
+        # about 14 bytes a sample: the 8-byte result, each band's run of half
+        # the budget, and the second band's token count of the first's bytes
         assert peak < 24 * count, peak / count
 
     def test_header_cut_short(self, tmp_path):

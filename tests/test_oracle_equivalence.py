@@ -24,8 +24,10 @@ each threshold and linked by component maxima, or their refusals.
 """
 
 import importlib.util
+import itertools
 import math
 import os
+import re
 import signal
 import sys
 import time
@@ -51,11 +53,11 @@ from edgebench.image_core import (EdgeMap, FormatError, GrayImage, RgbImage, Tru
                                   rgb_to_gray, write_image)
 from edgebench.marr_hildreth import (MHParams, _mh_from_smoothed, crossing_slope_map, laplacian_of_smoothed, mh_detect,
                                      zero_crossings)
-from oracles import (bfs_count_components, bfs_hysteresis, kdtree_score, loop_nonmax_suppress, maxima_hysteresis,
-                     ScipyToleranceMatch, pad_central_differences, per_low_operating_point, scatter_crossing_slope_map,
-                     slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison, whole_buffer_ascii_samples,
-                     whole_plane_convolve_2d, whole_plane_convolve_separable, whole_plane_crossing_slope_map,
-                     whole_plane_nonmax_suppress)
+from oracles import (bfs_count_components, bfs_hysteresis, horner_decimals, kdtree_score, loop_nonmax_suppress,
+                     maxima_hysteresis, ScipyToleranceMatch, pad_central_differences, per_low_operating_point,
+                     scatter_crossing_slope_map, slope_plane_mh_from_smoothed, split_ascii_samples, two_pass_comparison,
+                     whole_buffer_ascii_samples, whole_plane_convolve_2d, whole_plane_convolve_separable,
+                     whole_plane_crossing_slope_map, whole_plane_nonmax_suppress)
 from test_canny import SMALL_IDS, SMALL_SHAPES
 from test_evaluation import TUNERS
 
@@ -1669,7 +1671,8 @@ RUN_BUDGETS = (1, 2, 3, 5, 8, None)
 
 
 def assert_ascii_read_matches(path, budgets=RUN_BUDGETS) -> None:
-    """read_image and _read_gray, at every run budget, must read what the
+    """read_image and _read_gray, at every run budget, on 1 CPU (one band)
+    and on 2 (two bands where the raster spans 4 runs), must read what the
     token split and the whole-buffer parse read, or fail alike."""
     expected = []
     for oracle in (split_ascii_samples, whole_buffer_ascii_samples):
@@ -1677,12 +1680,14 @@ def assert_ascii_read_matches(path, budgets=RUN_BUDGETS) -> None:
             mp.setattr(image_core, "_ascii_samples", oracle)
             expected.append((read_outcome(path), read_outcome(path, gray_outcome)))
     assert expected[0] == expected[1], path.read_bytes()[:200]
-    for budget in budgets:
-        with pytest.MonkeyPatch.context() as mp:
-            if budget is not None:
-                mp.setattr(image_core, "_STRIP_BYTES", budget)
-            got = read_outcome(path), read_outcome(path, image_core._read_gray)
-        assert got == expected[0], (budget, path.read_bytes()[:200])
+    for cpus in (1, 2):
+        for budget in budgets:
+            with pytest.MonkeyPatch.context() as mp:
+                set_cpus(mp, cpus)
+                if budget is not None:
+                    mp.setattr(image_core, "_STRIP_BYTES", budget)
+                got = read_outcome(path), read_outcome(path, image_core._read_gray)
+            assert got == expected[0], (cpus, budget, path.read_bytes()[:200])
 
 
 class TestAsciiRasterMatchesTokenSplit:
@@ -1774,6 +1779,121 @@ class TestAsciiRunBoundaries:
             assert read_image(path).pixels.tolist() == [[1 / 255, 2 / 255]]
         # both samples lie in the first run, and no run after it is tokenised
         assert scanned.call_count == 1
+
+
+# tokens at each edge of the digit sums' dtypes: 4 and 5 digits (uint16),
+# 9 and 10 (uint32), 18 and 19 (int64, then float()), with leading zeros
+DTYPE_EDGE_TOKENS = {
+    255: [b"0255", b"00255", b"000000255", b"0000000255", b"0" * 15 + b"255", b"0" * 16 + b"255"],
+    65535: [b"9999", b"65535", b"000065535", b"0000065535", b"0" * 13 + b"65535", b"0" * 14 + b"65535"],
+}
+
+
+class TestAsciiDigitSums:
+    """Each ASCII run sums its tokens' digits in the narrowest dtype that
+    holds its longest token, uint16, uint32 or int64, and converts tokens of
+    over 18 digits with float(): every sample must be the token split's and
+    the Horner oracle's."""
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("order", ["rising", "falling", "mixed"])
+    def test_tokens_at_each_dtype_edge(self, tmp_path, maxval, order):
+        tokens = DTYPE_EDGE_TOKENS[maxval]
+        tokens = {"rising": tokens, "falling": tokens[::-1], "mixed": tokens[1::2] + tokens[0::2]}[order]
+        tokens = tokens + [b"7", b"0", b"1" + b"0" * (len(b"%d" % maxval) - 1)]
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P2 %d 1 %d\n" % (len(tokens), maxval) + b" ".join(tokens) + b"\n")
+        # every budget, so the tokens share a run or take one each
+        assert_ascii_read_matches(path, range(1, len(path.read_bytes()) + 1))
+        assert read_image(path).pixels.max() == 1.0
+
+    @pytest.mark.parametrize("digits", [4, 5, 9, 10, 17, 18, 19, 25])
+    def test_the_largest_value_of_each_length_reaches_the_maxval_check(self, tmp_path, digits):
+        # the refusal names the largest sample, so it shows the sum's value
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P2 3 1 255 1 " + b"9" * digits + b" 0" + b"0" * digits)
+        assert_ascii_read_matches(path)
+        with pytest.raises(FormatError, match=f"sample value {float('9' * digits):.0f} exceeds"):
+            read_image(path)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.text("0123456789", min_size=1, max_size=25),
+                              st.sampled_from(["9999", "10000", "999999999", "1000000000", "9" * 18, "1" + "0" * 18,
+                                               "0" * 18 + "1", "0000", "65535"])),
+                    min_size=1, max_size=40),
+           st.lists(st.sampled_from(ASCII_SEPARATORS), min_size=1, max_size=40), st.integers(1, 60))
+    def test_runs_match_the_horner_oracle(self, tokens, separators, budget):
+        data = b"".join(sep + tok.encode() for sep, tok in zip(itertools.cycle(separators), tokens))
+        buf = np.frombuffer(data, np.uint8)
+        tok = image_core._token_mask(buf)
+        expected = np.empty(len(tokens))
+        horner_decimals(buf, np.flatnonzero(tok[1:] != tok[:-1]), expected)
+        got = np.empty(len(tokens))
+        assert image_core._ascii_runs(data, 0, len(data), len(tokens), got, budget) == (len(tokens), None)
+        assert got.tobytes() == expected.tobytes()
+
+
+def two_band_body(tmp_path, header: bytes, raster: bytes, cut: int):
+    """The path of header + raster, after checking that on 2 CPUs, in runs
+    of 4 bytes, its raster's bands meet at raster byte cut."""
+    path = tmp_path / "t.pgm"
+    path.write_bytes(header + raster)
+    count = math.prod(int(v) for v in header.split()[1:3])
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 2)
+        mp.setattr(image_core, "_STRIP_BYTES", 4)
+        pos, stop = len(header), len(header + raster)
+        assert image_core._ascii_bands(header + raster, pos, count) == [(pos, pos + cut), (pos + cut, stop)]
+    return path
+
+
+class TestAsciiBands:
+    """On 2 CPUs a raster whose count tokens need at least 4 runs is parsed
+    in two bands cut at a whitespace byte: the second band counts the
+    first's tokens, then parses the rest of the first count. The samples,
+    errors and bytes read must be the one-band parse's."""
+
+    def test_the_cut_lands_right_before_the_count_th_token(self, tmp_path):
+        # a long tail puts the middle past the 8th token, which can start no
+        # earlier than byte 14 of the tokens
+        path = two_band_body(tmp_path, b"P2 8 1 255", b" 1 2 3 4 5 6 7 8 " + b"9" * 40, 14)
+        assert_ascii_read_matches(path, range(1, 60))
+        assert read_image(path).pixels.tolist() == [[v / 255 for v in range(1, 9)]]
+
+    @pytest.mark.parametrize("raster, cut, error", [
+        (b" 1 2 3 4 5 x 7 8\n", 8, (FormatError, "malformed sample token b'x'")),
+        (b" 1 2 3 4 5 6 7 8 x\n", 10, None),
+    ], ids=["before-the-count-th-token", "after-the-count-th-token"])
+    def test_the_second_band_holds_the_first_malformed_token(self, tmp_path, raster, cut, error):
+        path = two_band_body(tmp_path, b"P2 8 1 255", raster, cut)
+        assert_ascii_read_matches(path, range(1, 20))
+        if error is None:
+            assert read_image(path).pixels.tolist() == [[v / 255 for v in range(1, 9)]]
+        else:
+            with pytest.raises(error[0], match=re.escape(error[1])):
+                read_image(path)
+
+    def test_a_malformed_first_band_and_a_truncated_second_band_count_every_token(self, tmp_path):
+        path = two_band_body(tmp_path, b"P2 9 1 255", b" 1 x 3 4 5 6 7 8", 8)
+        assert_ascii_read_matches(path, range(1, 20))
+        with pytest.MonkeyPatch.context() as mp:
+            set_cpus(mp, 2)
+            mp.setattr(image_core, "_STRIP_BYTES", 4)
+            with pytest.raises(TruncationError, match="expected 9 samples, got 8"):
+                read_image(path)
+
+    @pytest.mark.parametrize("cpus, runs", [(1, 4), (2, 8)])
+    def test_the_second_band_stops_at_the_run_holding_the_last_sample(self, tmp_path, cpus, runs):
+        # junk longer than the raster: one band reads runs of 4 bytes, two
+        # tokens each; two bands read runs of 2, one token each, and the
+        # second band's first run holds the 8th token
+        path = two_band_body(tmp_path, b"P2 8 1 255", b" 1 2 3 4 5 6 7 8 " + b"x" * 100, 14)
+        with pytest.MonkeyPatch.context() as mp:
+            set_cpus(mp, cpus)
+            mp.setattr(image_core, "_STRIP_BYTES", 4)
+            with mock.patch.object(image_core, "_malformed_token", wraps=image_core._malformed_token) as scanned:
+                assert read_image(path).pixels.tolist() == [[v / 255 for v in range(1, 9)]]
+        assert scanned.call_count == runs
 
 
 def flat_scene() -> Scene:
