@@ -53,8 +53,13 @@ _TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c]")
 # longest token: the narrowest that holds every value of that many digits;
 # longer tokens take float(), which has no digit limit
 _DIGIT_SUMS = ((4, np.uint16), (9, np.uint32), (18, np.int64))
-# bytes per row strip of a float64 plane (32 rows at width 1024) and per ASCII byte run
-_STRIP_BYTES = 256 * 1024
+# bytes per row strip of a float64 plane (64 rows at width 1024): the blur,
+# Marr-Hildreth, the PPM collapse, _by_strips and _bands
+_STRIP_BYTES = 512 * 1024
+# bytes per ASCII byte run, halved per band with two bands: a run's masks
+# and digit planes take several bytes a raster byte, and full runs in both
+# bands took a 512x512 P2 read to 33 B/sample at its peak
+_RUN_BYTES = 256 * 1024
 
 
 def _finite(px: np.ndarray) -> np.ndarray:
@@ -285,7 +290,7 @@ def _header_int(data: bytes, pos: int, what: str, lo: int, hi: int) -> tuple[int
 def _ascii_bands(data: bytes, pos: int, count: int) -> list:
     """(start, stop) bytes of each band of the ASCII raster data[pos:] of
     count samples: two when the 2 * count - 1 bytes from its first token,
-    which count tokens must fill, span at least 4 runs of _STRIP_BYTES and
+    which count tokens must fill, span at least 4 runs of _RUN_BYTES and
     the process may run on 2 CPUs, as _bands rules for strips; else one.
     The cut is the last whitespace byte at most a run's bytes back from the
     middle of the bytes from the first token, and before the earliest byte
@@ -293,11 +298,11 @@ def _ascii_bands(data: bytes, pos: int, count: int) -> list:
     and the first holds fewer than count tokens and no byte after the last
     sample. With no such byte after the first token, there is one band."""
     first = _TOKEN.search(data, pos)
-    if first is None or 2 * count - 1 <= 3 * _STRIP_BYTES or _cpus() < 2:
+    if first is None or 2 * count - 1 <= 3 * _RUN_BYTES or _cpus() < 2:
         return [(pos, len(data))]
     first = first.start()
     target = min((first + len(data)) // 2, first + 2 * (count - 1) - 1)
-    lo = max(first + 1, target - _STRIP_BYTES)
+    lo = max(first + 1, target - _RUN_BYTES)
     cut = max(data.rfind(byte, lo, target + 1) for byte in _HEADER_WHITESPACE)
     return [(pos, cut), (cut, len(data))] if cut > first else [(pos, len(data))]
 
@@ -308,7 +313,7 @@ def _ascii_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     # n tokens take at least 2n - 1 bytes, so a huge header allocates nothing huge
     samples = np.empty(min(count, (len(data) - pos + 1) // 2))
     bands = _ascii_bands(data, pos, count)
-    budget = max(_STRIP_BYTES // len(bands), 1)
+    budget = max(_RUN_BYTES // len(bands), 1)
 
     def band(start, stop):
         # the second band first counts the first band's tokens, the samples before its own

@@ -8,7 +8,7 @@ import numpy as np
 
 from .canny import _link
 from .filtering import _edge_padded, _gaussian, _smooth, check_blur, convolve_separable
-from .image_core import EdgeMap, GrayImage, _by_strips, _finite
+from .image_core import EdgeMap, GrayImage, _bands, _by_strips, _finite, _row_strips, _run_bands
 
 __all__ = [
     "MHParams",
@@ -87,10 +87,11 @@ def crossing_slope_map(resp: GrayImage) -> GrayImage:
 
 
 def _landings(v: np.ndarray, mag: np.ndarray):
-    # every crossing of v as (target, lands, slope): a crossing marked in
-    # lands lands on that slice of the flattened plane with that slope. Row
-    # pairs are flat neighbours 1 apart, column pairs w apart; a row pair or
-    # straddle that wraps to the next row is cleared. mag is |v| flattened
+    # every crossing of v as (slope, landings): a crossing marked in lands,
+    # for each (target, lands) of landings, lands on that slice of the
+    # flattened plane with that slope. Row pairs are flat neighbours 1 apart,
+    # column pairs w apart; a row pair or straddle that wraps to the next row
+    # is cleared. mag is |v| flattened
     w = v.shape[1]
     flat = v.ravel()
     sign = (flat > 0).view(np.int8) - (flat < 0).view(np.int8)
@@ -102,15 +103,13 @@ def _landings(v: np.ndarray, mag: np.ndarray):
         # a pair lands on its smaller |value|, a tie on a, the scan-order
         # earlier; with opposite signs |a - b| is |a| + |b|, bit for bit
         to_a = mag[:-d] <= mag[d:]
-        slope = mag[:-d] + mag[d:]
-        yield np.s_[:-d], opposite & to_a, slope
-        yield np.s_[d:], opposite > to_a, slope
+        yield mag[:-d] + mag[d:], ((np.s_[:-d], opposite & to_a), (np.s_[d:], opposite > to_a))
         # exact zeros straddled by opposite signs
         if zero[d:-d].any():
             straddle = zero[d:-d] & (sign[:-2 * d] * sign[2 * d:] < 0)
             if wraps:
                 straddle[w - 2::w] = straddle[w - 1::w] = False
-            yield np.s_[d:-d], straddle, mag[:-2 * d] + mag[2 * d:]
+            yield mag[:-2 * d] + mag[2 * d:], ((np.s_[d:-d], straddle),)
 
 
 def _crossing_slopes(v: np.ndarray) -> np.ndarray:
@@ -118,25 +117,30 @@ def _crossing_slopes(v: np.ndarray) -> np.ndarray:
     # refuses; a same-signed pair's sum may overflow too, but never lands
     slopes = np.zeros(v.size)
     with np.errstate(over="ignore"):
-        for target, lands, slope in _landings(v, np.abs(v).ravel()):
-            np.maximum(slopes[target], np.where(lands, slope, 0.0), out=slopes[target])
+        for slope, landings in _landings(v, np.abs(v).ravel()):
+            for target, lands in landings:
+                np.maximum(slopes[target], np.where(lands, slope, 0.0), out=slopes[target])
     return slopes.reshape(v.shape)
 
 
 def _crossing_marks(v: np.ndarray, thresholds: tuple) -> np.ndarray:
     # layer i is crossing_slope_map(v) > thresholds[i], refused as it refuses
     # an overflowing slope: the pixels some crossing above thresholds[i] lands
-    # on. Only a strip with a |value| above _SAFE can overflow, so only it
-    # pays for np.errstate and the finiteness check
+    # on, each slope compared with each threshold once for all its landings.
+    # Only a strip with a |value| above _SAFE can overflow, so only it pays
+    # for np.errstate and the finiteness check
     mag = np.abs(v).ravel()
     safe = mag.max() <= _SAFE
     marks = np.zeros((len(thresholds), v.size), dtype=bool)
     with contextlib.nullcontext() if safe else np.errstate(over="ignore"):
-        for target, lands, slope in _landings(v, mag):
+        for slope, landings in _landings(v, mag):
             if not safe:
-                _finite(slope[lands])
+                for _, lands in landings:
+                    _finite(slope[lands])
             for mark, t in zip(marks, thresholds):
-                mark[target] |= lands & (slope > t)
+                above = slope > t
+                for target, lands in landings:
+                    mark[target] |= lands & above
     return marks.reshape((len(thresholds),) + v.shape)
 
 
@@ -153,13 +157,22 @@ def zero_crossings(resp: GrayImage, slope_threshold: float) -> EdgeMap:
 
 
 def _mh_from_smoothed(smoothed: np.ndarray, params: MHParams) -> np.ndarray:
-    # the detector after its blur, on a float64 plane: the Laplacian, then one
-    # strip pass refuses each strip of it unless finite, halo rows being its
-    # own rows, and marks the crossings above each threshold as bool planes;
-    # hysteresis links them by seed labels
+    # the detector after its blur, on a float64 plane: one pass per row strip,
+    # in the bands of its shape, takes the Laplacian of the strip's rows and
+    # two more on each side, keeps the rows the image's own neighbours give
+    # (its rows and one on each side; the outer two repeat a border, so are
+    # never refused), refuses those unless finite and marks its rows'
+    # crossings above each threshold as bool planes; hysteresis links them
     thresholds = (params.low, params.high) if params.use_hysteresis else (params.slope_threshold,)
-    resp = _by_strips(_laplacian, smoothed, 1)
-    marks = _by_strips(lambda v: _crossing_marks(_finite(v), thresholds), resp, 1)
+    marks = np.empty((len(thresholds),) + smoothed.shape, dtype=bool)
+
+    def band(top, bottom):
+        for t, b in _row_strips(smoothed.shape, top, bottom):
+            lo, first = max(t - 2, 0), max(t - 1, 0)
+            resp = _laplacian(smoothed[lo:b + 2])[first - lo:b + 1 - lo]
+            marks[:, t:b] = _crossing_marks(_finite(resp), thresholds)[:, t - first:b - first]
+
+    _run_bands(band, _bands(smoothed.shape))
     return _link(*marks) if params.use_hysteresis else marks[0]
 
 
@@ -167,9 +180,9 @@ def mh_detect(img: GrayImage, params: MHParams) -> EdgeMap:
     """Full detector: smooth, then keep the Laplacian's zero crossings whose
     slope is above slope_threshold (zero_crossings), or with use_hysteresis
     link those above low to those above high (hysteresis of
-    crossing_slope_map). After the blur the Laplacian is taken in row
-    strips, and one row-strip pass marks its crossings above each threshold
-    as boolean planes; linking keeps every 8-connected component of the low
-    plane that holds a pixel of the high plane. No float slope plane is
-    built."""
+    crossing_slope_map). After the blur one pass per row strip, in the
+    plane's row bands, takes the strip's Laplacian with a halo and marks its
+    crossings above each threshold as boolean planes; linking keeps every
+    8-connected component of the low plane that holds a pixel of the high
+    plane. No Laplacian or float slope plane is built."""
     return EdgeMap(_mh_from_smoothed(_smooth(img.pixels, params.sigma, params.radius), params))

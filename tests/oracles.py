@@ -18,7 +18,7 @@ ran when borders were replicated with np.pad; the slice-copy padding must
 equal it bit for bit. split_ascii_samples is the P2/P3 raster parse as it
 ran before it moved to whole-array byte passes, one bytes token at a time,
 and whole_buffer_ascii_samples as it ran before those passes moved into
-byte runs of about image_core._STRIP_BYTES. horner_decimals is the runs'
+byte runs of about image_core._RUN_BYTES. horner_decimals is the runs'
 digit conversion as it ran before it became one positional sum per run:
 Horner's rule in int64, one group of tokens per length. two_pass_comparison
 is run_comparison as it ran before a scene's blur and a truth mask's
@@ -29,8 +29,9 @@ one set of box maximum filters and three sorts per low. maxima_hysteresis
 is hysteresis as it ran before it kept the components holding a seed: each
 component's maximum from component_maxima, compared with high.
 slope_plane_mh_from_smoothed is the Marr-Hildreth detector after its blur
-as it ran before its crossings were marked as boolean strips: whole
-Laplacian and crossing-slope planes, then a threshold or maxima_hysteresis.
+as it ran before its crossings were marked as boolean strips, each taking
+its own Laplacian rows: whole Laplacian and crossing-slope planes, then a
+threshold or maxima_hysteresis.
 erosion_ring is synth_circle's truth as it ran before it moved from
 ndimage.binary_erosion to four shifted ands. ScipyToleranceMatch is score()'s
 match rule as it ran before small tolerances moved to the disc's integer

@@ -173,8 +173,9 @@ class TestDetect:
         detectors = {"canny": (canny_detect, CannyParams(sigma=1.4, low=0.05, high=0.15)),
                      "mh": (mh_detect, MHParams(slope_threshold=0.02)),
                      "mh-hyst": (mh_detect, MHParams(use_hysteresis=True, low=0.01, high=0.05))}
-        # strips of 8 rows, so every stage runs in several
+        # strips of 8 rows and ASCII runs of as many bytes, so every stage runs in several
         monkeypatch.setattr(image_core, "_STRIP_BYTES", 8 * 8 * 80)
+        monkeypatch.setattr(image_core, "_RUN_BYTES", 8 * 8 * 80)
         expected = {}
         for name, (detect, params) in detectors.items():
             write_image(detect(gray, params), tmp_path / f"{name}.pgm")

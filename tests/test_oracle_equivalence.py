@@ -737,7 +737,7 @@ class TestCrossingSlopeMatchesScatter:
         assert_crossings_match(px)
 
 
-# 1024 wide, so strips are 32 rows at the real budget: 100 rows cross three strip boundaries
+# 1024 wide, so strips are 64 rows at the real budget: 100 rows cross a strip boundary
 WIDE = (100, 1024)
 # rows whose crossing slopes overflow, or (the first) do not, with whether they do
 HUGE_NEIGHBOURS = [
@@ -1281,7 +1281,7 @@ class TestStripsMatchWholePlane:
         # a budget below one row gives one-row strips, so every halo takes the whole-plane path
         monkeypatch.setattr(image_core, "_STRIP_BYTES", 100)
         assert_strips_match(px, 1.0)
-        wide = np.random.default_rng(5).random((3, 40_000))
+        wide = np.random.default_rng(5).random((3, 70_000))
         monkeypatch.undo()
         assert image_core._STRIP_BYTES < 8 * wide.shape[1]
         assert_strips_match(wide, 1.0)
@@ -1353,17 +1353,22 @@ class TestStripsMatchWholePlane:
             assert_strips_match(px, *kernel)
 
 
+# rows of a float64 strip at width 1024 at the real budget
+STRIP_ROWS_1024 = image_core._STRIP_BYTES // (8 * 1024)
+
+
 class TestBlurPassesMatchWholePlane:
     """convolve_separable filters each row along x once, into a plane padded
     by ky's radius of replicated rows, and runs its y strips straight off
     that plane; it must give the whole-plane passes' bytes wherever the
     padding or the strips reach."""
 
-    @pytest.mark.parametrize("radius", [17, 40, 100])
+    @pytest.mark.parametrize("radius", [STRIP_ROWS_1024 // 2 + 1, STRIP_ROWS_1024 // 2 + 8, STRIP_ROWS_1024 // 2 + 68])
     def test_radius_above_half_a_strip_at_width_1024(self, radius):
-        # 32-row strips at width 1024; every y strip reads a halo taller than itself
-        px = np.random.default_rng(radius).random((70, 1024))
-        assert image_core._STRIP_BYTES // (8 * 1024) < 2 * radius
+        # a plane of two strips and a short third at the real budget; every
+        # y strip reads a halo taller than itself
+        px = np.random.default_rng(radius).random((2 * STRIP_ROWS_1024 + 6, 1024))
+        assert STRIP_ROWS_1024 < 2 * radius
         k = gaussian_kernel_1d(radius / 3.0, radius)
         assert_blur_matches(GrayImage(px), k, k)
         assert_blur_matches(GrayImage(px), gaussian_kernel_1d(0.7, 2), k)
@@ -1604,6 +1609,115 @@ class TestBands:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+# the band cut of a (16, w) plane in strips of 4 rows on 2 CPUs
+MH_SEAM = 8
+# a column whose Laplacian is +inf on its middle row alone, between rows of
+# exact zeros, so no crossing lands near it
+NO_CROSSING_INF = np.array([[1, 0, -1, -2, -1, 0, 1]]).T * 2.0 ** 1021
+
+
+def impulses(r: int) -> list:
+    """(16, 5) planes with a crossing on row r: an impulse on row r
+    (Laplacian 1, -4, 1 down its column), and opposite impulses on rows
+    r - 1 and r + 1, whose Laplacian is exactly 0 on row r between -4 and 4,
+    a straddle there."""
+    planes = [plane_with((16, 5), ((r, 2), sign)) for sign in (1.0, -1.0)]
+    if 0 < r < 15:
+        planes.append(plane_with((16, 5), ((r - 1, 2), 1.0), ((r + 1, 2), -1.0)))
+    return planes
+
+
+class TestMarrHildrethBands:
+    """The detector after its blur runs one pass per row strip in the bands
+    of _bands: each strip takes the Laplacian of its rows and two more on
+    each side, keeps the image's own Laplacian rows, its rows and one on
+    each side, refuses those unless finite and marks its crossings. On 1
+    CPU and on 2, the maps and refusals must be the whole Laplacian and
+    slope planes', wherever a crossing, a non-finite Laplacian or an
+    overflowing slope falls against a strip's rows or the band cut."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("strip", [1, 2, 3, 4, 5])
+    def test_crossings_on_every_row_of_a_strip(self, monkeypatch, strip, cpus):
+        # over every r, crossings fall on rows t - 1, t, b - 1 and b of each
+        # strip (t, b), and on both sides of the band cut
+        set_strip_rows(monkeypatch, strip, 5)
+        set_cpus(monkeypatch, cpus)
+        for r in range(16):
+            for px in impulses(r):
+                assert slope_plane_mh_from_smoothed(GrayImage(px), MHParams()).mask[r].any(), r
+                for params in mh_cases([0.0, 4.0, 5.0]):
+                    assert_mh_matches(px, params)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("row", [MH_SEAM - 2, MH_SEAM - 1, MH_SEAM, MH_SEAM + 1])
+    @pytest.mark.parametrize("crossing", [True, False], ids=["crossing", "no-crossing"])
+    def test_a_non_finite_laplacian_row_at_the_seam_is_refused(self, monkeypatch, row, crossing, cpus):
+        # MAX / 2 times -4 overflows on this row alone, where crossings land;
+        # NO_CROSSING_INF's Laplacian is +inf on this row with no crossing, so
+        # only the Laplacian's own check refuses it
+        px = np.zeros((16, 6))
+        if crossing:
+            px[row, 2] = MAX / 2
+        else:
+            px[row - 3:row + 4] = NO_CROSSING_INF
+        set_strip_rows(monkeypatch, 4, 6)
+        set_cpus(monkeypatch, cpus)
+        for params in mh_cases([0.0]):
+            expected = outcome(slope_plane_mh_from_smoothed, GrayImage(px), params)
+            assert expected == NOT_FINITE.encode()
+            assert outcome(_mh_from_smoothed, px, params) == expected, params
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("strip", [1, 2])
+    def test_an_overflowing_halo_only_row_at_the_seam_is_not_refused(self, monkeypatch, strip, cpus):
+        # HALO_ONLY_LAPLACIAN between copies of its first and last rows,
+        # which leave its own Laplacian rows as they were: its row 1, here
+        # row 2, overflows when the strip from row 4, the second band's
+        # first, recomputes it against a repeated border
+        px = np.vstack([HALO_ONLY_LAPLACIAN[:1], HALO_ONLY_LAPLACIAN, HALO_ONLY_LAPLACIAN[-1:].repeat(2, axis=0)])
+        set_strip_rows(monkeypatch, strip, 5)
+        set_cpus(monkeypatch, 2)
+        assert image_core._bands(px.shape)[1][0] == 4
+        set_cpus(monkeypatch, cpus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(marr_hildreth._laplacian(px[2:4])[0]).all()
+        for params in mh_cases([0.0, 1e300]):
+            expected = outcome(slope_plane_mh_from_smoothed, GrayImage(px), params)
+            assert expected != NOT_FINITE.encode()
+            assert outcome(_mh_from_smoothed, px, params) == expected, params
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cells, overflows", [
+        # -x and x on the rows either side of the cut: Laplacians 5x and
+        # -5x, a pair across the cut with slope 10x
+        ((((MH_SEAM - 1, 2), -MAX / 8), ((MH_SEAM, 2), MAX / 8)), True),
+        ((((MH_SEAM - 1, 2), -MAX / 16), ((MH_SEAM, 2), MAX / 16)), False),
+        # x and -x on rows 7 and 9: Laplacians -4x, exactly 0 and 4x, a
+        # straddle on the cut's row with slope 8x
+        ((((MH_SEAM - 1, 2), MAX / 6), ((MH_SEAM + 1, 2), -MAX / 6)), True),
+        ((((MH_SEAM - 1, 2), MAX / 12), ((MH_SEAM + 1, 2), -MAX / 12)), False),
+    ], ids=["pair", "finite-pair", "straddle", "finite-straddle"])
+    def test_an_overflowing_slope_at_the_seam(self, monkeypatch, cells, overflows, cpus):
+        px = plane_with((16, 5), *cells)
+        set_strip_rows(monkeypatch, 4, 5)
+        set_cpus(monkeypatch, cpus)
+        for params in mh_cases([0.0]):
+            expected = outcome(slope_plane_mh_from_smoothed, GrayImage(px), params)
+            assert (expected == NOT_FINITE.encode()) == overflows
+            assert outcome(_mh_from_smoothed, px, params) == expected, params
+
+    @given(st.tuples(st.integers(4, 40), st.integers(1, 12)), st.integers(1, 10), seeds, st.sampled_from(PAIRS))
+    def test_random_planes_in_bands(self, shape, strip, seed, pair):
+        px = np.random.default_rng(seed).choice(RESPONSE_LEVELS, size=shape)
+        with pytest.MonkeyPatch.context() as mp:
+            set_strip_rows(mp, strip, shape[1])
+            set_cpus(mp, 2)
+            for params in (MHParams(slope_threshold=pair[0]), MHParams(use_hysteresis=True, low=pair[0], high=pair[1])):
+                assert_mh_matches(px, params)
+                assert_mh_matches(px + 0.2, params)
+
+
 # the six Netpbm whitespace bytes and a CRLF line end
 ASCII_SEPARATORS = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n")
 # bytes a sample token must not hold
@@ -1685,7 +1799,7 @@ def assert_ascii_read_matches(path, budgets=RUN_BUDGETS) -> None:
             with pytest.MonkeyPatch.context() as mp:
                 set_cpus(mp, cpus)
                 if budget is not None:
-                    mp.setattr(image_core, "_STRIP_BYTES", budget)
+                    mp.setattr(image_core, "_RUN_BYTES", budget)
                 got = read_outcome(path), read_outcome(path, image_core._read_gray)
             assert got == expected[0], (cpus, budget, path.read_bytes()[:200])
 
@@ -1740,7 +1854,7 @@ class TestAsciiRasterMatchesTokenSplit:
 
 
 class TestAsciiRunBoundaries:
-    """The ASCII parse tokenises byte runs of about _STRIP_BYTES, each cut at
+    """The ASCII parse tokenises byte runs of about _RUN_BYTES, each cut at
     a whitespace byte; with every budget from one byte to the whole file,
     each run boundary falls on each byte of these rasters once."""
 
@@ -1767,14 +1881,14 @@ class TestAsciiRunBoundaries:
     def test_a_short_raster_with_a_bad_token_in_an_early_run_counts_every_token(self, monkeypatch, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P2 9 1 255 1 x 3 4 5 6 7 8")
-        monkeypatch.setattr(image_core, "_STRIP_BYTES", 2)
+        monkeypatch.setattr(image_core, "_RUN_BYTES", 2)
         with pytest.raises(TruncationError, match="expected 9 samples, got 8"):
             read_image(path)
 
     def test_runs_past_the_last_sample_are_never_read(self, monkeypatch, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P2 2 1 255 1 2 " + b"x" * 100)
-        monkeypatch.setattr(image_core, "_STRIP_BYTES", 3)
+        monkeypatch.setattr(image_core, "_RUN_BYTES", 3)
         with mock.patch.object(image_core, "_malformed_token", wraps=image_core._malformed_token) as scanned:
             assert read_image(path).pixels.tolist() == [[1 / 255, 2 / 255]]
         # both samples lie in the first run, and no run after it is tokenised
@@ -1841,7 +1955,7 @@ def two_band_body(tmp_path, header: bytes, raster: bytes, cut: int):
     count = math.prod(int(v) for v in header.split()[1:3])
     with pytest.MonkeyPatch.context() as mp:
         set_cpus(mp, 2)
-        mp.setattr(image_core, "_STRIP_BYTES", 4)
+        mp.setattr(image_core, "_RUN_BYTES", 4)
         pos, stop = len(header), len(header + raster)
         assert image_core._ascii_bands(header + raster, pos, count) == [(pos, pos + cut), (pos + cut, stop)]
     return path
@@ -1878,7 +1992,7 @@ class TestAsciiBands:
         assert_ascii_read_matches(path, range(1, 20))
         with pytest.MonkeyPatch.context() as mp:
             set_cpus(mp, 2)
-            mp.setattr(image_core, "_STRIP_BYTES", 4)
+            mp.setattr(image_core, "_RUN_BYTES", 4)
             with pytest.raises(TruncationError, match="expected 9 samples, got 8"):
                 read_image(path)
 
@@ -1890,7 +2004,7 @@ class TestAsciiBands:
         path = two_band_body(tmp_path, b"P2 8 1 255", b" 1 2 3 4 5 6 7 8 " + b"x" * 100, 14)
         with pytest.MonkeyPatch.context() as mp:
             set_cpus(mp, cpus)
-            mp.setattr(image_core, "_STRIP_BYTES", 4)
+            mp.setattr(image_core, "_RUN_BYTES", 4)
             with mock.patch.object(image_core, "_malformed_token", wraps=image_core._malformed_token) as scanned:
                 assert read_image(path).pixels.tolist() == [[v / 255 for v in range(1, 9)]]
         assert scanned.call_count == runs
