@@ -199,11 +199,11 @@ def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     # the 8-connected components of passable, a plane or each layer of a
     # (layers, h, w) stack, that hold a seed; every seed is passable, so a
     # component with one has a pixel above high. Each worker labels one of
-    # _plane_bands into one intp plane and returns its seeds' labels. With
-    # two bands, the labels that meet across the seam, each pixel of a's last
-    # row against b's first row at shifts -1, 0 and +1, are merged by _hook;
-    # one band keeps its seeds' labels as they are. Each worker then maps its
-    # band through its part of the keep table
+    # _plane_bands into one intp plane and returns its seeds' labels. One
+    # band keeps its seeds' labels as they are. With two bands, the labels
+    # that meet across the seam, each pixel of a's last row against b's first
+    # row at shifts -1, 0 and +1, are the edges that _seeded_components
+    # merges. Each worker then maps its band through its part of the keep table
     label, structure = _ndimage().label, _EIGHT_CONNECTED if passable.ndim == 2 else _LAYERED
     labels, edges = np.empty(passable.shape, dtype=np.intp), np.empty(passable.shape, dtype=bool)
 
@@ -215,68 +215,64 @@ def _link(passable: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     counts, seeded = zip(*_run_bands(band, bands))
     # in the keep table, band b's labels follow band a's and an entry for b's background 0
     starts, size = (0, counts[0] + 1), sum(counts) + len(counts)
-    keep = np.zeros(size, dtype=bool)
-    keep[seeded[0]] = True
-    if len(bands) == 2:
-        keep[seeded[1] + starts[1]] = True
+    if len(bands) == 1:
+        keep = np.zeros(size, dtype=bool)
+        keep[seeded[0]] = True
+    else:
         above, below = labels[bands[1][0] - 1], labels[bands[1][0]]
         src, dst = (np.concatenate(side) for side in zip((above[1:], below[:-1]), (above, below), (above[:-1], below[1:])))
         joined = (src != 0) & (dst != 0)
-        # a round with an edge left hooks a component, so these rounds always end
-        root = _hook(size, src[joined], dst[joined] + starts[1], size)
-        # a merged component is kept when any of its labels holds a seed
-        keep[root[keep]] = True
-        keep = keep[root]
+        keep = _seeded_components(size, src[joined], dst[joined] + starts[1],
+                                  np.concatenate((seeded[0], seeded[1] + starts[1])))
     _run_bands(lambda top, bottom, table: table.take(labels[..., top:bottom, :], out=edges[..., top:bottom, :],
                                                      mode="clip"),
                [band + (keep[start:start + count + 1],) for band, start, count in zip(bands, starts, counts)])
     return edges
 
 
-def _hook(n: int, src: np.ndarray, dst: np.ndarray, rounds: int) -> "np.ndarray | None":
-    # each of the nodes 0 .. n - 1 mapped to the least node of its component
-    # of the edges (src, dst); None if rounds rounds leave an edge between two
-    # components. Each round hooks every component's least node to the least
-    # across its edges, then jumps pointers until every node points at its
-    # least, so a round with an edge left hooks at least one component
+def _seeded_components(n: int, src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    # keep[i] for each of the nodes 0 .. n - 1: whether its component of the
+    # edges (src, dst) holds a node of seeds (indices or a mask). The loop
+    # ends, and soon: a root with an edge left hooks or is hooked to in a
+    # round, or else it is less than all its neighbour roots and each of
+    # them hooks to a root less than it, so it hooks in the next. The roots
+    # with an edge left thus halve every two rounds, at most about
+    # 2 * log2(n) + 2 rounds (after Shiloach and Vishkin, J. Algorithms
+    # 3(1), 1982)
     root = np.arange(n)
-    for _ in range(rounds):
+    while True:
         a, b = root[src], root[dst]
         split = a != b
         if not split.any():
-            return root
+            break
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
         while not ((up := root[root]) == root).all():
             root = up
-    return None
+    keep = np.zeros(n, dtype=bool)
+    keep[root[seeds]] = True
+    return keep[root]
 
 
 # Canny links in numpy while it keeps at most this share of the plane's
 # pixels, and labels dense planes with ndimage.label above it
 _SPARSE_SHARE = 1 / 40
-# hooking rounds before the numpy link gives way to ndimage.label
-_SPARSE_ROUNDS = 16
 
 
-def _sparse_link(idx: np.ndarray, seeded: np.ndarray, shape: tuple) -> "np.ndarray | None":
+def _sparse_link(idx: np.ndarray, seeded: np.ndarray, shape: tuple) -> np.ndarray:
     # _link's map of the pixels _thin keeps on a plane or stack of this shape,
-    # from their sorted flat indices idx, of which seeded are seeds; None if
-    # _SPARSE_ROUNDS rounds leave an edge between two components. _thin keeps
-    # no border pixel of any layer, so the forward neighbours +1, w-1, w and
-    # w+1 never wrap to another row or layer, and those on the next row are
-    # among the 3 kept pixels from the first at or past a pixel's index + w-1
+    # from their sorted flat indices idx, of which seeded are seeds, linked by
+    # _seeded_components over the kept pixels as nodes. _thin keeps no border
+    # pixel of any layer, so the forward neighbours +1, w-1, w and w+1 never
+    # wrap to another row or layer, and those on the next row are among the 3
+    # kept pixels from the first at or past a pixel's index + w-1
     w = shape[-1]
     below = np.searchsorted(idx, idx + (w - 1))
     ends = np.concatenate(([np.arange(1, idx.size + 1)], below + np.array([[0], [1], [2]])))
     tail = np.append(idx, np.iinfo(idx.dtype).max)  # past the last kept pixel
     k, src = np.nonzero(tail.take(ends, mode="clip") - idx <= np.array([[1], [w + 1], [w + 1], [w + 1]]))
     dst = ends[k, src]
-    root = _hook(idx.size, src, dst, _SPARSE_ROUNDS)
-    if root is None:
-        return None
-    keep, edges = np.zeros(idx.size, dtype=bool), np.zeros(shape, dtype=bool)
-    keep[root[seeded]] = True
-    np.put(edges, idx[keep[root]], True)
+    edges = np.zeros(shape, dtype=bool)
+    np.put(edges, idx[_seeded_components(idx.size, src, dst, seeded)], True)
     return edges
 
 
@@ -309,8 +305,9 @@ def thinned_magnitude(img: GrayImage, sigma: float, radius: "int | None" = None)
 def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarray:
     # the detector after its blur, on a float64 plane or each layer of a
     # (layers, h, w) stack: differentiate, thin above low, then link the kept
-    # pixels, every one above low, from those above high, in numpy when few
-    # are kept; no thinned plane is built. Each band of _plane_bands is
+    # pixels, every one above low, from those above high; no thinned plane is
+    # built. A plane keeping at most _SPARSE_SHARE links in numpy, which always
+    # finishes, so it never loads scipy. Each band of _plane_bands is
     # differentiated and thinned in one call with the 2 rows of halo that
     # thinning reads, so two bands run at once
     def band(top, bottom):
@@ -322,8 +319,8 @@ def _canny_from_smoothed(smoothed: np.ndarray, params: CannyParams) -> np.ndarra
     # the bands' indices, in order
     idx, kept = (np.concatenate(parts) for parts in zip(*_run_bands(band, _plane_bands(smoothed.shape))))
     seeded = kept > params.high
-    if idx.size <= _SPARSE_SHARE * smoothed.size and (edges := _sparse_link(idx, seeded, smoothed.shape)) is not None:
-        return edges
+    if idx.size <= _SPARSE_SHARE * smoothed.size:
+        return _sparse_link(idx, seeded, smoothed.shape)
     passable, seeds = np.zeros((2,) + smoothed.shape, dtype=bool)
     np.put(passable, idx, True)
     np.put(seeds, idx[seeded], True)

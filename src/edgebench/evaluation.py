@@ -68,13 +68,6 @@ _DISC_TOLERANCE = 3.0
 _MAX_SCENE_PIXELS = 2**24
 
 
-def __getattr__(name):
-    # evaluation.ndimage is scipy.ndimage, imported on first use (PEP 562)
-    if name == "ndimage":
-        return _ndimage()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Scene:
     """An input image paired with its exact ground-truth edge mask."""

@@ -345,7 +345,7 @@ class TestScore:
         edges = canny_detect(scene.image, CannyParams())
         calls = {}
         count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
-        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        count_calls(monkeypatch, calls, ndimage, "distance_transform_edt")
         transforms = tolerance > evaluation._DISC_TOLERANCE
         for n in (1, 2):
             score(edges, scene.truth, tolerance)
@@ -467,7 +467,7 @@ class TestSuitesAndTuning:
         for name in ("_blur", "gaussian_kernel_1d", "laplacian_kernel_2d"):
             count_calls_everywhere(monkeypatch, calls, filtering, name)
         count_calls(monkeypatch, calls, evaluation, "_ToleranceMatch")
-        count_calls(monkeypatch, calls, evaluation.ndimage, "distance_transform_edt")
+        count_calls(monkeypatch, calls, ndimage, "distance_transform_edt")
         counted = evaluation._blur
 
         def blur(px, kx, ky):

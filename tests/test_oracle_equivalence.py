@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from edgebench import cli, evaluation, filtering, image_core, marr_hildreth
 from edgebench.canny import (CannyParams, GradientField, _canny_from_smoothed, _central_differences, _thin,
@@ -346,7 +347,7 @@ def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float, linked: bool = 
     # highest f in row-major order among the cells j >= i, and only its
     # params are built
     fs, built, stacks = [], [], [] if stacks is None else stacks
-    real_harmonic_mean, real_label = evaluation._harmonic_mean, evaluation.ndimage.label
+    real_harmonic_mean, real_label = evaluation._harmonic_mean, ndimage.label
 
     def ranked(p, r):
         fs.append(real_harmonic_mean(p, r))
@@ -363,7 +364,7 @@ def traced_sweep(levels, grid, truth: EdgeMap, tolerance: float, linked: bool = 
         return low, high
 
     values = levels.pixels if linked else np.array(levels, dtype=np.float64)
-    with mock.patch.object(evaluation, "_harmonic_mean", ranked), mock.patch.object(evaluation.ndimage, "label", label):
+    with mock.patch.object(evaluation, "_harmonic_mean", ranked), mock.patch.object(ndimage, "label", label):
         winner = evaluation._best_operating_point(values, grid, linked, make_params, truth, tolerance)
     (f,) = fs
     assert f.shape == (len(grid) if linked else len(levels), len(grid))

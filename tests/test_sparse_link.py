@@ -6,17 +6,20 @@ each component to its least index and jumping pointers, with no passable or
 seed plane. Its map must be the one _link gives on the dense planes, on
 either side of the switch, across the seam of two row bands in every
 8-neighbour direction, with seeds in either band, on an empty plane, on a
-(layers, h, w) stack, and when the hooking rounds run out and the dense
-link takes over.
+(layers, h, w) stack, and on a comb that needs many hooking rounds. The
+hooking itself, _seeded_components, must keep the components a graph
+search keeps, however many rounds it takes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from edgebench import canny
-from edgebench.canny import CannyParams, _canny_from_smoothed, _central_differences, _link, _sparse_link, _thin
+from edgebench.canny import CannyParams, _canny_from_smoothed, _central_differences, _link, _seeded_components, _thin
 from test_oracle_equivalence import set_cpus, set_strip_rows
 
 # in strips of 4 rows, a plane 16 rows high runs as bands of rows 0-7 and 8-15
@@ -91,6 +94,33 @@ def ruler_comb(teeth: int) -> np.ndarray:
     comb[base:base + 3, 20:17 + 6 * teeth] = 0.5
     comb[base - 3:base + 6, 6:20] = 1.0
     return comb
+
+
+# the most teeth a ruler comb 1024 pixels wide holds, at 6 pixels a tooth
+# and 40 of margin
+MOST_TEETH = (1024 - 40) // 6
+
+
+class RoundCounter:
+    """Stands in for canny's numpy and counts the hooking rounds, one
+    np.minimum.at call each."""
+
+    def __init__(self):
+        self.rounds = 0
+        counter = self
+
+        class Minimum:
+            __call__ = staticmethod(np.minimum)
+
+            @staticmethod
+            def at(*args):
+                counter.rounds += 1
+                np.minimum.at(*args)
+
+        self.minimum = Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 def bumps(seed: int, share: float) -> np.ndarray:
@@ -174,20 +204,76 @@ class TestSparseLink:
         assert [layer.any() for layer in _canny_from_smoothed(stack, PARAMS)] == [True, True, False, True]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_comb_needing_many_rounds_falls_back_when_the_cap_is_hit(self, monkeypatch, cpus):
-        smoothed = np.pad(ruler_comb(16), ((0, 96), (0, 0)))
+    @pytest.mark.parametrize("teeth, rows, rounds", [(16, 160, 5), (MOST_TEETH, 1024, 8)])
+    def test_a_comb_needing_many_rounds_links_in_numpy(self, monkeypatch, teeth, rows, rounds, cpus):
+        comb = ruler_comb(teeth)
+        smoothed = np.pad(comb, ((0, rows - comb.shape[0]), (0, 0)))
         set_strip_rows(monkeypatch, 4, smoothed.shape[1])
         set_cpus(monkeypatch, cpus)
         idx, kept = _thin(*_central_differences(smoothed), COMB.low)
         seeded = kept > COMB.high
         assert idx.size <= canny._SPARSE_SHARE * smoothed.size and (idx[seeded] % smoothed.shape[1]).max() <= 20
-        for needed in range(1, canny._SPARSE_ROUNDS + 1):
-            monkeypatch.setattr(canny, "_SPARSE_ROUNDS", needed)
-            if _sparse_link(idx, seeded, smoothed.shape) is not None:
-                break
-        assert needed >= 6
-        assert np.count_nonzero(_canny_from_smoothed(smoothed, COMB)) == idx.size
+        counter = RoundCounter()
+        with monkeypatch.context() as counted:
+            counted.setattr(canny, "np", counter)
+            got = _canny_from_smoothed(smoothed, COMB)
+        assert counter.rounds >= rounds
+        assert np.count_nonzero(got) == idx.size
         assert_links_match(monkeypatch, smoothed, COMB)
-        monkeypatch.setattr(canny, "_SPARSE_ROUNDS", needed - 1)
-        assert _sparse_link(idx, seeded, smoothed.shape) is None
-        assert_links_match(monkeypatch, smoothed, COMB, dense=True)
+
+
+def ruler_path(n: int) -> tuple:
+    # the edges of a path of n nodes, its k-th node (from 1) the lower the
+    # more times 2 divides k: each hooking round merges each run of the path
+    # into the node that ends it at the next scale, so the rounds grow as log2(n)
+    k = np.arange(1, n + 1)
+    node = np.empty(n, dtype=np.intp)
+    node[np.argsort(-(k & -k), kind="stable")] = np.arange(n)
+    return node[:-1], node[1:]
+
+
+def random_path(n: int, seed: int) -> tuple:
+    node = np.random.default_rng(seed).permutation(n)
+    return node[:-1], node[1:]
+
+
+def searched_components(n: int, src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    # the nodes whose component, found by scipy's graph search, holds a seed
+    _, component = connected_components(coo_array((np.ones(src.size), (src, dst)), shape=(n, n)), directed=False)
+    return np.isin(component, component[seeds])
+
+
+class TestSeededComponents:
+    @pytest.mark.parametrize("path", ["ruler", "random"])
+    @pytest.mark.parametrize("log_n", [1, 4, 10, 17])
+    def test_a_path_keeps_what_a_graph_search_keeps(self, monkeypatch, path, log_n):
+        n = 2**log_n
+        src, dst = ruler_path(n) if path == "ruler" else random_path(n, log_n)
+        rng = np.random.default_rng(log_n)
+        for seeds in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.001,
+                      rng.integers(0, n, 3), np.array([], dtype=np.intp)):
+            counter = RoundCounter()
+            with monkeypatch.context() as counted:
+                counted.setattr(canny, "np", counter)
+                keep = _seeded_components(n, src, dst, seeds)
+            assert keep.tobytes() == searched_components(n, src, dst, seeds).tobytes()
+            assert keep.all() == bool(np.any(seeds))
+            if path == "ruler":
+                assert counter.rounds == log_n
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 600))
+    def test_random_graphs(self, seed, n, m):
+        # edges in either direction, self-loops and repeats, cut into many components
+        rng = np.random.default_rng(seed)
+        src, dst = rng.integers(0, n, (2, m))
+        seeds = rng.random(n) < rng.random()
+        keep = _seeded_components(n, src, dst, seeds)
+        assert keep.tobytes() == searched_components(n, src, dst, seeds).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_no_edges_keeps_the_seeds(self, n):
+        none = np.array([], dtype=np.intp)
+        seeds = np.arange(n) % 3 == 0
+        assert _seeded_components(n, none, none, seeds).tobytes() == seeds.tobytes()
+        assert not _seeded_components(n, none, none, np.zeros(n, dtype=bool)).any()
+        assert _seeded_components(n, none, none, np.ones(n, dtype=bool)).all()
